@@ -42,57 +42,37 @@ def q(m_set: IndexSet) -> Dyadic:
     return Dyadic.half_power(len(m_set))
 
 
-def _compress(sets: Sequence[IndexSet]) -> list[frozenset[int]]:
-    support = sorted({k for s in sets for k in s})
-    index = {k: i for i, k in enumerate(support)}
-    return [frozenset(index[k] for k in s) for s in sets]
-
-
-def _components(sets: list[frozenset[int]]) -> list[list[int]]:
-    """Group set positions into overlap components (empty sets stay alone)."""
-    parent = list(range(len(sets)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    owner: dict[int, int] = {}
-    for pos, s in enumerate(sets):
-        for k in s:
-            if k in owner:
-                ra, rb = find(owner[k]), find(pos)
-                if ra != rb:
-                    parent[rb] = ra
+def _components(masks: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Group non-empty member masks into overlap components (union, members)."""
+    groups: list[tuple[int, list[int]]] = []
+    for m in masks:
+        union, members, rest = m, [m], []
+        for group in groups:
+            # groups are pairwise disjoint, so only overlap with m merges them
+            if group[0] & m:
+                union |= group[0]
+                members += group[1]
             else:
-                owner[k] = pos
-    groups: dict[int, list[int]] = {}
-    for pos in range(len(sets)):
-        groups.setdefault(find(pos), []).append(pos)
-    return list(groups.values())
+                rest.append(group)
+        rest.append((union, members))
+        groups = rest
+    return groups
 
 
-def _component_expectation(members: list[frozenset[int]]) -> Dyadic:
-    """E of the product of maxima over one overlap component, exactly."""
-    c = len(members)
-    support = sorted({k for s in members for k in s})
-    remap = {k: i for i, k in enumerate(support)}
-    d = len(support)
-    if d == 0:
-        # empty sets only: each factor is the constant -1
-        return Dyadic((-1) ** c)
-    if c == 1:
-        return Dyadic((1 << d) - 2, d)  # 1 - 2**(1-d)
-    if c == 2:
-        a, b = (len(s) for s in members)
-        num = (1 << d) - (1 << (d - a + 1)) - (1 << (d - b + 1)) + 4
-        return Dyadic(num, d)
+def _subset_sum(members: Sequence[int]) -> tuple[int, int]:
+    """sum_H (-1)^|H| 2^(|H| - |union H|) over sub-collections H, as
+    (numerator, exponent) over the support size of the members."""
+    support = 0
+    for m in members:
+        support |= m
+    bits = [i for i in range(support.bit_length()) if support >> i & 1]
+    # relabel the support onto bits 0..d-1
+    member_masks = [
+        sum(1 << j for j, b in enumerate(bits) if m >> b & 1) for m in members
+    ]
+    c, d = len(members), len(bits)
     if d <= 62:
         masks = np.zeros(1 << c, dtype=np.int64)
-        member_masks = np.array(
-            [sum(1 << remap[k] for k in s) for s in members], dtype=np.int64
-        )
         for i in range(c):
             view = masks.reshape(-1, 2, 1 << i)
             np.bitwise_or(view[:, 0, :], member_masks[i], out=view[:, 1, :])
@@ -107,9 +87,8 @@ def _component_expectation(members: list[frozenset[int]]) -> Dyadic:
             numerator += int(cnt) << e
         for e, cnt in enumerate(neg):
             numerator -= int(cnt) << e
-        return Dyadic(numerator, d)
+        return numerator, d
     # wide-support fallback: subset DP with python integers
-    member_masks = [sum(1 << remap[k] for k in s) for s in members]
     unions = [0] * (1 << c)
     numerator = 0
     for h in range(1 << c):
@@ -119,7 +98,46 @@ def _component_expectation(members: list[frozenset[int]]) -> Dyadic:
         size = h.bit_count()
         exp = size + d - unions[h].bit_count()
         numerator += -(1 << exp) if size & 1 else (1 << exp)
-    return Dyadic(numerator, d)
+    return numerator, d
+
+
+def _component_terms(union: int, members: list[int]) -> tuple[int, int]:
+    """E of the product of maxima over one overlap component, as
+    (numerator, exponent)."""
+    if len(members) == 1:
+        d = union.bit_count()
+        return (1 << d) - 2, d  # 1 - 2**(1-d)
+    if len(members) == 2:
+        d = union.bit_count()
+        a, b = members[0].bit_count(), members[1].bit_count()
+        return (1 << d) - (1 << (d - a + 1)) - (1 << (d - b + 1)) + 4, d
+    return _subset_sum(members)
+
+
+def _product_terms(masks: Sequence[int], cap: int) -> tuple[int, int]:
+    """E[prod_K u_[K]] over member masks (bit k-1 for index k), as
+    (numerator, exponent); the value is numerator / 2**exponent."""
+    nonempty = [m for m in masks if m]
+    sign = -1 if (len(masks) - len(nonempty)) & 1 else 1
+    if all(m & (m - 1) == 0 for m in nonempty):
+        # a plain product of signs: zero unless every index occurs an even
+        # number of times
+        parity = 0
+        for m in nonempty:
+            parity ^= m
+        return (0 if parity else sign), 0
+    components = _components(nonempty)
+    for _, members in components:
+        if len(members) > cap:
+            raise CapacityError(
+                f"overlap component of size {len(members)} exceeds expansion cap {cap}"
+            )
+    numerator, exponent = sign, 0
+    for union, members in components:
+        num, exp = _component_terms(union, members)
+        numerator *= num
+        exponent += exp
+    return numerator, exponent
 
 
 def expected_product(sets: Sequence[IndexSet],
@@ -130,27 +148,7 @@ def expected_product(sets: Sequence[IndexSet],
     independent); the 2**size sub-collection sum runs per component, so the
     cap applies to the largest component rather than the whole collection.
     """
-    if not sets:
-        return Dyadic(1)
-    compressed = _compress(sets)
-    # fast path: empties and singletons only, i.e. a plain product of signs
-    if all(len(s) <= 1 for s in compressed):
-        flips = sum(1 for s in compressed if not s)
-        odd = {}
-        for s in compressed:
-            for k in s:
-                odd[k] = not odd.get(k, False)
-        if any(odd.values()):
-            return Dyadic(0)
-        return Dyadic((-1) ** flips)
-    total = Dyadic(1)
-    for group in _components(compressed):
-        if len(group) > cap:
-            raise CapacityError(
-                f"overlap component of size {len(group)} exceeds expansion cap {cap}"
-            )
-        total = total * _component_expectation([compressed[i] for i in group])
-    return total
+    return Dyadic(*_product_terms([s.mask for s in sets], cap))
 
 
 def expected_zeta(family: BetaFamily, cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:
@@ -235,15 +233,57 @@ def _stabilized_tail(rho: list[Dyadic]) -> Dyadic | None:
     return None
 
 
-def _step_families(rule: RecyclingRule, horizon: int,
-                   cap: int) -> list[BetaFamily]:
-    fams = []
+def _step_masks(rule: RecyclingRule, horizon: int, cap: int) -> list[list[int]]:
+    """Member masks of the step families 1..horizon, each family built once."""
+    out = []
     for k in range(1, horizon + 1):
         try:
-            fams.append(rule.step_family(k, cap))
+            fam = rule.step_family(k, cap)
         except CapacityError as exc:
             raise CapacityError(f"step {k}: {exc}") from exc
-    return fams
+        out.append([m.mask for m in fam.members])
+    return out
+
+
+def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float,
+                       cap: int, expansion_cap: int
+                       ) -> tuple[MomentReport, list[list[int]]]:
+    """condition_A_partial, also returning the member masks of each step."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    step_masks = _step_masks(rule, horizon, cap)
+    rho: list[Dyadic] = []
+    cesaro: list[Fraction] = []
+    total, total_exp = 0, 0  # running sum total / 2**total_exp
+    for k, masks in enumerate(step_masks, start=1):
+        try:
+            num, exp = _product_terms(masks, expansion_cap)
+        except CapacityError as exc:
+            raise CapacityError(f"step {k}: {exc}") from exc
+        rho.append(Dyadic(num, exp))
+        if exp > total_exp:
+            total <<= exp - total_exp
+            total_exp = exp
+        total += num << (total_exp - exp)
+        cesaro.append(Fraction(total, k << total_exp))
+    stabilized = _stabilized_tail(rho)
+    # an eventually constant per-step sequence has that constant as its
+    # Cesaro limit, no tolerance needed
+    if stabilized is not None or _tail_range(cesaro) < tolerance:
+        verdict = "converged"
+    else:
+        verdict = "undetermined"
+    estimate = float(stabilized) if stabilized is not None else float(cesaro[-1])
+    report = MomentReport(
+        horizon=horizon,
+        rho=rho,
+        cesaro=cesaro,
+        verdict=verdict,
+        tolerance=tolerance,
+        stabilized=stabilized,
+        rho_estimate=estimate,
+    )
+    return report, step_masks
 
 
 def condition_A_partial(rule: RecyclingRule, horizon: int,
@@ -255,45 +295,7 @@ def condition_A_partial(rule: RecyclingRule, horizon: int,
     Converged means the last half of the Cesaro sequence has range below the
     tolerance.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    families = _step_families(rule, horizon, cap)
-    rho: list[Dyadic] = []
-    cesaro: list[Fraction] = []
-    running = Dyadic(0)
-    for k, fam in enumerate(families, start=1):
-        try:
-            value = expected_zeta(fam, expansion_cap)
-        except CapacityError as exc:
-            raise CapacityError(f"step {k}: {exc}") from exc
-        rho.append(value)
-        running = running + value
-        cesaro.append(running.as_fraction() / k)
-    stabilized = _stabilized_tail(rho)
-    # an eventually constant per-step sequence has that constant as its
-    # Cesaro limit, no tolerance needed
-    if stabilized is not None or _tail_range(cesaro) < tolerance:
-        verdict = "converged"
-    else:
-        verdict = "undetermined"
-    estimate = float(stabilized) if stabilized is not None else float(cesaro[-1])
-    return MomentReport(
-        horizon=horizon,
-        rho=rho,
-        cesaro=cesaro,
-        verdict=verdict,
-        tolerance=tolerance,
-        stabilized=stabilized,
-        rho_estimate=estimate,
-    )
-
-
-def _family_signature(fam: BetaFamily):
-    """(is plain product of signs, constant flip, index multiset signature)."""
-    singleton = all(len(m) <= 1 for m in fam.members)
-    eps = -1 if any(len(m) == 0 for m in fam.members) else 1
-    indices = frozenset(next(iter(m)) for m in fam.members if len(m) == 1)
-    return singleton, eps, indices
+    return _first_moment_scan(rule, horizon, tolerance, cap, expansion_cap)[0]
 
 
 def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
@@ -303,52 +305,79 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
                         keep_grid: bool = False) -> MomentReport:
     """Second-moment scan: double Cesaro means of theta_{k,l} versus rho**2.
 
-    Costs O(horizon**2) pair evaluations.  The verdict is converged when the
-    tail of the double means is stable and lands within the tolerance of the
-    squared first-moment estimate, diverged when stable but away from it.
+    Visits all O(horizon**2) pairs, but evaluates few of them in full.  The
+    step families are built once, by the first-moment scan, and each pair
+    takes the first path that applies:
+
+    - disjoint supports: the two products are independent, so
+      theta_{k,l} = rho_k rho_l from the first-moment scan;
+    - both families plain products of signs (members of size <= 1):
+      +-1 when the two index sets agree, else 0;
+    - otherwise the product over overlap components: closed forms for
+      components of one or two members, the subset sum for larger ones.
+
+    The double sums are held as one integer numerator over a power of two.
+    The verdict is converged when the tail of the double means is stable and
+    lands within the tolerance of the squared first-moment estimate,
+    diverged when stable but away from it.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    report_a = condition_A_partial(rule, horizon, tolerance, cap, expansion_cap)
-    families = _step_families(rule, horizon, cap)
-    signatures = [_family_signature(f) for f in families]
+    report_a, step_masks = _first_moment_scan(
+        rule, horizon, tolerance, cap, expansion_cap
+    )
+    supports, parities, signs, plain = [], [], [], []
+    for masks in step_masks:
+        support = parity = 0
+        for m in masks:
+            support |= m
+            parity ^= m
+        supports.append(support)
+        parities.append(parity)
+        signs.append(-1 if masks.count(0) & 1 else 1)
+        plain.append(all(m & (m - 1) == 0 for m in masks))
+    rho_num = [r.numerator for r in report_a.rho]
+    rho_exp = [r.exponent for r in report_a.rho]
     rows: list[tuple[int, int, Dyadic]] | None = [] if keep_grid else None
     double: list[Fraction] = []
-    running = Dyadic(0)
+    total, total_exp = 0, 0  # running double sum total / 2**total_exp
     # exact stabilization scan: if rho settles at r and every computed theta
     # with both indices in the tail half and separation beyond a fixed band
     # equals r**2 exactly, the double Cesaro limit is r**2 (the band and the
     # head contribute O(1/horizon))
     r_stab = report_a.stabilized
-    r_sq = r_stab * r_stab if r_stab is not None else None
+    r_sq = r_stab * r_stab if r_stab is not None else Dyadic(0)
     band = max(1, horizon // 8)
     tail_start = horizon // 2 + 1
     theta_stable = r_stab is not None
     for l in range(1, horizon + 1):
-        sig_l = signatures[l - 1]
+        j = l - 1
+        supp_l, parity_l, sign_l, plain_l = supports[j], parities[j], signs[j], plain[j]
         for k in range(1, l):
-            sig_k = signatures[k - 1]
-            if sig_k[0] and sig_l[0]:
-                if sig_k[2] == sig_l[2]:
-                    theta = Dyadic(sig_k[1] * sig_l[1])
-                else:
-                    theta = Dyadic(0)
+            i = k - 1
+            if not supports[i] & supp_l:
+                num, exp = rho_num[i] * rho_num[j], rho_exp[i] + rho_exp[j]
+            elif plain[i] and plain_l:
+                num = signs[i] * sign_l if parities[i] == parity_l else 0
+                exp = 0
             else:
                 try:
-                    theta = expected_zeta_pair(
-                        families[k - 1], families[l - 1], expansion_cap
+                    num, exp = _product_terms(
+                        step_masks[i] + step_masks[j], expansion_cap
                     )
                 except CapacityError as exc:
                     raise CapacityError(f"pair ({k},{l}): {exc}") from exc
-            if theta_stable and k >= tail_start and l - k >= band and theta != r_sq:
+            if exp > total_exp:
+                total <<= exp - total_exp
+                total_exp = exp
+            total += num << (total_exp - exp + 1)  # symmetric off-diagonal pair
+            if (theta_stable and k >= tail_start and l - k >= band
+                    and num << r_sq.exponent != r_sq.numerator << exp):
                 theta_stable = False
-            running = running + theta + theta  # symmetric off-diagonal pair
             if rows is not None:
-                rows.append((k, l, theta))
-        running = running + 1  # theta_{l,l} = E[zeta**2] = 1
+                rows.append((k, l, Dyadic(num, exp)))
+        total += 1 << total_exp  # theta_{l,l} = E[zeta**2] = 1
         if rows is not None:
             rows.append((l, l, Dyadic(1)))
-        double.append(running.as_fraction() / (l * l))
+        double.append(Fraction(total, (l * l) << total_exp))
     rho_sq = Fraction(report_a.final_cesaro()) ** 2
     stable = _tail_range(double) < tolerance
     close = abs(float(double[-1] - rho_sq)) < tolerance

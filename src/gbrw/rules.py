@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -624,23 +625,39 @@ class ModifiedLevyMaxRule(RecyclingRule):
 # Constant sign flips
 
 
-class SignFlipRule(RecyclingRule):
-    """eta_k = epsilon_k xi_k for a deterministic sign sequence epsilon."""
+def _density_label(p: Fraction) -> str:
+    """Short decimal when it is exact (0.25), else the ratio (1/3)."""
+    text = f"{float(p):g}"
+    return text if Fraction(text) == p else str(p)
 
-    def __init__(self, flips: Iterable[int] | float, name: str | None = None):
-        if isinstance(flips, float):
-            if not 0.0 <= flips <= 1.0:
+
+class SignFlipRule(RecyclingRule):
+    """eta_k = epsilon_k xi_k for a deterministic sign sequence epsilon.
+
+    A density p = a/b, read exactly as a rational (a float as its shortest
+    decimal, so 0.29 is 29/100), flips step k when
+    floor(k a / b) > floor((k-1) a / b): the first n steps hold exactly
+    floor(n p) flips.
+    """
+
+    def __init__(self, flips: Iterable[int] | float | Fraction,
+                 name: str | None = None):
+        if isinstance(flips, (float, Fraction)):
+            p = Fraction(repr(float(flips))) if isinstance(flips, float) else flips
+            if not 0 <= p <= 1:
                 raise ValueError("flip density must lie in [0, 1]")
-            p = flips
-            self._flip = lambda k: math.floor(k * p) > math.floor((k - 1) * p)
+            a, b = p.numerator, p.denominator
+            self._flip = lambda k: (k * a) // b > ((k - 1) * a) // b
             self.density = p
-            name = name or f"sign-flips:{p:g}"
+            self.steps = None
+            name = name or f"sign-flips:{_density_label(p)}"
         else:
             steps = frozenset(int(k) for k in flips)
             if steps and min(steps) < 1:
                 raise ValueError("flip steps must be positive")
             self._flip = lambda k: k in steps
             self.density = None
+            self.steps = steps
             name = name or "sign-flips:explicit"
         super().__init__(-1 if self._flip(1) else +1)
         self.name = name
@@ -653,12 +670,17 @@ class SignFlipRule(RecyclingRule):
 
     def apply(self, xi):
         arr = _as_signs(xi)
-        eps = np.fromiter(
-            (self.epsilon(k) for k in range(1, arr.size + 1)),
-            dtype=np.int8,
-            count=arr.size,
-        )
-        return eps * arr
+        n = arr.size
+        if self.density is None:
+            eps = np.ones(n, dtype=np.int8)
+            eps[[k - 1 for k in self.steps if k <= n]] = -1
+            return eps * arr
+        a, b = self.density.numerator, self.density.denominator
+        if n * a < 1 << 62:
+            floors = np.arange(n + 1, dtype=np.int64) * a // b
+        else:  # products beyond int64: exact python integers
+            floors = np.array([k * a // b for k in range(n + 1)], dtype=object)
+        return np.where(floors[1:] > floors[:-1], -1, 1).astype(np.int8) * arr
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         check_enum_cap(step - 1, cap, "rule table arity")

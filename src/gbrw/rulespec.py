@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -128,10 +129,10 @@ def make_builtin(spec: str, sgn0: int = -1) -> RecyclingRule:
         if name == "sign-flips":
             if len(args) != 1:
                 raise RuleSpecError("sign-flips takes one density parameter")
-            return SignFlipRule(float(args[0]))
+            return SignFlipRule(Fraction(args[0]))
         if name == "symmetric":
             return _parse_symmetric(args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         if isinstance(exc, RuleSpecError):
             raise
         raise RuleSpecError(f"bad parameters for builtin {spec!r}: {exc}") from exc

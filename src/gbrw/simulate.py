@@ -193,22 +193,25 @@ def exact_sign_sum_distribution(n: int, sgn0: int = -1
                                 ) -> list[tuple[Fraction, Fraction]]:
     """Exact law of (1/n) sum sgn(X_{k-1}) over all 2**n equally likely paths.
 
-    Returns (atom, probability) pairs with exact rational values; feasible
-    up to n around 20 (2**n path enumeration).
+    Returns (atom, probability) pairs with exact rational values.  Paths are
+    enumerated in chunks of 2**20 and walked one step at a time, so memory
+    stays at a few arrays of one chunk; time grows as 2**n (n = 24 takes
+    seconds).
     """
     if not 1 <= n <= 24:
         raise ValueError("exact enumeration supported for 1 <= n <= 24")
-    m = np.arange(1 << n, dtype=np.uint32)
-    incr = np.empty((1 << n, n), dtype=np.int8)
-    for j in range(n):
-        incr[:, j] = 1 - 2 * ((m >> j) & 1).astype(np.int8)
-    walk = np.cumsum(incr, axis=1, dtype=np.int16)
-    prev = np.empty_like(walk)
-    prev[:, 0] = 0
-    prev[:, 1:] = walk[:, :-1]
-    sg = np.where(prev > 0, 1, np.where(prev < 0, -1, sgn0)).astype(np.int16)
-    totals = sg.sum(axis=1, dtype=np.int64)
-    counts = np.bincount(totals + n, minlength=2 * n + 1)
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    chunk = 1 << min(n, 20)
+    for start in range(0, 1 << n, chunk):
+        paths = np.arange(start, start + chunk, dtype=np.uint32)
+        walk = np.zeros(chunk, dtype=np.int8)  # X_{k-1}, |X| <= n
+        totals = np.zeros(chunk, dtype=np.int8)
+        for j in range(n):
+            totals += np.sign(walk)
+            if sgn0:
+                totals += (walk == 0).astype(np.int8) * np.int8(sgn0)
+            walk += 1 - 2 * ((paths >> j) & 1).astype(np.int8)
+        counts += np.bincount(totals.astype(np.int64) + n, minlength=2 * n + 1)
     atoms = []
     for i, cnt in enumerate(counts):
         if cnt:

@@ -121,6 +121,53 @@ def test_expectations_bounded(fam):
     assert -1 <= value <= 1
 
 
+# index sets over 1..6 (empty allowed), with repeats and translated copies
+# far enough apart to form separate overlap components of one structure
+base_sets = st.lists(
+    st.sets(st.integers(min_value=1, max_value=6), max_size=4).map(IndexSet),
+    min_size=1, max_size=5,
+)
+
+
+def _translate(s, shift):
+    return IndexSet(k + shift for k in s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(base_sets, st.lists(st.integers(min_value=0, max_value=4), max_size=3),
+       st.lists(st.integers(min_value=1, max_value=8), max_size=2))
+def test_expected_product_duplicates_and_translates_match_oracle(sets, repeats,
+                                                                  shifts):
+    members = list(sets)
+    members += [sets[i % len(sets)] for i in repeats]
+    for shift in shifts:
+        members += [_translate(s, shift) for s in sets]
+    # one single-member family per set keeps the repeats in the oracle
+    oracle = brute_force_expect([BetaFamily(20, [s]) for s in members])
+    assert expected_product(members) == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_sets, st.integers(min_value=1, max_value=12))
+def test_expected_product_translation_invariant(sets, shift):
+    moved = [_translate(s, shift) for s in sets]
+    assert expected_product(moved) == expected_product(sets)
+
+
+def test_expected_product_components_of_three_or_more():
+    # two translated chains of three sets, and one chain shifted by a gap
+    chain = [IndexSet([1, 2]), IndexSet([2, 3]), IndexSet([3, 4, 5])]
+    sets = chain + [_translate(s, 10) for s in chain] + [IndexSet([30, 40]),
+                                                         IndexSet([40, 50]),
+                                                         IndexSet([30, 50])]
+    one = expected_product(chain)
+    assert one == brute_force_expect([BetaFamily(6, [s]) for s in chain])
+    triangle = brute_force_expect(
+        [BetaFamily(4, [IndexSet(s)]) for s in ([1, 2], [2, 3], [1, 3])]
+    )
+    assert expected_product(sets) == one * one * triangle
+
+
 # ---------------------------------------------------------------------------
 # Condition scans
 
@@ -274,6 +321,76 @@ def test_lagged_rules_have_zero_moments():
         assert expected_zeta(fam_l, cap=24) == 0
         assert brute_force_expect([fam_k, fam_l]) == 0
         assert expected_zeta_pair(fam_k, fam_l, cap=24) == 0
+
+
+def _assert_grid_matches_pairs(rule, horizon, oracle_horizon=0):
+    report = condition_B_partial(rule, horizon=horizon, keep_grid=True)
+    fams = [rule.step_family(k) for k in range(1, horizon + 1)]
+    assert report.rho == [expected_zeta(f) for f in fams]
+    total = Fraction(0)
+    for k, l, theta in report.theta_rows:
+        assert theta == expected_zeta_pair(fams[k - 1], fams[l - 1]), (k, l)
+        if l <= oracle_horizon:
+            assert theta == brute_force_expect([fams[k - 1], fams[l - 1]])
+        total += theta.as_fraction() * (1 if k == l else 2)
+    assert len(report.theta_rows) == horizon * (horizon + 1) // 2
+    assert report.double_cesaro[-1] == total / horizon**2
+
+
+@pytest.mark.parametrize("rule", [
+    WindowMaxRule(2),
+    WindowMaxRule(3),
+    WindowMaxRule(None),
+    ExtendedBrwRule(setseq.sliding_window(3)),
+], ids=lambda r: r.name)
+def test_condition_b_grid_matches_per_pair_engine(rule):
+    _assert_grid_matches_pairs(rule, 24, oracle_horizon=10)
+
+
+step_members = st.lists(
+    st.lists(st.sets(st.integers(min_value=0, max_value=5), max_size=3),
+             max_size=4),
+    min_size=10, max_size=10,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([-1, 1]), step_members)
+def test_condition_b_grid_matches_per_pair_engine_explicit(psi0, per_step):
+    # members at step s sit in the last six indices before s, so families
+    # overlap their neighbours and leave distant steps disjoint
+    fams = {}
+    for step, members in enumerate(per_step, start=2):
+        sets = [IndexSet(step - 1 - j for j in m if step - 1 - j >= 1)
+                for m in members]
+        fams[step] = BetaFamily(step, sets)
+    rule = ExplicitRule(psi0, families=fams, fallback=identity_rule())
+    _assert_grid_matches_pairs(rule, 14, oracle_horizon=14)
+
+
+def test_levy_capacity_message_unchanged():
+    from gbrw.rules import LevyRule
+
+    message = "step 7: overlap component of size 35 exceeds expansion cap 20"
+    for scan in (condition_A_partial, condition_B_partial):
+        with pytest.raises(CapacityError) as err:
+            scan(LevyRule(), horizon=16)
+        assert str(err.value) == message
+
+
+def test_condition_b_pair_capacity_names_the_pair():
+    # each family fits the cap alone; their chains join into one component
+    fams = {
+        5: BetaFamily(5, [IndexSet([1, 2]), IndexSet([2, 3]), IndexSet([3, 4])]),
+        8: BetaFamily(8, [IndexSet([4, 5]), IndexSet([5, 6]), IndexSet([6, 7])]),
+    }
+    rule = ExplicitRule(+1, families=fams, fallback=identity_rule())
+    condition_A_partial(rule, horizon=8, expansion_cap=4)
+    with pytest.raises(CapacityError) as err:
+        condition_B_partial(rule, horizon=8, expansion_cap=4)
+    assert str(err.value) == (
+        "pair (5,8): overlap component of size 6 exceeds expansion cap 4"
+    )
 
 
 # ---------------------------------------------------------------------------

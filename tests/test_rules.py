@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from gbrw.rules import (
     sign_step,
 )
 from gbrw import setseq
+from gbrw.simulate import SeedSpec
 
 ALL_BUILTINS = [
     identity_rule(),
@@ -106,6 +110,51 @@ def test_sign_flip_density_quarter():
     rule = SignFlipRule(0.25)
     flips = [k for k in range(1, 13) if rule.epsilon(k) == -1]
     assert flips == [4, 8, 12]
+
+
+def test_sign_flip_density_is_exact_rational():
+    # 29/100 has no exact float; floor(k * 0.29) in floating point misplaces
+    # hundreds of the first 1e5 flips
+    rule = SignFlipRule(0.29)
+    assert rule.density == Fraction(29, 100)
+    assert rule.name == "sign-flips:0.29"
+    n = 100_000
+    eps = rule.apply(np.ones(n, dtype=np.int8))
+    k = np.arange(1, n + 1)
+    assert np.array_equal(np.cumsum(eps < 0), 29 * k // 100)
+    assert [rule.epsilon(j) for j in range(1, 200)] == list(eps[:199])
+    # numpy floats are floats too, and read the same way
+    same = SignFlipRule(np.float64(0.29))
+    assert same.density == Fraction(29, 100)
+    assert same.name == "sign-flips:0.29"
+    assert np.array_equal(same.apply(np.ones(n, dtype=np.int8)), eps)
+
+
+def test_sign_flip_quarter_unchanged():
+    rule = SignFlipRule(0.25)
+    assert rule.name == "sign-flips:0.25"
+    n = 100_000
+    xi = SeedSpec(5).increments(n)
+    legacy = np.array(
+        [-1 if math.floor(j * 0.25) > math.floor((j - 1) * 0.25) else 1
+         for j in range(1, n + 1)], dtype=np.int8,
+    )
+    assert np.array_equal(rule.apply(xi), legacy * xi)
+    assert rule.apply(xi).dtype == np.int8
+
+
+def test_sign_flip_density_names():
+    assert SignFlipRule(Fraction(1, 3)).name == "sign-flips:1/3"
+    ones = np.ones(7, dtype=np.int8)
+    assert SignFlipRule(Fraction(1, 3)).apply(ones).tolist() == [1, 1, -1, 1, 1, -1, 1]
+    assert SignFlipRule(1.0).apply(ones).tolist() == [-1] * 7
+    # k * numerator overflows int64 here
+    rule = SignFlipRule(Fraction(123456789012345678, 10**18))
+    assert rule.apply(np.ones(100, dtype=np.int8)).tolist() == [
+        rule.epsilon(k) for k in range(1, 101)
+    ]
+    with pytest.raises(ValueError):
+        SignFlipRule(Fraction(3, 2))
 
 
 def test_sign_flip_explicit():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ def test_make_builtin_names():
     assert make_builtin("extended-brw:prefix:0.5").seq.kind == "prefix"
     assert make_builtin("sign-flips:0.25").density == 0.25
     assert make_builtin("max").width is None
+
+
+def test_sign_flips_density_parses_exactly():
+    assert make_builtin("sign-flips:0.29").density == Fraction(29, 100)
+    assert make_builtin("sign-flips:1/3").density == Fraction(1, 3)
+    assert make_builtin("sign-flips:0.25").name == "sign-flips:0.25"
+    for bad in ("sign-flips:1/0", "sign-flips:x", "sign-flips:1.5"):
+        with pytest.raises(RuleSpecError):
+            make_builtin(bad)
 
 
 def test_make_builtin_errors():

@@ -157,6 +157,30 @@ def test_exact_distribution_probabilities_sum_to_one():
     assert all(Fraction(-1) <= v <= 1 for v, _ in atoms)
 
 
+def _sign_sum_law_dp(n, sgn0):
+    # independent oracle: path counts by (walk value, running sign sum)
+    counts = {(0, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (x, total), c in counts.items():
+            total += 1 if x > 0 else -1 if x < 0 else sgn0
+            for step in (-1, 1):
+                key = (x + step, total)
+                nxt[key] = nxt.get(key, 0) + c
+        counts = nxt
+    law = {}
+    for (_, total), c in counts.items():
+        law[total] = law.get(total, 0) + c
+    return [(Fraction(t, n), Fraction(c, 1 << n)) for t, c in sorted(law.items())]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 21])
+@pytest.mark.parametrize("sgn0", [-1, 0, 1])
+def test_exact_law_matches_path_count_recursion(n, sgn0):
+    # n = 21 enumerates its paths in two chunks
+    assert exact_sign_sum_distribution(n, sgn0) == _sign_sum_law_dp(n, sgn0)
+
+
 def test_exact_law_validates_reference_cdf():
     # sup distance to the limiting CDF decreases along the enumerable sizes
     distances = []
