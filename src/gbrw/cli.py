@@ -65,11 +65,12 @@ def _load_rule(args):
 
 def _emit_rho_csv(args, report) -> str:
     path = _out_path(args, "rho_seq.csv")
-    rows = [
-        (k + 1, str(report.rho[k]), float(report.rho[k]), float(report.cesaro[k]))
-        for k in range(report.horizon)
-    ]
-    write_csv(path, ("k", "rho_exact", "rho", "cesaro"), rows)
+    write_csv(
+        path,
+        ("k", "rho_exact", "rho", "cesaro"),
+        (np.arange(1, report.horizon + 1), report.rho,
+         np.array([float(r) for r in report.rho]), report.cesaro),
+    )
     return path
 
 
@@ -96,22 +97,21 @@ def cmd_convert(args) -> int:
     table = rule.step_table(n + 1)
     family = rule.step_family(n + 1)
     roundtrip = beta_to_truth(truth_to_beta(table)) == table
-    members = ", ".join(str(m) for m in family.sorted_members()) or "(empty)"
+    members = [str(m) for m in family.sorted_members()]
     print(f"rule {rule.name}, multiplier {n} (a function of {n} increments)")
-    print(f"beta members: {members}")
-    signs = "".join("+" if s > 0 else "-" for s in table.signs)
-    if len(signs) <= 64:
-        print(f"truth table:  {signs}")
+    print(f"beta members: {', '.join(members) or '(empty)'}")
+    if table.signs.size <= 64:
+        print(f"truth table:  {''.join('+' if s > 0 else '-' for s in table.signs)}")
     print(f"round-trip exact: {roundtrip}")
     write_csv(
         _out_path(args, "beta_members.csv"),
         ("multiplier", "member"),
-        [(n, str(m)) for m in family.sorted_members()],
+        (np.full(len(members), n), members),
     )
     write_csv(
         _out_path(args, "truth_table.csv"),
         ("mask", "sign"),
-        [(mask, int(s)) for mask, s in enumerate(table.signs)],
+        (np.arange(table.signs.size), table.signs),
     )
     return EXIT_OK if roundtrip else EXIT_FAILED_VERDICT
 
@@ -122,20 +122,13 @@ def _emit_set_diag(args, rule) -> None:
     horizon = args.horizon
     report = analyze_set_sequence(rule.seq, horizon, tolerance=args.tolerance)
     try:
-        inter = intersection_diagnostic(rule.seq, horizon)
-        d_seq = inter.mean_intersection
+        d_seq = intersection_diagnostic(rule.seq, horizon).mean_intersection
     except ValueError:
-        d_seq = [None] * horizon
-    rows = []
-    for i in range(horizon):
-        d_val = float(d_seq[i]) if d_seq[i] is not None else ""
-        rows.append(
-            (i + 1, float(report.n_ratio[i]), float(report.match_fraction[i]), d_val)
-        )
+        d_seq = [""] * horizon
     write_csv(
         _out_path(args, "set_diag.csv"),
         ("n", "first_match_ratio", "match_fraction", "mean_intersection"),
-        rows,
+        (np.arange(1, horizon + 1), report.n_ratio, report.match_fraction, d_seq),
     )
     print(
         f"set sequence {rule.seq.name}: nested={report.nested}, "
@@ -150,10 +143,11 @@ def cmd_moments(args) -> int:
     )
     path_a = _emit_rho_csv(args, report)
     path_b = _out_path(args, "theta_grid.csv")
+    ks, ls, thetas = zip(*report.theta_rows)
     write_csv(
         path_b,
         ("k", "l", "theta_exact", "theta"),
-        [(k, l, str(v), float(v)) for k, l, v in report.theta_rows],
+        (np.array(ks), np.array(ls), thetas, np.array([float(v) for v in thetas])),
     )
     _emit_set_diag(args, rule)
     print(f"first-moment cesaro -> {float(report.cesaro[-1]):.6g}")
@@ -205,7 +199,7 @@ def cmd_simulate(args) -> int:
         write_csv(
             _out_path(args, "paths.csv"),
             ("k", "x", "y"),
-            [(k, int(path.x[k]), int(path.y[k])) for k in range(path.n + 1)],
+            (np.arange(path.n + 1), path.x, path.y),
         )
         series = covariation(path, grid=None if args.grid is None
                              else [i / (args.grid - 1) for i in range(args.grid)])
@@ -217,7 +211,7 @@ def cmd_simulate(args) -> int:
     write_csv(
         _out_path(args, "cov_summary.csv"),
         ("replicate", "final_covariation"),
-        [(r, float(v)) for r, v in enumerate(summary.finals)],
+        (np.arange(summary.finals.size), summary.finals),
     )
     print(
         f"{summary.replicates} replicates at n={summary.n}: "
@@ -240,10 +234,7 @@ def cmd_arcsine(args) -> int:
     write_csv(
         _out_path(args, "ks_report.csv"),
         ("x", "empirical_cdf", "reference_cdf"),
-        [
-            (float(x), float(e), float(r))
-            for x, e, r in zip(grid, empirical, reference_arcsine_cdf(grid))
-        ],
+        (grid, empirical, reference_arcsine_cdf(grid)),
     )
     print(
         f"KS distance {report.ks_stat:.4f} over {args.reps} replicates "
@@ -261,7 +252,7 @@ def cmd_ergodic_check(args) -> int:
     write_csv(
         _out_path(args, "orbits.csv"),
         ("cycle", "length"),
-        [(i, length) for i, length in enumerate(decomposition.cycles)],
+        (np.arange(len(decomposition.cycles)), np.array(decomposition.cycles)),
     )
     if verdict.ergodic_so_far:
         suffix = " (closed form for all steps)" if verdict.closed_form else ""
@@ -287,12 +278,8 @@ def cmd_ergodic_check(args) -> int:
 
 def cmd_beta_array(args) -> int:
     array = sgn_beta_array(args.horizon)
-    write_csv(
-        _out_path(args, "beta_array.csv"),
-        ("n", "k", "beta"),
-        array.cells(),
-    )
-    write_beta_pixmap(_out_path(args, "beta_array.ppm"), array.rows, array.size)
+    write_csv(_out_path(args, "beta_array.csv"), ("n", "k", "beta"), array.columns())
+    write_beta_pixmap(_out_path(args, "beta_array.ppm"), array.bits)
     print(f"wrote beta_array.csv and beta_array.ppm for n <= {array.size}")
     return EXIT_OK
 

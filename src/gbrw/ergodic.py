@@ -10,6 +10,7 @@ coefficient beta_{n+1,{1..n}} must be 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -209,10 +210,27 @@ class BetaArray:
             levels[k] = 1
         return level_family(n + 1, levels)
 
-    def cells(self):
-        for n in range(1, self.size + 1):
-            for k in range(n + 1):
-                yield n, k, self.coefficient(n, k)
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only ``(size, size+1)`` uint8 matrix with [n-1, k] = beta_{n,k}."""
+        width = self.size + 1
+        nbytes = (width + 7) // 8
+        packed = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
+        bits = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(self.size, nbytes),
+            axis=1, count=width, bitorder="little",
+        )
+        bits.flags.writeable = False
+        return bits
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells (n, k, beta_{n,k}) for 0 <= k <= n as three arrays, n-major."""
+        n, k = np.broadcast_arrays(
+            np.arange(1, self.size + 1, dtype=np.int32)[:, None],
+            np.arange(self.size + 1, dtype=np.int32),
+        )
+        lower = k <= n
+        return n[lower], k[lower], self.bits[lower]
 
 
 def sgn_beta_array(size: int) -> BetaArray:
@@ -221,21 +239,19 @@ def sgn_beta_array(size: int) -> BetaArray:
     Below the diagonal of the zero region (k <= floor((n-1)/2)) every
     coefficient vanishes; above it each beta_{n,m} is determined by
     beta_{n,m} = 1 + sum_{k=l+1}^{m-1} C(m,k) beta_{n,k} mod 2 with
-    l = floor((n-1)/2).  Binomial parities come packed from Lucas rows, so
-    a row costs O(n) word-sized big-integer operations.
+    l = floor((n-1)/2).  Binomial parities come packed from Lucas rows.
+    When beta_{n,m} is decided, the row so far holds only the bits l+1..m-1,
+    so the sum is the parity of one AND with Pascal row m: a row costs O(n)
+    big-integer operations of O(n) bits.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     pascal = [pascal_parity_row(m) for m in range(size + 1)]
     rows = []
     for n in range(1, size + 1):
-        ell = (n - 1) // 2
         bits = 0
-        low_mask = (1 << (ell + 1)) - 1
-        for m in range(ell + 1, n + 1):
-            window = pascal[m] & bits & ((1 << m) - 1) & ~low_mask
-            parity = window.bit_count() & 1
-            if parity == 0:
+        for m in range((n - 1) // 2 + 1, n + 1):
+            if not (pascal[m] & bits).bit_count() & 1:
                 bits |= 1 << m
         rows.append(bits)
     return BetaArray(size=size, rows=tuple(rows))

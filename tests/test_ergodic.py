@@ -224,6 +224,31 @@ def test_beta_array_against_generic_conversion_levels():
         assert sorted(sizes) == array.row_levels(n)
 
 
+def test_beta_array_matches_recurrence_with_comb():
+    size = 200
+    array = sgn_beta_array(size)
+    for n in range(1, size + 1):
+        ell = (n - 1) // 2
+        beta = [0] * (n + 1)
+        for m in range(ell + 1, n + 1):
+            total = 1 + sum(math.comb(m, k) * beta[k] for k in range(ell + 1, m))
+            beta[m] = total % 2
+        assert [array.coefficient(n, k) for k in range(n + 1)] == beta, n
+
+
+def test_beta_array_bits_and_columns():
+    array = sgn_beta_array(37)
+    bits = array.bits
+    assert bits.shape == (37, 38) and bits.dtype == np.uint8
+    assert not bits.flags.writeable
+    cells = [(n, k, array.coefficient(n, k))
+             for n in range(1, 38) for k in range(n + 1)]
+    for n, k, beta in cells:
+        assert bits[n - 1, k] == beta
+    assert not np.triu(bits, 2).any()
+    assert list(zip(*(c.tolist() for c in array.columns()))) == cells
+
+
 def test_pascal_parity_row_matches_comb():
     for m in range(0, 40):
         row = pascal_parity_row(m)
