@@ -89,6 +89,11 @@ def cmd_rules(args) -> int:
     return EXIT_OK
 
 
+#: Longest member list or truth table that ``convert`` prints on stdout; the
+#: CSV files always hold all of it.
+_PRINT_MAX = 64
+
+
 def cmd_convert(args) -> int:
     # --step addresses the multiplier index n: the sign function of the
     # first n increments, applied to increment n+1
@@ -99,8 +104,11 @@ def cmd_convert(args) -> int:
     roundtrip = beta_to_truth(truth_to_beta(table)) == table
     members = [str(m) for m in family.sorted_members()]
     print(f"rule {rule.name}, multiplier {n} (a function of {n} increments)")
-    print(f"beta members: {', '.join(members) or '(empty)'}")
-    if table.signs.size <= 64:
+    if len(members) <= _PRINT_MAX:
+        print(f"beta members: {', '.join(members) or '(empty)'}")
+    else:
+        print(f"beta members: {len(members)} (see beta_members.csv)")
+    if table.signs.size <= _PRINT_MAX:
         print(f"truth table:  {''.join('+' if s > 0 else '-' for s in table.signs)}")
     print(f"round-trip exact: {roundtrip}")
     write_csv(

@@ -22,7 +22,7 @@ from .algebra import (
     check_enum_cap,
     level_family,
 )
-from .rules import RecyclingRule
+from .rules import RecyclingRule, sgn
 
 __all__ = [
     "rule_permutation",
@@ -261,9 +261,7 @@ def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
     """Sign table of sgn(u_1 + ... + u_n) with the stated value at zero."""
     masks = np.arange(1 << n, dtype=np.uint64)
     nu = np.bitwise_count(masks).astype(np.int64)
-    s = n - 2 * nu
-    signs = np.where(s > 0, 1, np.where(s < 0, -1, sgn0)).astype(np.int8)
-    return TruthTable(n, signs)
+    return TruthTable(n, sgn(n - 2 * nu, sgn0))
 
 
 # ---------------------------------------------------------------------------

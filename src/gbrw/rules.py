@@ -6,10 +6,13 @@ eta_n = psi_{n-1}(xi_1, ..., xi_{n-1}) * xi_n, which replicates the law of
 xi and so defines a second simple random walk on the same filtration.
 
 Rules expose three interchangeable views of each step: pointwise
-evaluation, a full truth table, and the beta coefficient family.  Builtin
+evaluation, a full truth table, and the beta coefficient family.  A whole
+path goes through one kernel, ``multipliers``, which returns every
+psi_{k-1} as int8; ``apply`` multiplies it by the increments.  Builtin
 families override table and family construction with closed forms, and
-override ``apply``/``scanner`` with O(1)-per-step state updates so that
-paths with n in the 1e5..1e7 range stay cheap.
+override ``multipliers`` with vectorized narrow-dtype kernels (and
+``scanner`` with O(1)-per-step state updates) so that paths with n in the
+1e5..1e7 range stay cheap.
 """
 
 from __future__ import annotations
@@ -45,6 +48,50 @@ def _as_signs(xi: Sequence[int]) -> np.ndarray:
     if arr.size and not np.all(np.abs(arr) == 1):
         raise ValueError("increments must be -1 or +1")
     return arr
+
+
+def _signs(minus: np.ndarray) -> np.ndarray:
+    """int8 signs, -1 where ``minus`` is set; reuses (and so consumes) the
+    buffer of the fresh bool or 0/1 uint8 array it is given."""
+    out = minus.view(np.int8)
+    out *= -2
+    out += 1
+    return out
+
+
+def sgn(s, sgn0: int):
+    """sgn(s) with the value at zero fixed to sgn0.
+
+    ``s`` is an int (the result is an int) or an integer array (the result
+    is an int8 array); for sgn0 = -1 or +1 the array case is one comparison.
+    """
+    if np.ndim(s) == 0:
+        return sgn0 if s == 0 else (1 if s > 0 else -1)
+    if sgn0 == -1:
+        return _signs(s <= 0)
+    if sgn0 == 1:
+        return _signs(s < 0)
+    return np.where(s > 0, 1, np.where(s < 0, -1, sgn0)).astype(np.int8)
+
+
+def running_sums(steps: np.ndarray, lag: int = 1) -> np.ndarray:
+    """steps[0] + ... + steps[i - lag] at every index i (0 where i < lag).
+
+    With lag = 1 this is the walk X_{k-1} seen by the multiplier of step k.
+    The sums are int32, or int64 for paths of 2**31 steps and more.
+    """
+    n = steps.size
+    out = np.zeros(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    if n > lag:
+        out[lag:] = steps[:n - lag]
+        np.cumsum(out, out=out)
+    return out
+
+
+def _first_plus(arr: np.ndarray) -> int:
+    """Index of the first +1 increment, or the length when there is none."""
+    i = int(np.argmax(arr > 0)) if arr.size else 0
+    return i if arr.size and arr[i] > 0 else arr.size
 
 
 class Scanner:
@@ -99,14 +146,23 @@ class RecyclingRule:
 
     # -- whole-path --------------------------------------------------------
 
+    def multipliers(self, xi: Sequence[int]) -> np.ndarray:
+        """psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}) as int8.
+
+        The default evaluates ``multiplier`` on each prefix in turn.
+        """
+        arr = _as_signs(xi)
+        out = np.empty_like(arr)
+        prefix: list[int] = []
+        for k, x in enumerate(arr.tolist(), start=1):
+            out[k - 1] = self.multiplier(k, prefix)
+            prefix.append(x)
+        return out
+
     def apply(self, xi: Sequence[int]) -> np.ndarray:
         """Transform an increment sequence; invertible on {-1,+1}^n."""
         arr = _as_signs(xi)
-        out = np.empty_like(arr)
-        scan = self.scanner()
-        for i, x in enumerate(arr):
-            out[i] = scan.step(int(x))
-        return out
+        return self.multipliers(arr) * arr
 
     def scanner(self) -> Scanner:
         return _GenericScanner(self)
@@ -151,11 +207,9 @@ class ConstantRule(RecyclingRule):
     def psi(self, n, u):
         return self.value
 
-    def apply(self, xi):
-        arr = _as_signs(xi)
-        out = arr * np.int8(self.value)
-        if arr.size:
-            out[0] = self.psi0 * arr[0]
+    def multipliers(self, xi):
+        out = np.full(_as_signs(xi).size, self.value, dtype=np.int8)
+        out[:1] = self.psi0
         return out
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
@@ -196,9 +250,13 @@ class ProductRule(RecyclingRule):
             sign *= int(v)
         return sign
 
-    def apply(self, xi):
+    def multipliers(self, xi):
         arr = _as_signs(xi)
-        return np.cumprod(arr, dtype=np.int8)
+        # parity of the running count of -1 increments before each step
+        odd = np.zeros(arr.size, dtype=np.uint8)
+        if arr.size > 1:
+            np.bitwise_xor.accumulate((arr[:-1] < 0).view(np.uint8), out=odd[1:])
+        return _signs(odd)
 
     class _Scan(Scanner):
         def __init__(self):
@@ -237,20 +295,20 @@ class ExtendedBrwRule(RecyclingRule):
             sign *= int(u[j - 1])
         return sign
 
-    def apply(self, xi):
+    def multipliers(self, xi):
         arr = _as_signs(xi)
         prod = np.cumprod(arr, dtype=np.int8)  # prod[j-1] = xi_1...xi_j
-        out = arr.copy()
+        out = np.ones_like(arr)
         for k in range(2, arr.size + 1):
             m = self.seq.at(k)
             # prefix sets hit the cumulative-product fast path
             if m.members and m.members == tuple(range(1, len(m) + 1)):
-                out[k - 1] = prod[len(m) - 1] * arr[k - 1]
+                out[k - 1] = prod[len(m) - 1]
             else:
                 sign = 1
                 for j in m:
                     sign *= int(arr[j - 1])
-                out[k - 1] = sign * arr[k - 1]
+                out[k - 1] = sign
         return out
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
@@ -293,20 +351,29 @@ class WindowMaxRule(RecyclingRule):
         lo = 0 if self.width is None else max(0, n - self.width)
         return max(int(v) for v in u[lo:n])
 
-    def apply(self, xi):
+    def multipliers(self, xi):
+        # the multiplier at index i is -1 iff xi[max(0, i - w):i] is all -1
+        # (the empty window included)
         arr = _as_signs(xi)
-        n = arr.size
-        if n == 0:
-            return arr.copy()
-        neg = np.concatenate([[0], np.cumsum(arr < 0, dtype=np.int64)])
-        k = np.arange(1, n + 1)
-        lo = np.zeros(n, dtype=np.int64) if self.width is None else np.maximum(
-            0, k - 1 - self.width
-        )
-        length = (k - 1) - lo
-        all_minus = (neg[k - 1] - neg[lo]) == length  # includes the empty window
-        mult = np.where(all_minus, -1, 1).astype(np.int8)
-        return mult * arr
+        n, w = arr.size, self.width
+        if w is None or w >= n:  # the window is the whole prefix
+            out = np.ones(n, dtype=np.int8)
+            out[:_first_plus(arr) + 1] = -1
+            return out
+        # AND the window together from blocks of power-of-two length, as in
+        # a sparse table: O(n log w); entries before the path count as -1
+        block = np.ones(n, dtype=bool)  # block[i]: xi[i - size:i] all -1
+        block[1:] = arr[:-1] < 0
+        all_minus = np.ones(n, dtype=bool)  # same for xi[i - done:i]
+        size, done = 1, 0
+        while True:
+            if w & size:
+                all_minus[done:] &= block[:n - done]
+                done += size
+            if 2 * size > w:
+                return _signs(all_minus)
+            block[size:] &= block[:-size]
+            size *= 2
 
     class _Scan(Scanner):
         def __init__(self, width):
@@ -413,14 +480,23 @@ class SymmetricRule(RecyclingRule):
         s = int(sum(int(v) for v in u[:n]))
         return self.f(s / self._scale(n))
 
-    def apply(self, xi):
+    def multipliers(self, xi):
+        # f alternates sign at each break, so f(z) is values[0] times -1 per
+        # break passed; a break at 0 is passed exactly when the sum is
         arr = _as_signs(xi)
-        n = arr.size
-        if n == 0:
-            return arr.copy()
-        sums = np.concatenate([[0], np.cumsum(arr[:-1], dtype=np.int64)])
-        z = sums / np.sqrt(np.arange(1, n + 1, dtype=np.float64))
-        return self.f.vectorized(z) * arr
+        sums = running_sums(arr)
+        right = self.f.jump_side == "right"
+        if any(self.f.breaks):
+            # the same float64 s/sqrt(k) as psi, so breaks compare exactly
+            z = np.arange(1, arr.size + 1, dtype=np.float64)
+            np.divide(sums, np.sqrt(z, out=z), out=z)
+        odd = np.zeros(arr.size, dtype=bool)
+        for b in self.f.breaks:
+            x, b = (sums, 0) if b == 0 else (z, b)
+            odd ^= (x >= b) if right else (x > b)
+        if self.f.values[0] == 1:
+            return _signs(odd)
+        return _signs(np.logical_not(odd, out=odd))
 
     class _Scan(Scanner):
         def __init__(self, rule):
@@ -482,35 +558,22 @@ class ModifiedLevyRule(RecyclingRule):
     def __init__(self, sgn0: int = -1):
         super().__init__(-1)
         self.sgn0 = sgn0
-        self._sgn = sign_step(sgn0)
-
-    def _sgn_int(self, s: int) -> int:
-        if s == 0:
-            return self.sgn0
-        return 1 if s > 0 else -1
 
     def psi(self, n, u):
         s = sum(int(v) for v in u[:n])
         if _is_power_of_two(n):
-            return self._sgn_int(s)
-        return max(int(v) for v in u[:n]) * self._sgn_int(s)
+            return sgn(s, self.sgn0)
+        return max(int(v) for v in u[:n]) * sgn(s, self.sgn0)
 
-    def apply(self, xi):
+    def multipliers(self, xi):
         arr = _as_signs(xi)
-        n = arr.size
-        if n == 0:
-            return arr.copy()
-        sums = np.concatenate([[0], np.cumsum(arr, dtype=np.int64)[:-1]])
-        sg = np.where(sums > 0, 1, np.where(sums < 0, -1, self.sgn0)).astype(np.int8)
-        mx = np.empty(n, dtype=np.int8)
-        mx[0] = -1  # empty prefix
-        if n > 1:
-            np.maximum.accumulate(arr[:-1], out=mx[1:])
-        arity = np.arange(n)  # multiplier arity at each step
-        pow2 = (arity >= 1) & ((arity & (arity - 1)) == 0)
-        mult = np.where(pow2 | (arity == 0), sg, mx * sg)
-        mult[0] = self.psi0
-        return (mult * arr).astype(np.int8)
+        out = sgn(running_sums(arr), self.sgn0)
+        out[:1] = self.psi0
+        # the prefix max is -1 only on the all-minus prefixes, arities
+        # 1..first_plus; it flips them except at powers of two
+        arity = np.arange(1, min(_first_plus(arr), arr.size - 1) + 1)
+        out[arity[(arity & (arity - 1)) != 0]] *= -1
+        return out
 
     class _Scan(Scanner):
         def __init__(self, rule):
@@ -523,10 +586,10 @@ class ModifiedLevyRule(RecyclingRule):
             if self.n == 0:
                 mult = self.rule.psi0
             elif _is_power_of_two(self.n):
-                mult = self.rule._sgn_int(self.s)
+                mult = sgn(self.s, self.rule.sgn0)
             else:
                 mx = 1 if self.any_plus else -1
-                mult = mx * self.rule._sgn_int(self.s)
+                mult = mx * sgn(self.s, self.rule.sgn0)
             self.s += x
             self.n += 1
             self.any_plus = self.any_plus or x == 1
@@ -541,10 +604,8 @@ class ModifiedLevyRule(RecyclingRule):
         if arity == 0:
             return TruthTable.constant(0, self.psi0)
         nu = popcounts(np.arange(1 << arity, dtype=np.uint64))
-        s = arity - 2 * nu
-        signs = np.where(s > 0, 1, np.where(s < 0, -1, self.sgn0)).astype(np.int8)
+        signs = sgn(arity - 2 * nu, self.sgn0)
         if not _is_power_of_two(arity):
-            signs = signs.copy()
             signs[-1] = -signs[-1]  # max factor flips only the all-minus input
         return TruthTable(arity, signs)
 
@@ -558,31 +619,18 @@ class ModifiedLevyMaxRule(RecyclingRule):
         super().__init__(-1)
         self.sgn0 = sgn0
 
-    def _sgn_int(self, s: int) -> int:
-        if s == 0:
-            return self.sgn0
-        return 1 if s > 0 else -1
-
     def psi(self, n, u):
         s = sum(int(v) for v in u[: n - 1])
-        return max(int(v) for v in u[:n]) * self._sgn_int(s)
+        return max(int(v) for v in u[:n]) * sgn(s, self.sgn0)
 
-    def apply(self, xi):
+    def multipliers(self, xi):
         arr = _as_signs(xi)
-        n = arr.size
-        if n == 0:
-            return arr.copy()
-        mx = np.empty(n, dtype=np.int8)
-        mx[0] = -1
-        if n > 1:
-            np.maximum.accumulate(arr[:-1], out=mx[1:])
-        sums = np.zeros(n, dtype=np.int64)
-        if n > 2:
-            sums[2:] = np.cumsum(arr[: n - 2], dtype=np.int64)
-        sg = np.where(sums > 0, 1, np.where(sums < 0, -1, self.sgn0)).astype(np.int8)
-        mult = mx * sg
-        mult[0] = self.psi0
-        return (mult * arr).astype(np.int8)
+        out = sgn(running_sums(arr, lag=2), self.sgn0)
+        out[:1] = self.psi0
+        # the prefix max is -1 only on the all-minus prefixes, arities
+        # 1..first_plus
+        out[1:_first_plus(arr) + 1] *= -1
+        return out
 
     class _Scan(Scanner):
         def __init__(self, rule):
@@ -597,7 +645,7 @@ class ModifiedLevyMaxRule(RecyclingRule):
                 mult = self.rule.psi0
             else:
                 mx = 1 if self.any_plus else -1
-                mult = mx * self.rule._sgn_int(self.s_before_last)
+                mult = mx * sgn(self.s_before_last, self.rule.sgn0)
             self.s_before_last += self.last
             self.last = x
             self.any_plus = self.any_plus or x == 1
@@ -614,11 +662,9 @@ class ModifiedLevyMaxRule(RecyclingRule):
             return TruthTable.constant(0, self.psi0)
         masks = np.arange(1 << arity, dtype=np.uint64)
         nu_head = popcounts(masks & ((1 << (arity - 1)) - 1))
-        s = (arity - 1) - 2 * nu_head
-        sg = np.where(s > 0, 1, np.where(s < 0, -1, self.sgn0))
-        full = (1 << arity) - 1
-        mx = np.where(masks == full, -1, 1)
-        return TruthTable(arity, (mx * sg).astype(np.int8))
+        signs = sgn((arity - 1) - 2 * nu_head, self.sgn0)
+        signs[-1] = -signs[-1]  # the max factor is -1 only on the all-minus input
+        return TruthTable(arity, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -668,19 +714,18 @@ class SignFlipRule(RecyclingRule):
     def psi(self, n, u):
         return self.epsilon(n + 1)
 
-    def apply(self, xi):
-        arr = _as_signs(xi)
-        n = arr.size
+    def multipliers(self, xi):
+        n = _as_signs(xi).size
         if self.density is None:
             eps = np.ones(n, dtype=np.int8)
             eps[[k - 1 for k in self.steps if k <= n]] = -1
-            return eps * arr
+            return eps
         a, b = self.density.numerator, self.density.denominator
         if n * a < 1 << 62:
             floors = np.arange(n + 1, dtype=np.int64) * a // b
         else:  # products beyond int64: exact python integers
             floors = np.array([k * a // b for k in range(n + 1)], dtype=object)
-        return np.where(floors[1:] > floors[:-1], -1, 1).astype(np.int8) * arr
+        return _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         check_enum_cap(step - 1, cap, "rule table arity")

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import kolmogorov
 
-from .rules import RecyclingRule, StepFunction, SymmetricRule
+from .rules import RecyclingRule, StepFunction, SymmetricRule, running_sums
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,16 +36,31 @@ class SeedSpec:
     master: int
     replicate: int = 0
 
+    def bit_generator(self) -> np.random.Philox:
+        return np.random.Philox(key=[self.master & _MASK64, self.replicate & _MASK64])
+
     def generator(self) -> np.random.Generator:
-        key = [self.master & _MASK64, self.replicate & _MASK64]
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(self.bit_generator())
 
     def with_replicate(self, replicate: int) -> "SeedSpec":
         return SeedSpec(self.master, replicate)
 
     def increments(self, n: int) -> np.ndarray:
-        draw = self.generator().integers(0, 2, size=n, dtype=np.int8)
-        return (2 * draw - 1).astype(np.int8)
+        """n i.i.d. uniform signs as int8, one bit of the stream each.
+
+        The stream's first ceil(n/64) raw 64-bit words are read least
+        significant bit first; a set bit is a -1 increment.  A shorter
+        draw is a prefix of a longer one.
+        """
+        if n < 0:
+            raise ValueError("number of increments must be >= 0")
+        words = self.bit_generator().random_raw(-(-n // 64))
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             count=n, bitorder="little")
+        xi = bits.view(np.int8)
+        xi *= -2
+        xi += 1
+        return xi
 
 
 @dataclass
@@ -157,14 +172,18 @@ def _summarize(final_sums: np.ndarray, n: int, bins: int = 41,
 def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
                    reference_cdf: Callable[[np.ndarray], np.ndarray] | None = None
                    ) -> MonteCarloSummary:
-    """Terminal covariation over independent replicates, one stream each."""
+    """Terminal covariation over independent replicates, one stream each.
+
+    Since xi_k eta_k = psi_{k-1} xi_k**2 = psi_{k-1}, each replicate's sum is
+    the sum of the rule's multipliers, n minus twice the number of -1s; eta
+    is never formed.
+    """
     if reps < 2:
         raise ValueError("need at least two replicates")
     sums = np.empty(reps, dtype=np.int64)
     for r in range(reps):
         xi = seed.with_replicate(r).increments(n)
-        eta = rule.apply(xi)
-        sums[r] = int((xi * eta).sum(dtype=np.int64))
+        sums[r] = n - 2 * np.count_nonzero(rule.multipliers(xi) < 0)
     return _summarize(sums, n, reference_cdf=reference_cdf)
 
 
@@ -183,10 +202,12 @@ def reference_arcsine_cdf(x) -> np.ndarray:
 
 
 def sign_sum_final(xi: np.ndarray, sgn0: int = -1) -> int:
-    """sum_{k=1..n} sgn(X_{k-1}) for the increment sequence xi."""
-    prev = np.concatenate([[0], np.cumsum(xi, dtype=np.int64)[:-1]])
-    sg = np.where(prev > 0, 1, np.where(prev < 0, -1, sgn0))
-    return int(sg.sum(dtype=np.int64))
+    """sum_{k=1..n} sgn(X_{k-1}) for the increment sequence xi, counted as
+    #(X > 0) - #(X < 0) + sgn0 #(X == 0) over X_0, ..., X_{n-1}."""
+    walk = running_sums(np.asarray(xi))
+    above = np.count_nonzero(walk > 0)
+    below = np.count_nonzero(walk < 0)
+    return int(above - below + sgn0 * (walk.size - above - below))
 
 
 def exact_sign_sum_distribution(n: int, sgn0: int = -1

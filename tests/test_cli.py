@@ -44,6 +44,25 @@ def test_convert_levy_step3(capsys, tmp_path):
     assert len(table_rows) == 1 + 8
 
 
+def test_convert_prints_long_member_lists_as_a_count(capsys, tmp_path):
+    for step, listed in ((7, True), (8, False)):
+        out_dir = tmp_path / str(step)
+        code, out, _ = run(
+            ["convert", "--rule", "builtin:levy", "--step", str(step),
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        members = [r[1] for r in read_csv(out_dir / "beta_members.csv")[1:]]
+        line = next(l for l in out.splitlines() if l.startswith("beta members:"))
+        if listed:
+            assert len(members) <= 64
+            assert line == "beta members: " + ", ".join(members)
+        else:
+            assert len(members) == 71
+            assert line == "beta members: 71 (see beta_members.csv)"
+
+
 def test_gaussian_check_window(capsys, tmp_path):
     code, out, _ = run(
         [

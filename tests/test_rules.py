@@ -22,6 +22,7 @@ from gbrw.rules import (
     WindowMaxRule,
     identity_rule,
     negation_rule,
+    sgn,
     sign_step,
 )
 from gbrw import setseq
@@ -256,6 +257,108 @@ def test_threshold_rule_tables_are_symmetric():
         assert table.is_symmetric()
         # equivalently: the converted family is constant on each size level
         assert family_levels(truth_to_beta(table)) is not None
+
+
+# ---------------------------------------------------------------------------
+# Multiplier kernels against the pointwise oracle
+
+# breaks that s/sqrt(k) hits exactly (1 = 2/sqrt(4), 0.5 = 1/sqrt(4), ...),
+# so both jump sides are exercised at ties
+BREAK_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def step_functions(draw, max_breaks=6):
+    breaks = sorted(draw(st.sets(st.sampled_from(BREAK_GRID), max_size=max_breaks)))
+    first = draw(st.sampled_from((-1, 1)))
+    values = tuple(first * (-1) ** i for i in range(len(breaks) + 1))
+    side = draw(st.sampled_from(("left", "right")))
+    return StepFunction(tuple(breaks), values, side)
+
+
+@st.composite
+def kernel_rules(draw):
+    kind = draw(st.sampled_from(("constant", "brw", "window", "levy", "modified",
+                                 "modified-max", "symmetric", "flips", "flip-steps")))
+    sgn0 = draw(st.sampled_from((-1, 1)))
+    if kind == "constant":
+        return draw(st.sampled_from((identity_rule(), negation_rule(),
+                                     ConstantRule("plus-minus", 1, -1))))
+    if kind == "brw":
+        return ProductRule()
+    if kind == "window":
+        width = draw(st.one_of(st.integers(1, 6), st.integers(7, 400), st.none()))
+        return WindowMaxRule(width)
+    if kind == "levy":
+        return LevyRule(sgn0)
+    if kind == "modified":
+        return ModifiedLevyRule(sgn0)
+    if kind == "modified-max":
+        return ModifiedLevyMaxRule(sgn0)
+    if kind == "symmetric":
+        return SymmetricRule(draw(step_functions()))
+    if kind == "flips":
+        return SignFlipRule(draw(st.sampled_from(
+            (Fraction(0), Fraction(1, 3), 0.25, 0.29, Fraction(2, 7), Fraction(1)))))
+    return SignFlipRule(draw(st.sets(st.integers(1, 320), max_size=40)))
+
+
+def assert_kernel_matches_oracle(rule, xi):
+    mult = rule.multipliers(xi)
+    assert mult.dtype == np.int8 and mult.shape == xi.shape
+    u = xi.tolist()
+    assert mult.tolist() == [rule.multiplier(k, u) for k in range(1, len(u) + 1)]
+    assert np.array_equal(rule.apply(xi), mult * xi)
+
+
+sign_paths = st.lists(st.sampled_from((-1, 1)), max_size=300).map(
+    lambda u: np.array(u, dtype=np.int8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_rules(), sign_paths)
+def test_multipliers_match_pointwise(rule, xi):
+    assert_kernel_matches_oracle(rule, xi)
+
+
+def _rule_id(rule):
+    sgn0 = getattr(rule, "sgn0", None)
+    return rule.describe() + ("" if sgn0 is None else f" sgn0={sgn0:+d}")
+
+
+RULES_AT_SHORT_LENGTHS = [
+    ConstantRule("plus-minus", 1, -1), ProductRule(), WindowMaxRule(None),
+    *(WindowMaxRule(w) for w in range(1, 7)), WindowMaxRule(500),
+    *(cls(sgn0) for cls in (LevyRule, ModifiedLevyRule, ModifiedLevyMaxRule)
+      for sgn0 in (-1, 1)),
+    SymmetricRule(StepFunction((), (1,))),
+    SymmetricRule(StepFunction((-1.0, 0.0, 1.0), (1, -1, 1, -1), "right")),
+    SignFlipRule(Fraction(1, 3)), SignFlipRule([1, 2, 5]),
+]
+
+
+@pytest.mark.parametrize("rule", RULES_AT_SHORT_LENGTHS, ids=_rule_id)
+def test_multipliers_on_all_short_paths(rule):
+    for n in (0, 1, 2, 3):
+        for u in enumerate_inputs(n):
+            assert_kernel_matches_oracle(rule, np.array(u, dtype=np.int8))
+
+
+@pytest.mark.parametrize("rule", RULES_AT_SHORT_LENGTHS, ids=_rule_id)
+def test_multipliers_on_constant_paths(rule):
+    # the all-minus prefix is where the max factors and the empty window act
+    for n in (1, 2, 7, 64, 300):
+        for value in (-1, 1):
+            assert_kernel_matches_oracle(rule, np.full(n, value, dtype=np.int8))
+
+
+def test_sgn_helper():
+    s = np.array([-3, -1, 0, 1, 2], dtype=np.int32)
+    for sgn0 in (-1, 0, 1):
+        expected = [-1, -1, sgn0, 1, 1]
+        assert sgn(s, sgn0).tolist() == expected
+        assert sgn(s, sgn0).dtype == np.int8
+        assert [sgn(int(v), sgn0) for v in s] == expected
 
 
 # ---------------------------------------------------------------------------

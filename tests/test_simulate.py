@@ -4,9 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gbrw import setseq
+from gbrw.algebra import EMPTY_SET, BetaFamily, IndexSet
 from gbrw.dyadic import Dyadic
+from gbrw.ergodic import ergodic_repair
 from gbrw.moments import expected_zeta
-from gbrw.rules import LevyRule, ProductRule, WindowMaxRule, identity_rule, negation_rule
+from gbrw.rules import (
+    ExplicitRule,
+    ExtendedBrwRule,
+    LevyRule,
+    ProductRule,
+    RandomRule,
+    WindowMaxRule,
+    identity_rule,
+    negation_rule,
+)
 from gbrw.simulate import (
     SeedSpec,
     arcsine_test,
@@ -33,6 +45,30 @@ def test_seed_determinism():
     c = SeedSpec(42, 4).increments(1000)
     assert not np.array_equal(a, c)
     assert set(np.unique(a)) <= {-1, 1}
+
+
+def test_seed_bits_follow_the_documented_draw():
+    # bit b of raw word j of the replicate's Philox stream is increment
+    # 64 j + b, least significant bit first; a set bit is -1
+    for master, replicate in ((42, 3), (2**70 + 5, 0)):
+        seed = SeedSpec(master, replicate)
+        xi = seed.increments(200)
+        words = np.random.Philox(key=[master % 2**64, replicate]).random_raw(4)
+        expected = [-1 if (int(words[k // 64]) >> (k % 64)) & 1 else 1
+                    for k in range(200)]
+        assert xi.dtype == np.int8 and xi.tolist() == expected
+
+
+def test_seed_draws_are_prefixes_and_streams_differ():
+    seed = SeedSpec(9, 1)
+    for n in (0, 1, 63, 64, 65, 1000):
+        longer = seed.increments(n + 64)
+        assert np.array_equal(seed.increments(n), longer[:n])
+    draws = [SeedSpec(9, r).increments(256) for r in range(4)]
+    assert len({d.tobytes() for d in draws}) == 4
+    assert not np.array_equal(SeedSpec(10, 1).increments(256), draws[1])
+    with pytest.raises(ValueError):
+        seed.increments(-1)
 
 
 def test_sample_path_invariants():
@@ -116,6 +152,24 @@ def test_mc_determinism_and_histogram_mass():
     assert a.hist_counts.sum() == a.replicates
 
 
+@pytest.mark.parametrize("rule", [
+    ExplicitRule(-1, families={2: BetaFamily(2, [EMPTY_SET, IndexSet([1])]),
+                               4: BetaFamily(4, [IndexSet([1, 3])])},
+                 fallback=ProductRule()),
+    RandomRule(5),
+    ergodic_repair(LevyRule()),
+    ExtendedBrwRule(setseq.prefix_fraction(0.5)),
+    ExtendedBrwRule(setseq.sliding_window(3)),
+], ids=lambda r: r.name)
+def test_mc_sums_match_applied_paths(rule):
+    # mc_covariation sums multipliers; the covariation is sum(xi * eta)
+    n, reps, seed = 14, 6, SeedSpec(77)
+    summary = mc_covariation(rule, n, reps, seed)
+    for r in range(reps):
+        xi = seed.with_replicate(r).increments(n)
+        assert summary.finals[r] == int((xi * rule.apply(xi)).sum()) / n
+
+
 def test_mc_window_two_close_to_half():
     summary = mc_covariation(WindowMaxRule(2), 20000, 80, SeedSpec(33))
     assert abs(summary.mean - 0.5) < 4 * summary.stderr + 1e-3
@@ -149,6 +203,18 @@ def test_sign_sum_final_matches_rule():
     rule = LevyRule()
     eta = rule.apply(xi)
     assert sign_sum_final(xi) == int((xi * eta).sum())
+
+
+@pytest.mark.parametrize("sgn0", [-1, 0, 1])
+def test_sign_sum_final_over_all_paths_matches_exact_law(sgn0):
+    for n in range(1, 13):
+        counts = {}
+        for mask in range(1 << n):
+            xi = np.where((mask >> np.arange(n)) & 1, -1, 1).astype(np.int8)
+            total = sign_sum_final(xi, sgn0)
+            counts[total] = counts.get(total, 0) + 1
+        law = [(Fraction(t, n), Fraction(c, 1 << n)) for t, c in sorted(counts.items())]
+        assert law == exact_sign_sum_distribution(n, sgn0)
 
 
 def test_exact_distribution_probabilities_sum_to_one():
