@@ -68,7 +68,7 @@ from .rules import (
     identity_rule,
     negation_rule,
 )
-from .rulespec import load_rule, make_builtin, parse_rule_document
+from .rulespec import load_rule, make_builtin, parse_rule_document, symmetric_rule
 from .simulate import (
     ArcsineReport,
     CovariationSeries,
@@ -82,7 +82,6 @@ from .simulate import (
     mc_covariation,
     reference_arcsine_cdf,
     sample_path,
-    symmetric_rule,
 )
 from . import setseq
 

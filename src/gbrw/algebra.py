@@ -404,11 +404,10 @@ def linearize_product(sets: Sequence[IndexSet]) -> LinearExpansion:
 
     For m sets the expansion is (1/2)(-1)^m minus (1/2) sum over subsets K
     of {1..m} of (-2)^|K| u_[union of M_j, j in K]; coefficients of
-    coinciding unions are merged by addition.
+    coinciding unions are merged by addition.  The empty product (m = 0)
+    is 1.
     """
     m = len(sets)
-    if m < 1:
-        raise ValueError("need at least one set")
     constant = Dyadic((-1) ** m, 1)
     raw = []
     for kmask in range(1 << m):
@@ -432,20 +431,9 @@ def expand_family(family: BetaFamily,
     coefficient -(1/2)(-2)^|H| on the block of the union of H.
     """
     members = family.sorted_members()
-    b = len(members)
-    if b > cap:
-        raise CapacityError(f"family size {b} exceeds expansion cap {cap}")
-    constant = Dyadic((-1) ** b, 1)
-    raw = []
-    for hmask in range(1 << b):
-        union = EMPTY_SET
-        size = 0
-        for j in range(b):
-            if (hmask >> j) & 1:
-                union = union | members[j]
-                size += 1
-        raw.append((union, Dyadic(-((-2) ** size), 1)))
-    return LinearExpansion(constant, _merge_terms(raw))
+    if len(members) > cap:
+        raise CapacityError(f"family size {len(members)} exceeds expansion cap {cap}")
+    return linearize_product(members)
 
 
 # ---------------------------------------------------------------------------

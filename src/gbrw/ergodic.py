@@ -22,7 +22,7 @@ from .algebra import (
     check_enum_cap,
     level_family,
 )
-from .rules import RecyclingRule, sgn
+from .rules import RecyclingRule, first_plus, sgn_truth_table, times_prefix_max
 
 __all__ = [
     "rule_permutation",
@@ -257,13 +257,6 @@ def sgn_beta_array(size: int) -> BetaArray:
     return BetaArray(size=size, rows=tuple(rows))
 
 
-def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
-    """Sign table of sgn(u_1 + ... + u_n) with the stated value at zero."""
-    masks = np.arange(1 << n, dtype=np.uint64)
-    nu = np.bitwise_count(masks).astype(np.int64)
-    return TruthTable(n, sgn(n - 2 * nu, sgn0))
-
-
 # ---------------------------------------------------------------------------
 # Repairing a rule into an ergodic one
 
@@ -292,16 +285,22 @@ class RepairedRule(RecyclingRule):
             value *= max(int(v) for v in u[:n])
         return value
 
+    def multipliers(self, xi):
+        # the inner kernel with psi0 = -1; the prefix max acts only on the
+        # all-minus prefixes, arities 1..first_plus
+        out = self.inner.multipliers(xi)
+        out[:1] = -1
+        for arity in range(1, min(first_plus(np.asarray(xi)), out.size - 1) + 1):
+            if self.needs_flip(arity):
+                out[arity] = -out[arity]
+        return out
+
     def step_table(self, step, cap=None):
         cap = self.cap if cap is None else cap
         if step == 1:
             return TruthTable.constant(0, -1)
         table = self.inner.step_table(step, cap)
-        if not self.needs_flip(step - 1):
-            return table
-        signs = table.signs.copy()
-        signs[-1] = -signs[-1]  # the prefix max is -1 only on the all-minus input
-        return TruthTable(table.arity, signs)
+        return times_prefix_max(table) if self.needs_flip(step - 1) else table
 
 
 def ergodic_repair(rule: RecyclingRule, horizon: int = 0,

@@ -5,14 +5,16 @@ A rule is a constant psi0 in {-1,+1} together with a sign function psi_n on
 eta_n = psi_{n-1}(xi_1, ..., xi_{n-1}) * xi_n, which replicates the law of
 xi and so defines a second simple random walk on the same filtration.
 
-Rules expose three interchangeable views of each step: pointwise
-evaluation, a full truth table, and the beta coefficient family.  A whole
-path goes through one kernel, ``multipliers``, which returns every
-psi_{k-1} as int8; ``apply`` multiplies it by the increments.  Builtin
-families override table and family construction with closed forms, and
-override ``multipliers`` with vectorized narrow-dtype kernels (and
-``scanner`` with O(1)-per-step state updates) so that paths with n in the
-1e5..1e7 range stay cheap.
+Each rule states its whole-path behaviour once, in ``multipliers``: the
+int8 array psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}), which
+``apply`` multiplies by the increments.  Builtins compute it in vectorized
+int8/bool passes over int32 walk sums.  Table-backed rules (explicit,
+random, repaired) start from an inner rule's kernel or a running prefix
+mask and look up only the steps they tabulate, so no rule re-reads its
+prefix at every step.  ``psi`` evaluates one multiplier and is the
+pointwise oracle of the kernels; ``step_table`` and ``step_family`` give
+one step's truth table and beta coefficient family, in closed form where
+one is known.
 """
 
 from __future__ import annotations
@@ -88,33 +90,36 @@ def running_sums(steps: np.ndarray, lag: int = 1) -> np.ndarray:
     return out
 
 
-def _first_plus(arr: np.ndarray) -> int:
-    """Index of the first +1 increment, or the length when there is none."""
+def first_plus(arr: np.ndarray) -> int:
+    """Index of the first +1 increment, or the length when there is none.
+
+    The prefix max max(u_1..u_n) is -1 exactly for arities n = 1..first_plus.
+    """
     i = int(np.argmax(arr > 0)) if arr.size else 0
     return i if arr.size and arr[i] > 0 else arr.size
 
 
-class Scanner:
-    """Incremental evaluator: feed xi_k, receive eta_k."""
+def _table_arity(step: int, cap: int) -> int:
+    """Arity step - 1 of the multiplier table at ``step``, checked against the cap."""
+    check_enum_cap(step - 1, cap, f"step {step}: rule table arity")
+    return step - 1
 
-    def step(self, x: int) -> int:
-        raise NotImplementedError
+
+def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
+    """Sign table of sgn(u_1 + ... + u_n) with the stated value at zero."""
+    nu = popcounts(np.arange(1 << n, dtype=np.uint64))
+    return TruthTable(n, sgn(n - 2 * nu, sgn0))
 
 
-class _GenericScanner(Scanner):
-    """Fallback that re-evaluates psi on the growing prefix (O(k) per step)."""
-
-    def __init__(self, rule: "RecyclingRule"):
-        self.rule = rule
-        self.prefix: list[int] = []
-
-    def step(self, x: int) -> int:
-        self.prefix.append(x)
-        return self.rule.increment(self.prefix)
+def times_prefix_max(table: TruthTable) -> TruthTable:
+    """The table times max(u_1..u_n), which is -1 only on the all-minus input."""
+    signs = table.signs.copy()
+    signs[-1] = -signs[-1]
+    return TruthTable(table.arity, signs)
 
 
 class RecyclingRule:
-    """Base class; subclasses provide psi and may add fast paths."""
+    """Base class; subclasses provide psi, multipliers and step_table."""
 
     name = "rule"
 
@@ -147,39 +152,19 @@ class RecyclingRule:
     # -- whole-path --------------------------------------------------------
 
     def multipliers(self, xi: Sequence[int]) -> np.ndarray:
-        """psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}) as int8.
-
-        The default evaluates ``multiplier`` on each prefix in turn.
-        """
-        arr = _as_signs(xi)
-        out = np.empty_like(arr)
-        prefix: list[int] = []
-        for k, x in enumerate(arr.tolist(), start=1):
-            out[k - 1] = self.multiplier(k, prefix)
-            prefix.append(x)
-        return out
+        """psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}) as a fresh int8 array."""
+        raise NotImplementedError
 
     def apply(self, xi: Sequence[int]) -> np.ndarray:
         """Transform an increment sequence; invertible on {-1,+1}^n."""
         arr = _as_signs(xi)
         return self.multipliers(arr) * arr
 
-    def scanner(self) -> Scanner:
-        return _GenericScanner(self)
-
     # -- materialized views --------------------------------------------------
 
     def step_table(self, step: int, cap: int = DEFAULT_ENUM_CAP) -> TruthTable:
         """Truth table (arity step-1) of the multiplier at ``step``."""
-        arity = step - 1
-        check_enum_cap(arity, cap, "rule table arity")
-        if arity == 0:
-            return TruthTable.constant(0, self.psi0)
-        signs = np.empty(1 << arity, dtype=np.int8)
-        for mask in range(1 << arity):
-            u = [-1 if (mask >> k) & 1 else 1 for k in range(arity)]
-            signs[mask] = self.psi(arity, u)
-        return TruthTable(arity, signs)
+        raise NotImplementedError
 
     def step_family(self, step: int, cap: int = DEFAULT_ENUM_CAP) -> BetaFamily:
         """Beta family of the multiplier at ``step``."""
@@ -215,8 +200,7 @@ class ConstantRule(RecyclingRule):
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         if step == 1:
             return TruthTable.constant(0, self.psi0)
-        check_enum_cap(step - 1, cap, "rule table arity")
-        return TruthTable.constant(step - 1, self.value)
+        return TruthTable.constant(_table_arity(step, cap), self.value)
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         value = self.psi0 if step == 1 else self.value
@@ -258,20 +242,8 @@ class ProductRule(RecyclingRule):
             np.bitwise_xor.accumulate((arr[:-1] < 0).view(np.uint8), out=odd[1:])
         return _signs(odd)
 
-    class _Scan(Scanner):
-        def __init__(self):
-            self.prod = 1
-
-        def step(self, x):
-            self.prod *= x
-            return self.prod
-
-    def scanner(self):
-        return self._Scan()
-
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = step - 1
-        check_enum_cap(arity, cap, "rule table arity")
+        arity = _table_arity(step, cap)
         nu = popcounts(np.arange(1 << arity, dtype=np.uint64))
         return TruthTable(arity, np.where(nu & 1, -1, 1).astype(np.int8))
 
@@ -315,8 +287,7 @@ class ExtendedBrwRule(RecyclingRule):
         return BetaFamily(step, (IndexSet([j]) for j in self.seq.at(step)))
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = step - 1
-        check_enum_cap(arity, cap, "rule table arity")
+        arity = _table_arity(step, cap)
         mmask = self.seq.at(step).mask
         masks = np.arange(1 << arity, dtype=np.uint64)
         parity = popcounts(masks & mmask) & 1
@@ -358,7 +329,7 @@ class WindowMaxRule(RecyclingRule):
         n, w = arr.size, self.width
         if w is None or w >= n:  # the window is the whole prefix
             out = np.ones(n, dtype=np.int8)
-            out[:_first_plus(arr) + 1] = -1
+            out[:first_plus(arr) + 1] = -1
             return out
         # AND the window together from blocks of power-of-two length, as in
         # a sparse table: O(n log w); entries before the path count as -1
@@ -375,31 +346,8 @@ class WindowMaxRule(RecyclingRule):
             block[size:] &= block[:-size]
             size *= 2
 
-    class _Scan(Scanner):
-        def __init__(self, width):
-            self.width = width
-            self.run = 0  # trailing run of -1 entries
-            self.seen = 0
-
-        def step(self, x):
-            if self.width is None:
-                all_minus = self.seen == self.run
-            else:
-                w = min(self.width, self.seen)
-                all_minus = self.run >= w
-            eta = (-1 if all_minus else 1) * x
-            self.run = self.run + 1 if x == -1 else 0
-            self.seen += 1
-            return eta
-
-    def scanner(self):
-        return self._Scan(self.width)
-
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = step - 1
-        check_enum_cap(arity, cap, "rule table arity")
-        if arity == 0:
-            return TruthTable.constant(0, -1)
+        arity = _table_arity(step, cap)
         wmask = self.window(step).mask
         masks = np.arange(1 << arity, dtype=np.int64)
         signs = np.where((masks & wmask) == wmask, -1, 1).astype(np.int8)
@@ -453,10 +401,15 @@ class StepFunction:
         return np.asarray(self.values, dtype=np.int8)[idx]
 
 
-def sign_step(sgn0: int = -1) -> StepFunction:
-    """sgn with the value at zero fixed to sgn0."""
+def _check_sgn0(sgn0: int) -> int:
     if sgn0 not in (-1, 1):
         raise ValueError("sgn0 must be -1 or +1")
+    return sgn0
+
+
+def sign_step(sgn0: int = -1) -> StepFunction:
+    """sgn with the value at zero fixed to sgn0."""
+    _check_sgn0(sgn0)
     return StepFunction((0.0,), (-1, 1), "left" if sgn0 == -1 else "right")
 
 
@@ -498,21 +451,6 @@ class SymmetricRule(RecyclingRule):
             return _signs(odd)
         return _signs(np.logical_not(odd, out=odd))
 
-    class _Scan(Scanner):
-        def __init__(self, rule):
-            self.rule = rule
-            self.s = 0
-            self.k = 1
-
-        def step(self, x):
-            eta = self.rule.f(self.s / math.sqrt(self.k)) * x
-            self.s += x
-            self.k += 1
-            return eta
-
-    def scanner(self):
-        return self._Scan(self)
-
     def profile(self, step: int) -> np.ndarray:
         """Multiplier value per count of -1 coordinates in the prefix."""
         arity = step - 1
@@ -521,8 +459,7 @@ class SymmetricRule(RecyclingRule):
         return self.f.vectorized(z)
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = step - 1
-        check_enum_cap(arity, cap, "rule table arity")
+        arity = _table_arity(step, cap)
         prof = self.profile(step)
         nu = popcounts(np.arange(1 << arity, dtype=np.uint64))
         return TruthTable(arity, prof[nu])
@@ -557,7 +494,7 @@ class ModifiedLevyRule(RecyclingRule):
 
     def __init__(self, sgn0: int = -1):
         super().__init__(-1)
-        self.sgn0 = sgn0
+        self.sgn0 = _check_sgn0(sgn0)
 
     def psi(self, n, u):
         s = sum(int(v) for v in u[:n])
@@ -571,43 +508,16 @@ class ModifiedLevyRule(RecyclingRule):
         out[:1] = self.psi0
         # the prefix max is -1 only on the all-minus prefixes, arities
         # 1..first_plus; it flips them except at powers of two
-        arity = np.arange(1, min(_first_plus(arr), arr.size - 1) + 1)
+        arity = np.arange(1, min(first_plus(arr), arr.size - 1) + 1)
         out[arity[(arity & (arity - 1)) != 0]] *= -1
         return out
 
-    class _Scan(Scanner):
-        def __init__(self, rule):
-            self.rule = rule
-            self.s = 0
-            self.n = 0
-            self.any_plus = False
-
-        def step(self, x):
-            if self.n == 0:
-                mult = self.rule.psi0
-            elif _is_power_of_two(self.n):
-                mult = sgn(self.s, self.rule.sgn0)
-            else:
-                mx = 1 if self.any_plus else -1
-                mult = mx * sgn(self.s, self.rule.sgn0)
-            self.s += x
-            self.n += 1
-            self.any_plus = self.any_plus or x == 1
-            return mult * x
-
-    def scanner(self):
-        return self._Scan(self)
-
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = step - 1
-        check_enum_cap(arity, cap, "rule table arity")
+        arity = _table_arity(step, cap)
         if arity == 0:
             return TruthTable.constant(0, self.psi0)
-        nu = popcounts(np.arange(1 << arity, dtype=np.uint64))
-        signs = sgn(arity - 2 * nu, self.sgn0)
-        if not _is_power_of_two(arity):
-            signs[-1] = -signs[-1]  # max factor flips only the all-minus input
-        return TruthTable(arity, signs)
+        table = sgn_truth_table(arity, self.sgn0)
+        return table if _is_power_of_two(arity) else times_prefix_max(table)
 
 
 class ModifiedLevyMaxRule(RecyclingRule):
@@ -617,7 +527,7 @@ class ModifiedLevyMaxRule(RecyclingRule):
 
     def __init__(self, sgn0: int = -1):
         super().__init__(-1)
-        self.sgn0 = sgn0
+        self.sgn0 = _check_sgn0(sgn0)
 
     def psi(self, n, u):
         s = sum(int(v) for v in u[: n - 1])
@@ -629,42 +539,16 @@ class ModifiedLevyMaxRule(RecyclingRule):
         out[:1] = self.psi0
         # the prefix max is -1 only on the all-minus prefixes, arities
         # 1..first_plus
-        out[1:_first_plus(arr) + 1] *= -1
+        out[1:first_plus(arr) + 1] *= -1
         return out
 
-    class _Scan(Scanner):
-        def __init__(self, rule):
-            self.rule = rule
-            self.s_before_last = 0
-            self.last = 0
-            self.any_plus = False
-            self.n = 0
-
-        def step(self, x):
-            if self.n == 0:
-                mult = self.rule.psi0
-            else:
-                mx = 1 if self.any_plus else -1
-                mult = mx * sgn(self.s_before_last, self.rule.sgn0)
-            self.s_before_last += self.last
-            self.last = x
-            self.any_plus = self.any_plus or x == 1
-            self.n += 1
-            return mult * x
-
-    def scanner(self):
-        return self._Scan(self)
-
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = step - 1
-        check_enum_cap(arity, cap, "rule table arity")
+        arity = _table_arity(step, cap)
         if arity == 0:
             return TruthTable.constant(0, self.psi0)
-        masks = np.arange(1 << arity, dtype=np.uint64)
-        nu_head = popcounts(masks & ((1 << (arity - 1)) - 1))
-        signs = sgn((arity - 1) - 2 * nu_head, self.sgn0)
-        signs[-1] = -signs[-1]  # the max factor is -1 only on the all-minus input
-        return TruthTable(arity, signs)
+        # the last coordinate leaves the sum alone: the sgn table twice over
+        head = sgn_truth_table(arity - 1, self.sgn0).signs
+        return times_prefix_max(TruthTable(arity, np.tile(head, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +612,7 @@ class SignFlipRule(RecyclingRule):
         return _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        check_enum_cap(step - 1, cap, "rule table arity")
-        return TruthTable.constant(step - 1, self.epsilon(step))
+        return TruthTable.constant(_table_arity(step, cap), self.epsilon(step))
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         members = [EMPTY_SET] if self.epsilon(step) == -1 else []
@@ -770,9 +653,23 @@ class ExplicitRule(RecyclingRule):
             return self.tables[step].sign(u[:n])
         if step in self.families:
             return self.families[step].evaluate(u)
-        if self.fallback is not None:
-            return self.fallback.psi(n, u)
-        raise ValueError(f"rule has no definition at step {step} and no fallback")
+        return self._fallback_at(step).psi(n, u)
+
+    def multipliers(self, xi):
+        # the fallback's kernel with psi0 and one psi per listed step; with
+        # no fallback every step is evaluated, and psi raises at the first
+        # step without a definition
+        arr = _as_signs(xi)
+        if self.fallback is None:
+            out, steps = np.empty_like(arr), range(2, arr.size + 1)
+        else:
+            out = self.fallback.multipliers(arr)
+            steps = sorted(s for s in {*self.tables, *self.families} if s <= arr.size)
+        out[:1] = self.psi0
+        u = arr[:steps[-1]].tolist() if steps else []
+        for step in steps:
+            out[step - 1] = self.psi(step - 1, u)
+        return out
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         if step == 1:
@@ -781,9 +678,7 @@ class ExplicitRule(RecyclingRule):
             return self.tables[step]
         if step in self.families:
             return beta_to_truth(self.families[step], cap)
-        if self.fallback is not None:
-            return self.fallback.step_table(step, cap)
-        raise ValueError(f"rule has no definition at step {step} and no fallback")
+        return self._fallback_at(step).step_table(step, cap)
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         if step == 1:
@@ -792,9 +687,12 @@ class ExplicitRule(RecyclingRule):
             return self.families[step]
         if step in self.tables:
             return truth_to_beta(self.tables[step])
-        if self.fallback is not None:
-            return self.fallback.step_family(step, cap)
-        raise ValueError(f"rule has no definition at step {step} and no fallback")
+        return self._fallback_at(step).step_family(step, cap)
+
+    def _fallback_at(self, step: int) -> RecyclingRule:
+        if self.fallback is None:
+            raise ValueError(f"rule has no definition at step {step} and no fallback")
+        return self.fallback
 
 
 class RandomRule(RecyclingRule):
@@ -819,8 +717,7 @@ class RandomRule(RecyclingRule):
         if step == 1:
             return TruthTable.constant(0, self.psi0)
         if step not in self._tables:
-            arity = step - 1
-            check_enum_cap(arity, cap, "rule table arity")
+            arity = _table_arity(step, cap)
             rng = np.random.Generator(
                 np.random.Philox(key=[self.seed & (2**64 - 1), step])
             )
@@ -834,6 +731,17 @@ class RandomRule(RecyclingRule):
 
     def psi(self, n, u):
         return self.step_table(n + 1).sign(u[:n])
+
+    def multipliers(self, xi):
+        arr = _as_signs(xi)
+        out = np.empty_like(arr)
+        out[:1] = self.psi0
+        mask = 0  # -1 bitmask of the prefix xi_1..xi_{step-1}
+        for step, x in enumerate(arr[:-1].tolist(), start=2):
+            if x < 0:
+                mask |= 1 << (step - 2)
+            out[step - 1] = self.step_table(step).signs[mask]
+        return out
 
 
 BUILTIN_DOC = {

@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -90,15 +91,25 @@ def _parse_set_sequence(parts: list[str]) -> setseq.SetSequence:
     raise RuleSpecError(f"unknown set-sequence kind {kind!r}")
 
 
+def symmetric_rule(breaks: Sequence[float], values: Sequence[int],
+                   jump_side: str = "left", name: str | None = None) -> SymmetricRule:
+    """Rule eta_k = f(X_{k-1}/sqrt(k)) xi_k for a sign step function f.
+
+    ``jump_side`` fixes the value taken at the jump locations: "left"
+    matches the sgn(0) = -1 convention of the sign rule, "right" the
+    right-continuous convention.
+    """
+    f = StepFunction(tuple(float(b) for b in breaks),
+                     tuple(int(v) for v in values), jump_side=jump_side)
+    return SymmetricRule(f, name=name)
+
+
 def _parse_symmetric(parts: list[str]) -> SymmetricRule:
     # alternating value, break, value, break, ..., value
     if len(parts) % 2 == 0 or not parts:
         raise RuleSpecError("symmetric takes values alternating with breakpoints")
-    tokens = [t for t in parts]
-    values = [int(tokens[i]) for i in range(0, len(tokens), 2)]
-    breaks = [float(tokens[i]) for i in range(1, len(tokens), 2)]
-    f = StepFunction(tuple(breaks), tuple(values), jump_side="right")
-    return SymmetricRule(f, name="symmetric:" + ":".join(parts))
+    return symmetric_rule(parts[1::2], parts[0::2], jump_side="right",
+                          name="symmetric:" + ":".join(parts))
 
 
 def make_builtin(spec: str, sgn0: int = -1) -> RecyclingRule:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import kolmogorov
 
-from .rules import RecyclingRule, StepFunction, SymmetricRule, running_sums
+from .rules import RecyclingRule, running_sums
 
 _MASK64 = (1 << 64) - 1
 
@@ -315,15 +315,3 @@ def arcsine_test(n: int, reps: int, seed: SeedSpec, sgn0: int = -1,
         passed=summary.ks_stat < limit,
     )
 
-
-def symmetric_rule(breaks: Sequence[float], values: Sequence[int],
-                   jump_side: str = "left") -> SymmetricRule:
-    """Rule eta_k = f(X_{k-1}/sqrt(k)) xi_k for a sign step function f.
-
-    ``jump_side`` fixes the value taken at the jump locations: "left"
-    matches the sgn(0) = -1 convention of the sign rule, "right" the
-    right-continuous convention.
-    """
-    f = StepFunction(tuple(float(b) for b in breaks),
-                     tuple(int(v) for v in values), jump_side=jump_side)
-    return SymmetricRule(f)

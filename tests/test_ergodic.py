@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gbrw.algebra import beta_to_truth, truth_to_beta
+from gbrw.algebra import CapacityError, beta_to_truth, truth_to_beta
 from gbrw.ergodic import (
     binomial_parity,
     criterion_beta,
@@ -306,12 +306,23 @@ def test_repair_identity_rule():
 
 
 def test_repair_pointwise_consistency():
-    # each repaired step costs a 2**n criterion scan, so keep the path short
+    # a path only needs the repair decisions of its leading run of -1s, so
+    # long random paths are cheap
     repaired = ergodic_repair(LevyRule(), horizon=6)
-    xi = SeedSpec(31).increments(14)
-    eta = repaired.apply(np.asarray(xi))
-    modified = ModifiedLevyRule().apply(np.asarray(xi))
-    assert np.array_equal(eta, modified)
+    for n in (14, 100_000):
+        xi = SeedSpec(31).increments(n)
+        eta = repaired.apply(np.asarray(xi))
+        modified = ModifiedLevyRule().apply(np.asarray(xi))
+        assert np.array_equal(eta, modified)
+
+
+def test_repair_capacity_error_names_the_step():
+    # the all-minus path needs the decision at every arity, up to 25 for
+    # step 26; the identity rule's constant tables keep the lower ones cheap
+    repaired = ergodic_repair(identity_rule())
+    with pytest.raises(CapacityError,
+                       match="step 26: rule table arity 25 exceeds enumeration cap 24"):
+        repaired.apply(np.full(26, -1, dtype=np.int8))
 
 
 def test_repaired_random_rules_pass():

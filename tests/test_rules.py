@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbrw.algebra import EMPTY_SET, BetaFamily, IndexSet, TruthTable, beta_to_truth
+from gbrw.ergodic import RepairedRule, ergodic_repair
 from gbrw.rules import (
     ConstantRule,
     ExplicitRule,
@@ -184,9 +185,6 @@ def test_apply_matches_scanner_and_pointwise(rule):
     rng = np.random.Generator(np.random.Philox(key=[7, 11]))
     xi = (2 * rng.integers(0, 2, size=40, dtype=np.int8) - 1).astype(np.int8)
     eta_vec = rule.apply(xi)
-    scan = rule.scanner()
-    eta_scan = [scan.step(int(x)) for x in xi]
-    assert np.array_equal(eta_vec, np.array(eta_scan, dtype=np.int8))
     for k in (1, 2, 3, 11, 40):
         assert eta_vec[k - 1] == rule.increment(list(xi[:k]))
         assert eta_vec[k - 1] == rule.multiplier(k, list(xi)) * xi[k - 1]
@@ -276,10 +274,36 @@ def step_functions(draw, max_breaks=6):
     return StepFunction(tuple(breaks), values, side)
 
 
+def explicit_rule(seed, fallback):
+    """Random tables and families at up to five steps <= 12 over a fallback,
+    or at every step up to a random last one without a fallback."""
+    rng = np.random.default_rng(seed)
+    if fallback is None:
+        steps = range(2, int(rng.integers(1, 13)) + 1)
+    else:
+        steps = rng.choice(np.arange(2, 13), size=int(rng.integers(0, 6)), replace=False)
+    tables, families = {}, {}
+    for step in map(int, steps):
+        if rng.random() < 0.5:
+            tables[step] = TruthTable.from_neg_bits(rng.integers(0, 2, 1 << (step - 1)))
+        else:
+            families[step] = BetaFamily(step, [
+                IndexSet((np.flatnonzero(rng.random(step - 1) < 0.5) + 1).tolist())
+                for _ in range(int(rng.integers(0, 4)))])
+    name = f"explicit:{seed}+{fallback.name if fallback else 'none'}"
+    return ExplicitRule(int(rng.choice([-1, 1])), tables, families, fallback, name)
+
+
+# shared, so that their lazily built tables and repair decisions are reused
+TABLE_RULES = [RandomRule(21), RandomRule(22, psi0=1), ergodic_repair(LevyRule()),
+               ergodic_repair(RandomRule(23, psi0=1))]
+
+
 @st.composite
 def kernel_rules(draw):
     kind = draw(st.sampled_from(("constant", "brw", "window", "levy", "modified",
-                                 "modified-max", "symmetric", "flips", "flip-steps")))
+                                 "modified-max", "symmetric", "flips", "flip-steps",
+                                 "explicit", "tables")))
     sgn0 = draw(st.sampled_from((-1, 1)))
     if kind == "constant":
         return draw(st.sampled_from((identity_rule(), negation_rule(),
@@ -300,10 +324,27 @@ def kernel_rules(draw):
     if kind == "flips":
         return SignFlipRule(draw(st.sampled_from(
             (Fraction(0), Fraction(1, 3), 0.25, 0.29, Fraction(2, 7), Fraction(1)))))
-    return SignFlipRule(draw(st.sets(st.integers(1, 320), max_size=40)))
+    if kind == "flip-steps":
+        return SignFlipRule(draw(st.sets(st.integers(1, 320), max_size=40)))
+    if kind == "explicit":
+        fallback = draw(st.sampled_from((ProductRule(), WindowMaxRule(3), None)))
+        return explicit_rule(draw(st.integers(0, 2**32)), fallback)
+    return draw(st.sampled_from(TABLE_RULES))
+
+
+def max_length(rule):
+    """Longest path a rule is checked on: an explicit rule without a fallback
+    ends at its last listed step, and random and repaired rules build a
+    table of 2^(k-1) entries at each step k, so they stop at 20 steps."""
+    if isinstance(rule, ExplicitRule) and rule.fallback is None:
+        return max((*rule.tables, *rule.families), default=1)
+    if isinstance(rule, (RandomRule, RepairedRule)):
+        return 20
+    return None
 
 
 def assert_kernel_matches_oracle(rule, xi):
+    xi = xi[:max_length(rule)]
     mult = rule.multipliers(xi)
     assert mult.dtype == np.int8 and mult.shape == xi.shape
     u = xi.tolist()
@@ -334,6 +375,8 @@ RULES_AT_SHORT_LENGTHS = [
     SymmetricRule(StepFunction((), (1,))),
     SymmetricRule(StepFunction((-1.0, 0.0, 1.0), (1, -1, 1, -1), "right")),
     SignFlipRule(Fraction(1, 3)), SignFlipRule([1, 2, 5]),
+    explicit_rule(1, ProductRule()), explicit_rule(2, WindowMaxRule(2)),
+    explicit_rule(3, None), *TABLE_RULES,
 ]
 
 
@@ -408,8 +451,12 @@ def test_explicit_rule_with_fallback():
 def test_explicit_rule_without_fallback_errors():
     rule = ExplicitRule(1, families={2: BetaFamily(2, [IndexSet([1])])})
     assert rule.multiplier(2, [-1]) == -1
-    with pytest.raises(ValueError):
+    assert rule.apply(signs(-1, 1)).tolist() == [-1, -1]
+    message = "rule has no definition at step 3 and no fallback"
+    with pytest.raises(ValueError, match=message):
         rule.multiplier(3, [1, 1])
+    with pytest.raises(ValueError, match=message):
+        rule.apply(signs(1, 1, 1))
 
 
 def test_explicit_rule_validates_steps():
@@ -443,3 +490,10 @@ def test_random_rule_bijective(seed, n):
 def test_constant_rule_rejects_bad_psi0():
     with pytest.raises(ValueError):
         ConstantRule("bad", 0, 1)
+
+
+@pytest.mark.parametrize("cls", [ModifiedLevyRule, ModifiedLevyMaxRule])
+@pytest.mark.parametrize("sgn0", [0, 3])
+def test_modified_levy_rules_reject_bad_sgn0(cls, sgn0):
+    with pytest.raises(ValueError, match=r"sgn0 must be -1 or \+1"):
+        cls(sgn0=sgn0)

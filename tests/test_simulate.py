@@ -19,6 +19,7 @@ from gbrw.rules import (
     identity_rule,
     negation_rule,
 )
+from gbrw.rulespec import symmetric_rule
 from gbrw.simulate import (
     SeedSpec,
     arcsine_test,
@@ -34,7 +35,6 @@ from gbrw.simulate import (
     sample_path,
     sign_sum_final,
     sup_distance_discrete,
-    symmetric_rule,
 )
 
 
