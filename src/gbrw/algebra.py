@@ -7,10 +7,19 @@ indexed by the bitmask of coordinates carrying -1, which makes
 u_[K] = -1 exactly when K is a submask, and turns conversion between truth
 tables and beta coefficient families into the self-inverse GF(2) subset
 zeta transform.
+
+Index sets are bitmasks throughout, bit k-1 standing for index k: a
+``BetaFamily`` holds its members as one sorted tuple of int masks, which the
+subset transform and the moment engine read directly.
+``IndexSet`` is the parse/print view, built only where sets are read from
+rule documents or shown to a reader.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -56,14 +65,7 @@ class IndexSet:
         """Build from a bitmask where bit k-1 represents index k."""
         if mask < 0:
             raise ValueError("mask must be non-negative")
-        out = []
-        k = 1
-        while mask:
-            if mask & 1:
-                out.append(k)
-            mask >>= 1
-            k += 1
-        return cls(out)
+        return cls(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
     @property
     def mask(self) -> int:
@@ -132,6 +134,15 @@ def popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
 
 
+def mask_levels(n: int) -> np.ndarray:
+    """Popcounts of the masks 0 .. 2**n - 1 as uint8, built by doubling so
+    that no wider temporary is held."""
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        np.add(out[:1 << i], 1, out=out[1 << i:2 << i])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Truth tables
 
@@ -195,26 +206,26 @@ class TruthTable:
         """Parity of the number of inputs mapped to -1."""
         return int(np.count_nonzero(self.signs < 0)) & 1
 
+    def _level_values(self) -> tuple[np.ndarray, bool]:
+        """One value per count of -1 coordinates, and whether the table is
+        that profile at every input."""
+        nu = mask_levels(self.arity)
+        out = np.empty(self.arity + 1, dtype=np.int8)
+        out[nu] = self.signs  # every level occurs, each takes one of its values
+        return out, bool(np.array_equal(out[nu], self.signs))
+
     def is_symmetric(self) -> bool:
         """True when the value depends on the input only through its sum."""
-        nu = popcounts(np.arange(1 << self.arity, dtype=np.uint64))
-        for level in range(self.arity + 1):
-            vals = self.signs[nu == level]
-            if vals.size and not np.all(vals == vals[0]):
-                return False
-        return True
+        return self._level_values()[1]
 
     def popcount_profile(self) -> np.ndarray:
         """Value on inputs with nu coordinates equal to -1, for nu = 0..arity.
 
         Raises ValueError when the table is not permutation invariant.
         """
-        if not self.is_symmetric():
+        out, symmetric = self._level_values()
+        if not symmetric:
             raise ValueError("table is not permutation invariant")
-        nu = popcounts(np.arange(1 << self.arity, dtype=np.uint64))
-        out = np.empty(self.arity + 1, dtype=np.int8)
-        for level in range(self.arity + 1):
-            out[level] = self.signs[nu == level][0]
         return out
 
     def __eq__(self, other):
@@ -240,70 +251,77 @@ class BetaFamily:
 
     A family at ``step`` n describes the multiplier applied to the n-th
     increment, a function of the first n-1 increments; members are subsets
-    of {1, ..., n-1} and the empty set encodes a constant sign flip.
+    of {1, ..., n-1} and the empty set encodes a constant sign flip.  They
+    are stored as ``masks``, one sorted tuple of distinct int bitmasks (bit
+    k-1 for index k); ``members`` and ``sorted_members`` are ``IndexSet``
+    views of it.
     """
 
-    __slots__ = ("step", "members")
+    __slots__ = ("step", "masks")
 
-    def __init__(self, step: int, members: Iterable[IndexSet] = ()):
+    def __init__(self, step: int, members: Iterable[int | IndexSet] = ()):
         if step < 1:
             raise ValueError("step must be >= 1")
-        members = frozenset(
-            m if isinstance(m, IndexSet) else IndexSet(m) for m in members
-        )
-        for m in members:
-            if m.members and m.members[-1] > step - 1:
-                raise ValueError(f"member {m} not a subset of {{1,...,{step - 1}}}")
+        masks = tuple(sorted({
+            m.mask if isinstance(m, IndexSet) else operator.index(m) for m in members
+        }))
+        if masks and masks[0] < 0:
+            raise ValueError(f"member mask {masks[0]} is negative")
+        if masks and masks[-1] >> (step - 1):
+            raise ValueError(f"member {IndexSet.from_mask(masks[-1])} "
+                             f"not a subset of {{1,...,{step - 1}}}")
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "masks", masks)
 
     def __setattr__(self, name, value):
         raise AttributeError("BetaFamily is immutable")
-
-    @classmethod
-    def from_masks(cls, step: int, masks: Iterable[int]) -> "BetaFamily":
-        return cls(step, (IndexSet.from_mask(m) for m in masks))
 
     @property
     def arity(self) -> int:
         return self.step - 1
 
-    def sorted_members(self) -> list[IndexSet]:
-        return sorted(self.members, key=lambda m: (len(m), m.members))
+    @property
+    def members(self) -> frozenset[IndexSet]:
+        return frozenset(map(IndexSet.from_mask, self.masks))
 
-    def member_masks(self) -> list[int]:
-        return sorted(m.mask for m in self.members)
+    def sorted_members(self) -> list[IndexSet]:
+        """Members by size, then lexicographically."""
+        return sorted(map(IndexSet.from_mask, self.masks),
+                      key=lambda m: (len(m), m.members))
 
     @property
     def contains_full_set(self) -> bool:
-        return IndexSet(range(1, self.step)) in self.members
+        # the full set is the largest possible mask
+        return bool(self.masks) and self.masks[-1] == (1 << self.arity) - 1
 
     def evaluate(self, u: Sequence[int]) -> int:
         """prod over members K of u_[K]; +1 for the empty family."""
-        sign = 1
-        for k_set in self.members:
-            sign *= subset_max(u, k_set)
-        return sign
+        if self.masks and self.masks[-1].bit_length() > len(u):
+            raise ValueError(f"index {self.masks[-1].bit_length()} out of range "
+                             f"for a vector of length {len(u)}")
+        neg = mask_of(u[:self.arity])
+        # u_[K] = -1 exactly when K is a submask of the -1 coordinates
+        flips = sum(1 for m in self.masks if not m & ~neg)
+        return -1 if flips & 1 else 1
 
     def indicator_bits(self) -> np.ndarray:
         """0/1 array over the 2**(step-1) subset masks, 1 at members."""
         bits = np.zeros(1 << self.arity, dtype=np.uint8)
-        for m in self.members:
-            bits[m.mask] = 1
+        bits[list(self.masks)] = 1
         return bits
 
     def __eq__(self, other):
         return (
             isinstance(other, BetaFamily)
             and self.step == other.step
-            and self.members == other.members
+            and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((self.step, self.members))
+        return hash((self.step, self.masks))
 
     def __len__(self):
-        return len(self.members)
+        return len(self.masks)
 
     def __repr__(self):
         body = ", ".join(str(m) for m in self.sorted_members())
@@ -336,8 +354,7 @@ def subset_xor_transform(bits: np.ndarray) -> np.ndarray:
 def truth_to_beta(table: TruthTable) -> BetaFamily:
     """The unique beta family reproducing the table (steps the arity up by one)."""
     coeffs = subset_xor_transform(table.neg_bits())
-    masks = np.flatnonzero(coeffs)
-    return BetaFamily.from_masks(table.arity + 1, (int(m) for m in masks))
+    return BetaFamily(table.arity + 1, np.flatnonzero(coeffs).tolist())
 
 
 def beta_to_truth(family: BetaFamily, cap: int = DEFAULT_ENUM_CAP) -> TruthTable:
@@ -590,22 +607,17 @@ def level_family(step: int, levels: Sequence[int]) -> BetaFamily:
     active = [j for j, bit in enumerate(levels) if bit]
     if any(j > n for j in active):
         raise ValueError("level index exceeds arity")
-    masks = np.arange(1 << n, dtype=np.uint64)
-    keep = np.isin(popcounts(masks), active)
-    return BetaFamily.from_masks(step, (int(m) for m in np.flatnonzero(keep)))
+    keep = np.isin(mask_levels(n), active)
+    return BetaFamily(step, np.flatnonzero(keep).tolist())
 
 
 def family_levels(family: BetaFamily) -> np.ndarray | None:
     """Level bits when the family is level-constant, else None."""
     n = family.arity
-    by_size: dict[int, int] = {}
-    from math import comb
-
-    for m in family.members:
-        by_size[len(m)] = by_size.get(len(m), 0) + 1
+    by_size = Counter(m.bit_count() for m in family.masks)
     levels = np.zeros(n + 1, dtype=np.uint8)
     for size, count in by_size.items():
-        if count != comb(n, size):
+        if count != math.comb(n, size):
             return None
         levels[size] = 1
     return levels

@@ -117,8 +117,7 @@ def criterion_beta(rule: RecyclingRule, n: int,
     """Full-set coefficient beta_{n+1,{1..n}} of the step-(n+1) multiplier."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    family = rule.step_family(n + 1, cap)
-    return 1 if family.contains_full_set else 0
+    return int(rule.step_family(n + 1, cap).contains_full_set)
 
 
 @dataclass(frozen=True)
@@ -280,9 +279,11 @@ class RepairedRule(RecyclingRule):
         return self._needs_flip[n]
 
     def psi(self, n, u):
+        # the prefix max is +1 unless the prefix is all -1, so the repair
+        # decision is needed only there
         value = self.inner.psi(n, u)
-        if self.needs_flip(n):
-            value *= max(int(v) for v in u[:n])
+        if max(int(v) for v in u[:n]) < 0 and self.needs_flip(n):
+            value = -value
         return value
 
     def multipliers(self, xi):

@@ -13,6 +13,8 @@ arithmetic; floats appear only in convergence verdicts.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -153,27 +155,29 @@ def expected_product(sets: Sequence[IndexSet],
 
 def expected_zeta(family: BetaFamily, cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:
     """E[zeta_{k-1}] for the multiplier encoded by the family."""
-    return expected_product(list(family.members), cap)
+    return Dyadic(*_product_terms(family.masks, cap))
 
 
 def expected_zeta_pair(fam_k: BetaFamily, fam_l: BetaFamily,
                        cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:
     """E[zeta_{k-1} zeta_{l-1}]; the two families contribute independently
     chosen sub-collections, which is the subset sum over their concatenation."""
-    return expected_product(list(fam_k.members) + list(fam_l.members), cap)
+    return Dyadic(*_product_terms(fam_k.masks + fam_l.masks, cap))
 
 
 def brute_force_expect(families: Sequence[BetaFamily],
                        cap: int = DEFAULT_ENUM_CAP) -> Dyadic:
     """Oracle: average the product of family evaluations over all sign
     assignments of the joint index support."""
-    support = sorted({k for fam in families for m in fam.members for k in m})
-    d = len(support)
+    support = functools.reduce(operator.or_, (m for f in families for m in f.masks), 0)
+    bits = [b for b in range(support.bit_length()) if support >> b & 1]
+    d = len(bits)
     if d > cap:
         raise CapacityError(f"joint support {d} exceeds enumeration cap {cap}")
-    remap = {k: i for i, k in enumerate(support)}
+    # relabel the support onto bits 0..d-1
     member_masks = [
-        [sum(1 << remap[k] for k in m) for m in fam.members] for fam in families
+        [sum(1 << i for i, b in enumerate(bits) if m >> b & 1) for m in fam.masks]
+        for fam in families
     ]
     total = 0
     chunk = 1 << min(d, 20)
@@ -233,33 +237,27 @@ def _stabilized_tail(rho: list[Dyadic]) -> Dyadic | None:
     return None
 
 
-def _step_masks(rule: RecyclingRule, horizon: int, cap: int) -> list[list[int]]:
-    """Member masks of the step families 1..horizon, each family built once."""
-    out = []
-    for k in range(1, horizon + 1):
-        try:
-            fam = rule.step_family(k, cap)
-        except CapacityError as exc:
-            raise CapacityError(f"step {k}: {exc}") from exc
-        out.append([m.mask for m in fam.members])
-    return out
-
-
 def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float,
                        cap: int, expansion_cap: int
-                       ) -> tuple[MomentReport, list[list[int]]]:
-    """condition_A_partial, also returning the member masks of each step."""
+                       ) -> tuple[MomentReport, list[tuple[int, ...]]]:
+    """condition_A_partial, also returning the member masks of each step.
+
+    Each step's family is built and evaluated before the next is built, so
+    the first step past a cap fails at once.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    step_masks = _step_masks(rule, horizon, cap)
+    step_masks: list[tuple[int, ...]] = []
     rho: list[Dyadic] = []
     cesaro: list[Fraction] = []
     total, total_exp = 0, 0  # running sum total / 2**total_exp
-    for k, masks in enumerate(step_masks, start=1):
+    for k in range(1, horizon + 1):
         try:
+            masks = rule.step_family(k, cap).masks
             num, exp = _product_terms(masks, expansion_cap)
         except CapacityError as exc:
             raise CapacityError(f"step {k}: {exc}") from exc
+        step_masks.append(masks)
         rho.append(Dyadic(num, exp))
         if exp > total_exp:
             total <<= exp - total_exp
@@ -332,7 +330,7 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
             parity ^= m
         supports.append(support)
         parities.append(parity)
-        signs.append(-1 if masks.count(0) & 1 else 1)
+        signs.append(-1 if masks and masks[0] == 0 else 1)
         plain.append(all(m & (m - 1) == 0 for m in masks))
     rho_num = [r.numerator for r in report_a.rho]
     rho_exp = [r.exponent for r in report_a.rho]

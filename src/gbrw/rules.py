@@ -29,13 +29,12 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_ENUM_CAP,
-    EMPTY_SET,
     BetaFamily,
-    IndexSet,
     TruthTable,
     beta_to_truth,
     check_enum_cap,
     level_family,
+    mask_levels,
     popcounts,
     symmetric_profile_to_levels,
     truth_to_beta,
@@ -107,8 +106,15 @@ def _table_arity(step: int, cap: int) -> int:
 
 def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
     """Sign table of sgn(u_1 + ... + u_n) with the stated value at zero."""
-    nu = popcounts(np.arange(1 << n, dtype=np.uint64))
-    return TruthTable(n, sgn(n - 2 * nu, sgn0))
+    # the sum n - 2 nu is negative for nu > n/2 and zero at nu = n/2: compare
+    # the uint8 counts in place (n - 2 nu would need a wider type)
+    nu = mask_levels(n)
+    minus = nu.view(bool)
+    if _check_sgn0(sgn0) == -1:
+        np.greater_equal(nu, (n + 1) // 2, out=minus)
+    else:
+        np.greater(nu, n // 2, out=minus)
+    return TruthTable(n, _signs(minus))
 
 
 def times_prefix_max(table: TruthTable) -> TruthTable:
@@ -204,8 +210,7 @@ class ConstantRule(RecyclingRule):
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         value = self.psi0 if step == 1 else self.value
-        members = [EMPTY_SET] if value == -1 else []
-        return BetaFamily(step, members)
+        return BetaFamily(step, [0] if value == -1 else [])
 
 
 def identity_rule() -> ConstantRule:
@@ -244,11 +249,11 @@ class ProductRule(RecyclingRule):
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         arity = _table_arity(step, cap)
-        nu = popcounts(np.arange(1 << arity, dtype=np.uint64))
+        nu = mask_levels(arity)
         return TruthTable(arity, np.where(nu & 1, -1, 1).astype(np.int8))
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
-        return BetaFamily(step, (IndexSet([j]) for j in range(1, step)))
+        return BetaFamily(step, [1 << j for j in range(step - 1)])
 
 
 class ExtendedBrwRule(RecyclingRule):
@@ -284,7 +289,7 @@ class ExtendedBrwRule(RecyclingRule):
         return out
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
-        return BetaFamily(step, (IndexSet([j]) for j in self.seq.at(step)))
+        return BetaFamily(step, [1 << (j - 1) for j in self.seq.at(step)])
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         arity = _table_arity(step, cap)
@@ -311,12 +316,10 @@ class WindowMaxRule(RecyclingRule):
         self.width = width
         self.name = "max" if width is None else f"window-max:{width}"
 
-    def window(self, step: int) -> IndexSet:
-        """Indices feeding the multiplier of increment ``step``."""
-        if step == 1:
-            return EMPTY_SET
+    def window_mask(self, step: int) -> int:
+        """Mask of the indices feeding the multiplier of increment ``step``."""
         lo = 1 if self.width is None else max(1, step - self.width)
-        return IndexSet(range(lo, step))
+        return (1 << (step - 1)) - (1 << (lo - 1)) if step > 1 else 0
 
     def psi(self, n, u):
         lo = 0 if self.width is None else max(0, n - self.width)
@@ -348,13 +351,13 @@ class WindowMaxRule(RecyclingRule):
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         arity = _table_arity(step, cap)
-        wmask = self.window(step).mask
+        wmask = self.window_mask(step)
         masks = np.arange(1 << arity, dtype=np.int64)
         signs = np.where((masks & wmask) == wmask, -1, 1).astype(np.int8)
         return TruthTable(arity, signs)
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
-        return BetaFamily(step, [self.window(step)])
+        return BetaFamily(step, [self.window_mask(step)])
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +463,7 @@ class SymmetricRule(RecyclingRule):
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         arity = _table_arity(step, cap)
-        prof = self.profile(step)
-        nu = popcounts(np.arange(1 << arity, dtype=np.uint64))
-        return TruthTable(arity, prof[nu])
+        return TruthTable(arity, self.profile(step)[mask_levels(arity)])
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         check_enum_cap(step - 1, cap, "rule family arity")
@@ -615,8 +616,7 @@ class SignFlipRule(RecyclingRule):
         return TruthTable.constant(_table_arity(step, cap), self.epsilon(step))
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
-        members = [EMPTY_SET] if self.epsilon(step) == -1 else []
-        return BetaFamily(step, members)
+        return BetaFamily(step, [0] if self.epsilon(step) == -1 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +682,7 @@ class ExplicitRule(RecyclingRule):
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         if step == 1:
-            return BetaFamily(1, [EMPTY_SET] if self.psi0 == -1 else [])
+            return BetaFamily(1, [0] if self.psi0 == -1 else [])
         if step in self.families:
             return self.families[step]
         if step in self.tables:

@@ -7,7 +7,7 @@ and the convergence diagnostics on the sets themselves.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 from .algebra import EMPTY_SET, IndexSet
 
@@ -42,18 +42,6 @@ class SetSequence:
 def _prefix_set(length: int, k: int) -> IndexSet:
     length = max(0, min(length, k - 1))
     return IndexSet(range(1, length + 1)) if length else EMPTY_SET
-
-
-def explicit_sequence(sets: Sequence[IndexSet]) -> SetSequence:
-    """Finite list of sets; steps beyond the list raise."""
-    stored = [s if isinstance(s, IndexSet) else IndexSet(s) for s in sets]
-
-    def fn(k: int) -> IndexSet:
-        if k > len(stored):
-            raise ValueError(f"explicit sequence has only {len(stored)} steps")
-        return stored[k - 1]
-
-    return SetSequence("explicit", fn, str(len(stored)))
 
 
 def prefix_fraction(lam: float) -> SetSequence:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,3 +363,92 @@ def test_random_symmetric_profiles_reconstruct(n, rnd):
 def test_level_constant_family_yields_symmetric_table():
     fam = level_family(5, [0, 1, 0, 1, 0])
     assert beta_to_truth(fam).is_symmetric()
+
+
+# ---------------------------------------------------------------------------
+# The mask representation of families
+
+family_cases = st.integers(min_value=0, max_value=8).flatmap(
+    lambda arity: st.tuples(
+        st.just(arity),
+        st.lists(st.integers(min_value=0, max_value=(1 << arity) - 1), max_size=12),
+    )
+)
+
+
+def _indices(mask, arity):
+    return IndexSet(k + 1 for k in range(arity) if mask >> k & 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_cases)
+def test_family_from_index_sets_equals_family_from_masks(case):
+    arity, masks = case
+    fam = BetaFamily(arity + 1, masks)
+    from_sets = BetaFamily(arity + 1, [_indices(m, arity) for m in masks])
+    assert from_sets == fam
+    assert hash(from_sets) == hash(fam)
+    assert fam.masks == tuple(sorted(set(masks)))
+    assert fam.members == frozenset(_indices(m, arity) for m in masks)
+    assert len(fam) == len(set(masks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_cases)
+def test_evaluate_matches_truth_table_and_subset_maxima(case):
+    arity, masks = case
+    fam = BetaFamily(arity + 1, masks)
+    table = beta_to_truth(fam)
+    for neg in range(1 << arity):
+        u = [-1 if neg >> k & 1 else 1 for k in range(arity)]
+        direct = 1
+        for m in fam.members:
+            direct *= subset_max(u, m)
+        assert fam.evaluate(u) == table.sign(u) == direct
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_cases)
+def test_sorted_members_by_size_then_indices(case):
+    arity, masks = case
+    fam = BetaFamily(arity + 1, masks)
+    assert fam.sorted_members() == sorted(fam.members, key=lambda m: (len(m), m.members))
+
+
+def test_sorted_members_differs_from_mask_order():
+    fam = BetaFamily(5, [0b1001, 0b0110, 0b0100, 0b0011])
+    assert fam.masks == (0b0011, 0b0100, 0b0110, 0b1001)
+    assert [str(m) for m in fam.sorted_members()] == ["{3}", "{1,2}", "{1,4}", "{2,3}"]
+    assert repr(fam) == "BetaFamily(step=5, members=[{3}, {1,2}, {1,4}, {2,3}])"
+
+
+def test_contains_full_set():
+    assert BetaFamily(4, [0b111]).contains_full_set
+    assert BetaFamily(4, [0, 0b111, 0b11]).contains_full_set
+    assert not BetaFamily(4, [0b011, 0b101, 0b110]).contains_full_set
+    assert not BetaFamily(4).contains_full_set
+    # at step 1 the full set of {} is the empty set
+    assert BetaFamily(1, [EMPTY_SET]).contains_full_set
+    assert not BetaFamily(1).contains_full_set
+
+
+def test_family_levels_of_masks():
+    levels = [0, 1, 0, 1, 0, 1]
+    fam = level_family(6, levels)
+    assert list(family_levels(fam)) == levels
+    assert family_levels(BetaFamily(6, fam.masks[1:])) is None
+    assert list(family_levels(BetaFamily(6))) == [0] * 6
+
+
+def test_family_validation_messages():
+    message = re.escape("member {3} not a subset of {1,...,2}")
+    with pytest.raises(ValueError, match=message):
+        BetaFamily(3, [0b100])
+    with pytest.raises(ValueError, match=message):
+        BetaFamily(3, [IndexSet([1]), IndexSet([3])])
+    with pytest.raises(ValueError, match="member mask -1 is negative"):
+        BetaFamily(3, [1, -1])
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        BetaFamily(0)
+    with pytest.raises(TypeError):
+        BetaFamily(3, [1.0])

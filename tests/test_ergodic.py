@@ -325,6 +325,29 @@ def test_repair_capacity_error_names_the_step():
         repaired.apply(np.full(26, -1, dtype=np.int8))
 
 
+def test_repaired_psi_off_the_all_minus_prefix():
+    # once an increment is +1 the prefix max is +1, so psi needs no repair
+    # decision, whose arity-29 table would exceed the cap, as the kernel on
+    # the same path
+    repaired = ergodic_repair(LevyRule())
+    u = [1] + [-1] * 29
+    kernel = repaired.multipliers(np.array(u, dtype=np.int8))
+    assert repaired.multiplier(30, u) == kernel[29] == LevyRule().multiplier(30, u)
+
+
+@pytest.mark.parametrize("sgn0", [-1, 1])
+def test_sgn_truth_table_matches_walk_sums(sgn0):
+    for n in range(15):
+        sums = np.array([n - 2 * bin(m).count("1") for m in range(1 << n)])
+        expected = np.where(sums > 0, 1, np.where(sums < 0, -1, sgn0))
+        assert np.array_equal(sgn_truth_table(n, sgn0).signs, expected)
+
+
+def test_sgn_truth_table_rejects_bad_sgn0():
+    with pytest.raises(ValueError, match="sgn0 must be -1 or"):
+        sgn_truth_table(3, 0)
+
+
 def test_repaired_random_rules_pass():
     rng = SeedSpec(77).generator()
     for _ in range(10):

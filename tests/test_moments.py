@@ -22,6 +22,7 @@ from gbrw.moments import (
 from gbrw.rules import (
     ExtendedBrwRule,
     ExplicitRule,
+    LevyRule,
     SignFlipRule,
     WindowMaxRule,
     identity_rule,
@@ -369,13 +370,54 @@ def test_condition_b_grid_matches_per_pair_engine_explicit(psi0, per_step):
 
 
 def test_levy_capacity_message_unchanged():
-    from gbrw.rules import LevyRule
-
     message = "step 7: overlap component of size 35 exceeds expansion cap 20"
     for scan in (condition_A_partial, condition_B_partial):
         with pytest.raises(CapacityError) as err:
             scan(LevyRule(), horizon=16)
         assert str(err.value) == message
+
+
+def test_levy_scan_fails_at_the_first_blocked_step():
+    # step 7 is the first family past the expansion cap; the scan builds no
+    # later family, so a long horizon fails as fast and names the same step
+    rule = LevyRule()
+    built = []
+    step_family = rule.step_family
+
+    def recording(step, cap):
+        built.append(step)
+        return step_family(step, cap)
+
+    rule.step_family = recording
+    with pytest.raises(CapacityError) as err:
+        condition_A_partial(rule, horizon=64)
+    assert str(err.value) == (
+        "step 7: overlap component of size 35 exceeds expansion cap 20"
+    )
+    assert built == list(range(1, 8))
+
+
+def test_mask_native_paths_build_no_index_sets(monkeypatch):
+    from gbrw.algebra import truth_to_beta
+    from gbrw.ergodic import criterion_beta
+    from gbrw.rules import sgn_truth_table
+
+    built = []
+    init = IndexSet.__init__
+
+    def counting(self, members=()):
+        built.append(members)
+        init(self, members)
+
+    monkeypatch.setattr(IndexSet, "__init__", counting)
+    LevyRule().step_family(12)
+    truth_to_beta(sgn_truth_table(8))
+    criterion_beta(LevyRule(), 10)
+    criterion_beta(WindowMaxRule(3), 10)
+    condition_B_partial(WindowMaxRule(3), 32)
+    assert built == []
+    IndexSet([1])  # the patch does see a construction
+    assert len(built) == 1
 
 
 def test_condition_b_pair_capacity_names_the_pair():
