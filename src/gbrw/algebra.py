@@ -11,8 +11,8 @@ zeta transform.
 Index sets are bitmasks throughout, bit k-1 standing for index k: a
 ``BetaFamily`` holds its members as one sorted tuple of int masks, which the
 subset transform and the moment engine read directly.
-``IndexSet`` is the parse/print view, built only where sets are read from
-rule documents or shown to a reader.
+``member_strings`` prints members from the masks; ``IndexSet`` is the parse
+view, built where sets are read from rule documents.
 """
 
 from __future__ import annotations
@@ -153,14 +153,15 @@ class TruthTable:
     __slots__ = ("arity", "signs")
 
     def __init__(self, arity: int, signs: np.ndarray):
-        signs = np.asarray(signs, dtype=np.int8)
+        signs = np.array(signs, dtype=np.int8)  # the one copy the table owns
         if arity < 0:
             raise ValueError("arity must be non-negative")
         if signs.shape != (1 << arity,):
             raise ValueError(f"expected {1 << arity} entries, got {signs.shape}")
-        if not np.all(np.abs(signs) == 1):
+        # -1 <= s <= 1 and s != 0, checked without a temporary array
+        if (signs.min() < -1 or signs.max() > 1
+                or np.count_nonzero(signs) < signs.size):
             raise ValueError("table values must be -1 or +1")
-        signs = signs.copy()
         signs.setflags(write=False)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "signs", signs)
@@ -286,8 +287,7 @@ class BetaFamily:
 
     def sorted_members(self) -> list[IndexSet]:
         """Members by size, then lexicographically."""
-        return sorted(map(IndexSet.from_mask, self.masks),
-                      key=lambda m: (len(m), m.members))
+        return [IndexSet.from_mask(m) for m in sorted_masks(self.masks)]
 
     @property
     def contains_full_set(self) -> bool:
@@ -324,8 +324,36 @@ class BetaFamily:
         return len(self.masks)
 
     def __repr__(self):
-        body = ", ".join(str(m) for m in self.sorted_members())
+        body = ", ".join(member_strings(self.masks))
         return f"BetaFamily(step={self.step}, members=[{body}])"
+
+
+#: Each byte value bit-reversed, then complemented: equal-size index sets
+#: order lexicographically as their bit-reversed masks order descending, so
+#: the little-endian bytes of a mask mapped through this table sort ascending.
+_LEX_KEY = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def sorted_masks(masks: Sequence[int]) -> list[int]:
+    """The masks ordered as their index sets by size, then lexicographically."""
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    ordered = sorted(masks, key=lambda m: m.to_bytes(width, "little").translate(_LEX_KEY))
+    ordered.sort(key=int.bit_count)  # stable, so each size keeps that order
+    return ordered
+
+
+def member_strings(masks: Sequence[int]) -> list[str]:
+    """The index sets of the masks as "{i,j,...}", in ``sorted_masks`` order.
+
+    Each mask is formatted from its bytes through a table of the fragment
+    every byte value gives at every byte position; no IndexSet is built.
+    """
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    fragments = [[",".join(str(8 * j + k + 1) for k in range(8) if b >> k & 1)
+                  for b in range(256)] for j in range(width)]
+    return ["{" + ",".join([f[b] for f, b in zip(fragments, m.to_bytes(width, "little"))
+                            if b]) + "}"
+            for m in sorted_masks(masks)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +423,8 @@ class LinearExpansion:
         for k_set, coeff in self.terms:
             if k_set.members and k_set.members[-1] > n:
                 raise ValueError(f"term {k_set} exceeds arity {n}")
-            kmask = k_set.mask
-            if kmask == 0:
-                signs = np.full(1 << n, -1, dtype=np.int64)
-            else:
-                signs = np.where((masks & kmask) == kmask, -1, 1).astype(np.int64)
+            # the block over K is -1 on the supersets of K (everywhere for K empty)
+            signs = np.where((masks & k_set.mask) == k_set.mask, -1, 1)
             nums += (coeff.numerator << (exp - coeff.exponent)) * signs
         return nums, exp
 
@@ -455,6 +480,10 @@ def expand_family(family: BetaFamily,
 
 # ---------------------------------------------------------------------------
 # Generic building-block bases from a partial order on the subset lattice
+
+
+def _strict_submask(a: int, b: int) -> bool:
+    return a != b and (a & b) == a
 
 
 class PartialOrderBasis:
@@ -520,22 +549,14 @@ class PartialOrderBasis:
     def max_basis(cls, arity: int) -> "PartialOrderBasis":
         """Label inputs by their -1 set and order by strict inclusion."""
         labels = np.arange(1 << arity, dtype=np.int64)
-
-        def precedes(a: int, b: int) -> bool:
-            return a != b and (a & b) == a
-
-        return cls(arity, labels, precedes, name="max")
+        return cls(arity, labels, _strict_submask, name="max")
 
     @classmethod
     def min_basis(cls, arity: int) -> "PartialOrderBasis":
         """The max basis conjugated by u -> -u: label inputs by their +1 set."""
         full = (1 << arity) - 1
         labels = np.arange(1 << arity, dtype=np.int64) ^ full
-
-        def precedes(a: int, b: int) -> bool:
-            return a != b and (a & b) == a
-
-        return cls(arity, labels, precedes, name="min")
+        return cls(arity, labels, _strict_submask, name="min")
 
     @classmethod
     def unordered_basis(cls, arity: int) -> "PartialOrderBasis":

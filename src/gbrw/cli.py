@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import CapacityError, beta_to_truth, truth_to_beta
+from .algebra import CapacityError, beta_to_truth, member_strings, truth_to_beta
 from .dyadic import Dyadic
 from .ergodic import (
     ergodic_repair,
@@ -80,7 +80,7 @@ def cmd_rules(args) -> int:
         print(f"rule: {rule.describe()}")
         for n in range(1, min(args.horizon, 6) + 1):
             family = rule.step_family(n + 1)
-            body = ", ".join(str(m) for m in family.sorted_members()) or "(empty)"
+            body = ", ".join(member_strings(family.masks)) or "(empty)"
             print(f"  multiplier {n}: beta members {body}")
         return EXIT_OK
     print("builtin rules (use as builtin:NAME, parameters colon-separated):")
@@ -102,7 +102,7 @@ def cmd_convert(args) -> int:
     table = rule.step_table(n + 1)
     family = rule.step_family(n + 1)
     roundtrip = beta_to_truth(truth_to_beta(table)) == table
-    members = [str(m) for m in family.sorted_members()]
+    members = member_strings(family.masks)
     print(f"rule {rule.name}, multiplier {n} (a function of {n} increments)")
     if len(members) <= _PRINT_MAX:
         print(f"beta members: {', '.join(members) or '(empty)'}")

@@ -36,7 +36,6 @@ __all__ = [
     "BetaArray",
     "sgn_beta_array",
     "binomial_parity",
-    "pascal_parity_row",
     "ergodic_repair",
     "RepairedRule",
     "CLOSED_FORM_ERGODIC",
@@ -54,15 +53,12 @@ def rule_permutation(rule: RecyclingRule, n: int,
     by m; built from the per-step tables with one vectorized pass per step.
     """
     check_enum_cap(n, cap, "state space exponent")
-    masks = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=np.int64)
+    out = np.arange(1 << n, dtype=np.int64)
     for k in range(1, n + 1):
-        table = rule.step_table(k, cap)
-        prefix = masks & ((1 << (k - 1)) - 1)
-        mult_neg = table.signs[prefix] < 0
-        u_neg = ((masks >> (k - 1)) & 1).astype(bool)
-        v_neg = mult_neg ^ u_neg
-        out |= v_neg.astype(np.int64) << (k - 1)
+        # eta_k is -1 where u_k is -1 or the multiplier is, not both; the
+        # multiplier reads the k-1 low bits, so its table repeats along out
+        flips = np.tile(rule.step_table(k, cap).signs < 0, 1 << (n - k + 1))
+        out ^= flips.astype(np.int64) << (k - 1)
     return out
 
 
@@ -169,18 +165,6 @@ def is_ergodic_up_to(rule: RecyclingRule, horizon: int,
 # The level-coefficient array of the sign function
 
 
-def pascal_parity_row(m: int) -> int:
-    """Row m of Pascal's triangle mod 2, packed with bit k = C(m,k) mod 2."""
-    row = 1
-    shift = 1
-    while m:
-        if m & 1:
-            row ^= row << shift
-        m >>= 1
-        shift <<= 1
-    return row
-
-
 @dataclass(frozen=True)
 class BetaArray:
     """Level coefficients of sgn(u_1 + ... + u_n) for n = 1..size.
@@ -204,10 +188,7 @@ class BetaArray:
 
     def row_family(self, n: int) -> BetaFamily:
         """Expand row n into the explicit family at step n+1."""
-        levels = [0] * (n + 1)
-        for k in self.row_levels(n):
-            levels[k] = 1
-        return level_family(n + 1, levels)
+        return level_family(n + 1, [self.coefficient(n, k) for k in range(n + 1)])
 
     @cached_property
     def bits(self) -> np.ndarray:
@@ -233,27 +214,29 @@ class BetaArray:
 
 
 def sgn_beta_array(size: int) -> BetaArray:
-    """Compute the coefficient rows by the parity recurrence.
+    """Compute the coefficient rows in closed form.
 
-    Below the diagonal of the zero region (k <= floor((n-1)/2)) every
-    coefficient vanishes; above it each beta_{n,m} is determined by
-    beta_{n,m} = 1 + sum_{k=l+1}^{m-1} C(m,k) beta_{n,k} mod 2 with
-    l = floor((n-1)/2).  Binomial parities come packed from Lucas rows.
-    When beta_{n,m} is decided, the row so far holds only the bits l+1..m-1,
-    so the sum is the parity of one AND with Pascal row m: a row costs O(n)
-    big-integer operations of O(n) bits.
+    With l = floor((n-1)/2), sgn is -1 on the inputs with nu >= l + 1
+    coordinates at -1.  The level bits solve b_nu = sum_m C(nu, m) beta_{n,m}
+    mod 2, a binomial transform that is its own inverse mod 2, so for
+    1 <= m <= n, mod 2, beta_{n,m} = sum_{nu=l+1}^{m} C(m, nu)
+    = 2^m - sum_{nu<=l} C(m, nu) = C(m-1, l), since the alternating partial
+    sum sum_{nu<=l} (-1)^nu C(m, nu) is (-1)^l C(m-1, l).  By Lucas'
+    theorem C(m-1, l) is odd exactly when l is a submask of m-1, which
+    needs m > l; beta_{n,0} = b_0 = 0.  The bit matrix comes from one
+    broadcast over small-int index arrays and is packed into the rows.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    pascal = [pascal_parity_row(m) for m in range(size + 1)]
-    rows = []
-    for n in range(1, size + 1):
-        bits = 0
-        for m in range((n - 1) // 2 + 1, n + 1):
-            if not (pascal[m] & bits).bit_count() & 1:
-                bits |= 1 << m
-        rows.append(bits)
-    return BetaArray(size=size, rows=tuple(rows))
+    index = np.int16 if size < 1 << 15 else np.int32
+    n = np.arange(1, size + 1, dtype=index)[:, None]
+    m = np.arange(size + 1, dtype=index)
+    bits = (((n - 1) >> 1) & ~(m - 1)) == 0
+    bits[:, 0] = False
+    bits &= m <= n
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return BetaArray(size=size, rows=tuple(
+        int.from_bytes(row.tobytes(), "little") for row in packed))
 
 
 # ---------------------------------------------------------------------------

@@ -185,15 +185,8 @@ def brute_force_expect(families: Sequence[BetaFamily],
         masks = np.arange(start, start + chunk, dtype=np.int64)
         prod = np.ones(masks.size, dtype=np.int8)
         for fam_masks in member_masks:
-            for mm in fam_masks:
-                if mm == 0:
-                    prod = -prod
-                else:
-                    np.multiply(
-                        prod,
-                        np.where((masks & mm) == mm, -1, 1).astype(np.int8),
-                        out=prod,
-                    )
+            for mm in fam_masks:  # u_[K] = -1 on the supersets of K
+                prod[(masks & mm) == mm] *= -1
         total += int(prod.sum(dtype=np.int64))
     return Dyadic(total, d)
 
@@ -256,6 +249,8 @@ def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float,
             masks = rule.step_family(k, cap).masks
             num, exp = _product_terms(masks, expansion_cap)
         except CapacityError as exc:
+            if str(exc).startswith(f"step {k}:"):
+                raise
             raise CapacityError(f"step {k}: {exc}") from exc
         step_masks.append(masks)
         rho.append(Dyadic(num, exp))

@@ -20,8 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dyadic import Dyadic
-
 #: Rows formatted and written per block, which bounds the memory a table
 #: takes while it is written.
 CHUNK_ROWS = 1 << 16
@@ -35,9 +33,7 @@ def format_value(value) -> str:
         return f"{value:.17g}"
     if isinstance(value, Fraction):
         return f"{float(value):.17g}"
-    if isinstance(value, Dyadic):
-        return str(value)
-    return str(value)
+    return str(value)  # a Dyadic prints as p/2^e
 
 
 def _umask() -> int:
@@ -103,7 +99,12 @@ def _lines(cells: list[list[str]]) -> bytes:
     """CSV lines of rows given as per-column cell lists."""
     if len(cells) == 1:  # csv quotes the cell of a one-field row when it is empty
         cells = [['""' if c == "" else c for c in cells[0]]]
-    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
+    # one join over the cells interleaved with their separators
+    stride = 2 * len(cells)
+    parts = ([","] * (stride - 1) + ["\n"]) * len(cells[0]) if cells else ["\n"]
+    for j, column in enumerate(cells):
+        parts[2 * j::stride] = column
+    return "".join(parts).encode("utf-8")
 
 
 def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:

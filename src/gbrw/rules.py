@@ -249,8 +249,7 @@ class ProductRule(RecyclingRule):
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         arity = _table_arity(step, cap)
-        nu = mask_levels(arity)
-        return TruthTable(arity, np.where(nu & 1, -1, 1).astype(np.int8))
+        return TruthTable(arity, _signs(mask_levels(arity) & 1))
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         return BetaFamily(step, [1 << j for j in range(step - 1)])
@@ -350,11 +349,11 @@ class WindowMaxRule(RecyclingRule):
             size *= 2
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = _table_arity(step, cap)
-        wmask = self.window_mask(step)
-        masks = np.arange(1 << arity, dtype=np.int64)
-        signs = np.where((masks & wmask) == wmask, -1, 1).astype(np.int8)
-        return TruthTable(arity, signs)
+        # the window is the top bits of the arity, so an input is -1 on all
+        # of it exactly when its mask is at least the window mask
+        signs = np.ones(1 << _table_arity(step, cap), dtype=np.int8)
+        signs[self.window_mask(step):] = -1
+        return TruthTable(step - 1, signs)
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         return BetaFamily(step, [self.window_mask(step)])

@@ -18,6 +18,8 @@ from gbrw.algebra import (
     family_levels,
     level_family,
     linearize_product,
+    member_strings,
+    sorted_masks,
     subset_max,
     symmetric_profile_to_levels,
     truth_to_beta,
@@ -407,12 +409,40 @@ def test_evaluate_matches_truth_table_and_subset_maxima(case):
         assert fam.evaluate(u) == table.sign(u) == direct
 
 
-@settings(max_examples=100, deadline=None)
-@given(family_cases)
+#: Arities up to 200, so masks far wider than 64 bits, with prefix and
+#: top-bit runs among the random members.
+wide_family_cases = st.integers(min_value=0, max_value=200).flatmap(
+    lambda arity: st.tuples(
+        st.just(arity),
+        st.lists(st.one_of(st.integers(0, (1 << arity) - 1),
+                           st.integers(0, arity).map(lambda k: (1 << k) - 1 >> 1),
+                           st.integers(0, min(arity, 12)).map(lambda k: (1 << arity) - (1 << k))),
+                 max_size=40),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(family_cases, wide_family_cases))
 def test_sorted_members_by_size_then_indices(case):
     arity, masks = case
     fam = BetaFamily(arity + 1, masks)
-    assert fam.sorted_members() == sorted(fam.members, key=lambda m: (len(m), m.members))
+    expected = sorted(fam.members, key=lambda m: (len(m), m.members))
+    assert fam.sorted_members() == expected
+    assert sorted_masks(fam.masks) == [m.mask for m in expected]
+    # the mask formatter prints the same strings in the same order
+    assert member_strings(fam.masks) == [str(m) for m in expected]
+
+
+def test_member_strings_build_no_index_sets(monkeypatch):
+    def refuse(self, members=()):
+        raise AssertionError("IndexSet built")
+
+    fam = BetaFamily(80, [0, 1 << 70, (1 << 79) - 1, 0b101])
+    monkeypatch.setattr(IndexSet, "__init__", refuse)
+    assert member_strings(fam.masks) == [
+        "{}", "{71}", "{1,3}", "{" + ",".join(map(str, range(1, 80))) + "}"]
+    assert repr(BetaFamily(3, [])) == "BetaFamily(step=3, members=[])"
 
 
 def test_sorted_members_differs_from_mask_order():
@@ -452,3 +482,21 @@ def test_family_validation_messages():
         BetaFamily(0)
     with pytest.raises(TypeError):
         BetaFamily(3, [1.0])
+
+
+@pytest.mark.parametrize("values", [[1, 0], [1, 2], [-2, 1], [127, -1], [-128, 1]])
+def test_truth_table_rejects_values_other_than_signs(values):
+    with pytest.raises(ValueError, match="must be -1 or"):
+        TruthTable(1, np.array(values, dtype=np.int8))
+    with pytest.raises(ValueError, match="must be -1 or"):
+        TruthTable(1, values)
+
+
+def test_truth_table_owns_its_signs():
+    signs = np.array([1, -1, -1, 1], dtype=np.int8)
+    table = TruthTable(2, signs)
+    signs[:] = -1
+    assert table.signs.tolist() == [1, -1, -1, 1]
+    assert not table.signs.flags.writeable
+    copied = TruthTable(2, table.signs)  # a read-only input is copied too
+    assert copied.signs is not table.signs and copied == table

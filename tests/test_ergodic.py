@@ -12,7 +12,6 @@ from gbrw.ergodic import (
     is_bijection,
     is_ergodic_up_to,
     orbit_decompose,
-    pascal_parity_row,
     rule_permutation,
     sgn_beta_array,
     sgn_truth_table,
@@ -234,6 +233,40 @@ def test_beta_array_matches_recurrence_with_comb():
             total = 1 + sum(math.comb(m, k) * beta[k] for k in range(ell + 1, m))
             beta[m] = total % 2
         assert [array.coefficient(n, k) for k in range(n + 1)] == beta, n
+
+
+def pascal_parity_row(m: int) -> int:
+    """Row m of Pascal's triangle mod 2, packed with bit k = C(m,k) mod 2."""
+    row = 1
+    shift = 1
+    while m:
+        if m & 1:
+            row ^= row << shift
+        m >>= 1
+        shift <<= 1
+    return row
+
+
+def packed_recurrence_rows(size):
+    """The parity recurrence on packed rows: beta_{n,m} = 1 + the parity of
+    Pascal row m ANDed with the bits l+1..m-1 decided so far."""
+    pascal = [pascal_parity_row(m) for m in range(size + 1)]
+    rows = []
+    for n in range(1, size + 1):
+        bits = 0
+        for m in range((n - 1) // 2 + 1, n + 1):
+            if not (pascal[m] & bits).bit_count() & 1:
+                bits |= 1 << m
+        rows.append(bits)
+    return tuple(rows)
+
+
+def test_closed_form_beta_array_matches_packed_recurrence():
+    expected = packed_recurrence_rows(1000)
+    for size in (1, 2, 3, 7, 8, 64, 333, 1000):
+        array = sgn_beta_array(size)
+        assert array.size == size
+        assert array.rows == expected[:size], size
 
 
 def test_beta_array_bits_and_columns():

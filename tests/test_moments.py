@@ -23,6 +23,7 @@ from gbrw.rules import (
     ExtendedBrwRule,
     ExplicitRule,
     LevyRule,
+    ModifiedLevyRule,
     SignFlipRule,
     WindowMaxRule,
     identity_rule,
@@ -375,6 +376,14 @@ def test_levy_capacity_message_unchanged():
         with pytest.raises(CapacityError) as err:
             scan(LevyRule(), horizon=16)
         assert str(err.value) == message
+
+
+def test_table_capacity_message_names_the_step_once():
+    # the table cap error already names its step; the scan adds no prefix
+    for scan in (condition_A_partial, condition_B_partial):
+        with pytest.raises(CapacityError) as err:
+            scan(ModifiedLevyRule(), 8, cap=3)
+        assert str(err.value) == "step 5: rule table arity 4 exceeds enumeration cap 3"
 
 
 def test_levy_scan_fails_at_the_first_blocked_step():

@@ -178,6 +178,13 @@ RECORDED = {
         "truth_table.csv": "56d262d1b0ffd5615b61265320f2e3609f7ad421251641ff2c2926d04a4677fe",
         "beta_members.csv": "c548f4f4526211ee19342d361e0b819598c26f83a6aa8b67807398221eace260",
     },
+    # 12,871 members each, recorded while members were printed via IndexSet
+    ("convert", "--rule", "builtin:levy", "--step", "16"): {
+        "beta_members.csv": "273fe0a9f32da6c76372e1d5f2dc4b3b9284f9ab338f31872d84495d657b60b4",
+    },
+    ("convert", "--rule", "builtin:modified-levy", "--step", "16"): {
+        "beta_members.csv": "273fe0a9f32da6c76372e1d5f2dc4b3b9284f9ab338f31872d84495d657b60b4",
+    },
 }
 
 

@@ -199,6 +199,18 @@ def test_step_table_matches_pointwise(rule):
             assert table.sign(u) == rule.multiplier(step, u + [1])
 
 
+@pytest.mark.parametrize("width", [None, 1, 2, 3, 5])
+def test_window_max_tables_match_mask_formula(width):
+    rule = WindowMaxRule(width)
+    for step in range(1, 15):
+        wmask = rule.window_mask(step)
+        masks = np.arange(1 << (step - 1), dtype=np.int64)
+        expected = np.where((masks & wmask) == wmask, -1, 1).astype(np.int8)
+        table = rule.step_table(step)
+        assert table.arity == step - 1
+        assert np.array_equal(table.signs, expected), step
+
+
 @pytest.mark.parametrize("rule", ALL_BUILTINS, ids=lambda r: r.name)
 def test_step_family_matches_table(rule):
     for step in range(1, 7):
