@@ -468,22 +468,21 @@ def analyze_set_sequence(seq: SetSequence, horizon: int,
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    sets = seq.prefix(horizon)
-    keys = [s.members for s in sets]
-    first_seen: dict[tuple, int] = {}
-    counts: dict[tuple, int] = {}
+    lo, hi = seq.bounds(horizon)
+    first_seen: dict[tuple[int, int], int] = {}
+    counts: dict[tuple[int, int], int] = {}
     first_match: list[int] = []
     n_ratio: list[Fraction] = []
     match_fraction: list[Fraction] = []
-    for n, key in enumerate(keys, start=1):
+    for n, key in enumerate(zip(lo.tolist(), hi.tolist()), start=1):
         first_seen.setdefault(key, n)
         counts[key] = counts.get(key, 0) + 1
         first_match.append(first_seen[key])
         n_ratio.append(Fraction(first_seen[key], n))
         match_fraction.append(Fraction(counts[key], n))
-    nested = all(
-        set(a).issubset(set(b)) for a, b in zip(keys, keys[1:])
-    )
+    # M_n within M_{n+1}: M_n empty, or its bounds inside the next ones
+    nested = bool(np.all((hi[:-1] < lo[:-1])
+                         | ((lo[1:] <= lo[:-1]) & (hi[:-1] <= hi[1:]))))
     tail = match_fraction[horizon // 2:]
     independent = max(float(f) for f in tail) < tolerance
     return SetSequenceReport(
@@ -518,8 +517,8 @@ def intersection_diagnostic(seq: SetSequence, horizon: int,
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
-    sets = [set(s) for s in seq.prefix(horizon + 1)]
-    tail_sizes = {len(s) for s in sets[horizon // 2:]}
+    lo, hi = seq.bounds(horizon + 1)
+    tail_sizes = set((hi - lo + 1)[horizon // 2:].tolist())
     if len(tail_sizes) != 1:
         raise ValueError(
             f"set cardinality does not settle (tail sizes {sorted(tail_sizes)})"
@@ -528,13 +527,13 @@ def intersection_diagnostic(seq: SetSequence, horizon: int,
         threshold = max(2, horizon // 2)
     mean_intersection: list[Fraction] = []
     for n in range(1, horizon + 1):
-        total = sum(len(sets[k] & sets[n]) for k in range(n))
-        mean_intersection.append(Fraction(total, n))
-    appearance: dict[int, int] = {}
-    for s in sets[:horizon]:
-        for k in s:
-            appearance[k] = appearance.get(k, 0) + 1
-    recurring = sorted(k for k, cnt in appearance.items() if cnt >= threshold)
+        # |M_k /\ M_{n+1}| for k <= n, from the overlap of the bounds
+        overlap = np.minimum(hi[:n], hi[n]) - np.maximum(lo[:n], lo[n]) + 1
+        mean_intersection.append(Fraction(int(np.maximum(overlap, 0).sum()), n))
+    # appearances of each index in M_1..M_horizon: +1 at lo, -1 past hi
+    appearance = np.cumsum(np.bincount(lo[:horizon], minlength=horizon + 1)
+                           - np.bincount(hi[:horizon] + 1, minlength=horizon + 1))
+    recurring = np.flatnonzero(appearance >= threshold).tolist()
     return IntersectionReport(
         horizon=horizon,
         mean_intersection=mean_intersection,

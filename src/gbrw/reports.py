@@ -148,4 +148,5 @@ def write_beta_pixmap(path: str, bits: np.ndarray) -> None:
     index = np.where(above, np.uint8(2), bits)
     palette = np.array([PIXMAP_ZERO, PIXMAP_ONE, PIXMAP_BACKGROUND], dtype=np.uint8)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    _atomic_write(path, (header, palette[index]))
+    # one 3-byte item per colour; plain indexing, as np.take copies the index to intp
+    _atomic_write(path, (header, palette.view("V3").ravel()[index]))

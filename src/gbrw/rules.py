@@ -35,7 +35,6 @@ from .algebra import (
     check_enum_cap,
     level_family,
     mask_levels,
-    popcounts,
     symmetric_profile_to_levels,
     truth_to_beta,
 )
@@ -87,6 +86,18 @@ def running_sums(steps: np.ndarray, lag: int = 1) -> np.ndarray:
         out[lag:] = steps[:n - lag]
         np.cumsum(out, out=out)
     return out
+
+
+def minus_parity(arr: np.ndarray) -> np.ndarray:
+    """uint8 parity of the count of -1 entries in arr[:j], at every j = 0..n."""
+    out = np.zeros(arr.size + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate((arr < 0).view(np.uint8), out=out[1:])
+    return out
+
+
+def parity_signs(n: int) -> np.ndarray:
+    """int8 table over the masks of n bits: -1 where the popcount is odd."""
+    return _signs(mask_levels(n) & 1)
 
 
 def first_plus(arr: np.ndarray) -> int:
@@ -234,68 +245,53 @@ class ProductRule(RecyclingRule):
         super().__init__(+1)
 
     def psi(self, n, u):
-        sign = 1
-        for v in u[:n]:
-            sign *= int(v)
-        return sign
+        return math.prod(map(int, u[:n]))
 
     def multipliers(self, xi):
-        arr = _as_signs(xi)
-        # parity of the running count of -1 increments before each step
-        odd = np.zeros(arr.size, dtype=np.uint8)
-        if arr.size > 1:
-            np.bitwise_xor.accumulate((arr[:-1] < 0).view(np.uint8), out=odd[1:])
-        return _signs(odd)
+        return _signs(minus_parity(_as_signs(xi))[:-1])
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = _table_arity(step, cap)
-        return TruthTable(arity, _signs(mask_levels(arity) & 1))
+        return TruthTable(step - 1, parity_signs(_table_arity(step, cap)))
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         return BetaFamily(step, [1 << j for j in range(step - 1)])
 
 
 class ExtendedBrwRule(RecyclingRule):
-    """eta_k = xi_k * prod_{j in M_k} xi_j for a deterministic set sequence."""
+    """eta_k = xi_k * prod_{j in M_k} xi_j; over M_k = {lo, ..., hi} the product is
+    the -1 parity up to hi against that up to lo - 1 (signs are self-inverse)."""
 
     def __init__(self, seq: SetSequence):
         super().__init__(+1)
         self.seq = seq
         self.name = f"extended-brw[{seq.name}]"
-        if self.seq.at(1).members:
-            raise ValueError("M_1 must be empty")
+        self._bounds = seq.bounds(0)
+
+    def _interval(self, step: int) -> tuple[int, int]:
+        if step > self._bounds[0].size:  # doubling, so a scan over steps is linear
+            self._bounds = self.seq.bounds(2 * step)
+        return int(self._bounds[0][step - 1]), int(self._bounds[1][step - 1])
 
     def psi(self, n, u):
-        sign = 1
-        for j in self.seq.at(n + 1):
-            sign *= int(u[j - 1])
-        return sign
+        lo, hi = self._interval(n + 1)
+        return math.prod(map(int, u[lo - 1:hi]))
 
     def multipliers(self, xi):
         arr = _as_signs(xi)
-        prod = np.cumprod(arr, dtype=np.int8)  # prod[j-1] = xi_1...xi_j
-        out = np.ones_like(arr)
-        for k in range(2, arr.size + 1):
-            m = self.seq.at(k)
-            # prefix sets hit the cumulative-product fast path
-            if m.members and m.members == tuple(range(1, len(m) + 1)):
-                out[k - 1] = prod[len(m) - 1]
-            else:
-                sign = 1
-                for j in m:
-                    sign *= int(arr[j - 1])
-                out[k - 1] = sign
-        return out
+        lo, hi = self.seq.bounds(arr.size)
+        odd = minus_parity(arr)
+        return _signs(odd[hi] ^ odd[lo - 1])
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
-        return BetaFamily(step, [1 << (j - 1) for j in self.seq.at(step)])
+        lo, hi = self._interval(step)
+        return BetaFamily(step, [1 << (j - 1) for j in range(lo, hi + 1)])
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
+        # the parity table of M_k's bits, repeated below lo and tiled above hi
         arity = _table_arity(step, cap)
-        mmask = self.seq.at(step).mask
-        masks = np.arange(1 << arity, dtype=np.uint64)
-        parity = popcounts(masks & mmask) & 1
-        return TruthTable(arity, np.where(parity, -1, 1).astype(np.int8))
+        lo, hi = self._interval(step)
+        signs = np.repeat(parity_signs(hi - lo + 1), 1 << (lo - 1))
+        return TruthTable(arity, np.tile(signs, 1 << (arity - hi)))
 
 
 # ---------------------------------------------------------------------------

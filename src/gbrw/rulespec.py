@@ -66,29 +66,26 @@ class RuleSpecError(ValueError):
         super().__init__(message)
 
 
+#: extended-brw set-sequence kinds: factory, parameter type or None, error text
+_SET_SEQUENCES = {
+    "prefix": (setseq.prefix_fraction, float, "one fraction parameter"),
+    "prefix-log": (setseq.prefix_log, None, "no parameter"),
+    "prefix-pow": (setseq.prefix_power, float, "one exponent parameter"),
+    "capped": (setseq.capped_prefix, int, "one length parameter"),
+    "window": (setseq.sliding_window, int, "one length parameter"),
+}
+
+
 def _parse_set_sequence(parts: list[str]) -> setseq.SetSequence:
     if not parts:
         raise RuleSpecError("extended-brw needs a set-sequence kind")
     kind, args = parts[0], parts[1:]
-    if kind == "prefix":
-        if len(args) != 1:
-            raise RuleSpecError("prefix takes one fraction parameter")
-        return setseq.prefix_fraction(float(args[0]))
-    if kind == "prefix-log":
-        return setseq.prefix_log()
-    if kind == "prefix-pow":
-        if len(args) != 1:
-            raise RuleSpecError("prefix-pow takes one exponent parameter")
-        return setseq.prefix_power(float(args[0]))
-    if kind == "capped":
-        if len(args) != 1:
-            raise RuleSpecError("capped takes one length parameter")
-        return setseq.capped_prefix(int(args[0]))
-    if kind == "window":
-        if len(args) != 1:
-            raise RuleSpecError("window takes one length parameter")
-        return setseq.sliding_window(int(args[0]))
-    raise RuleSpecError(f"unknown set-sequence kind {kind!r}")
+    if kind not in _SET_SEQUENCES:
+        raise RuleSpecError(f"unknown set-sequence kind {kind!r}")
+    factory, parse, takes = _SET_SEQUENCES[kind]
+    if len(args) != (parse is not None):
+        raise RuleSpecError(f"{kind} takes {takes}")
+    return factory(*(parse(arg) for arg in args))
 
 
 def symmetric_rule(breaks: Sequence[float], values: Sequence[int],

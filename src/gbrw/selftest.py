@@ -66,11 +66,8 @@ def check_linearization(seed: int = 2, instances: int = 100):
         nums, exp = expansion.evaluate_all(8)
         masks = np.arange(1 << 8, dtype=np.int64)
         direct = np.ones(1 << 8, dtype=np.int64)
-        for s in sets:
-            if s.mask == 0:
-                direct = -direct
-            else:
-                direct *= np.where((masks & s.mask) == s.mask, -1, 1)
+        for s in sets:  # u_[K] is -1 on the supersets of K, everywhere for K empty
+            direct *= np.where((masks & s.mask) == s.mask, -1, 1)
         if not np.array_equal(nums, direct << exp):
             return "linearization", False, f"mismatch for {sets}"
     return "linearization", True, f"{instances} random products"

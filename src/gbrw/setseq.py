@@ -1,92 +1,101 @@
 """Deterministic sequences of index sets M_k, each a subset of {1,...,k-1}.
 
 These drive the product-recycling rules eta_k = xi_k * prod_{j in M_k} xi_j
-and the convergence diagnostics on the sets themselves.
+and the convergence diagnostics on the sets themselves.  Every set is an
+integer interval, held as its bounds: M_k = {lo_k, ..., hi_k}.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-from .algebra import EMPTY_SET, IndexSet
+import numpy as np
+
+Bound = Callable[[np.ndarray], np.ndarray]
 
 
 class SetSequence:
-    """A total map step k -> M_k with M_k a subset of {1,...,k-1}."""
+    """A total map step k -> M_k = {lo(k), ..., hi(k)}, empty when hi(k) < lo(k).
 
-    def __init__(self, kind: str, fn: Callable[[int], IndexSet], params: str = ""):
+    ``lo`` and ``hi`` map an int64 array of steps to fresh int64 arrays of
+    the bounds at those steps.
+    """
+
+    def __init__(self, kind: str, lo: Bound, hi: Bound, params: str = ""):
         self.kind = kind
-        self.fn = fn
+        self.lo = lo
+        self.hi = hi
         self.params = params
 
     @property
     def name(self) -> str:
         return f"{self.kind}({self.params})" if self.params else self.kind
 
-    def at(self, k: int) -> IndexSet:
-        if k < 1:
-            raise ValueError("step must be >= 1")
-        m = self.fn(k)
-        if m.members and m.members[-1] > k - 1:
-            raise ValueError(f"M_{k} = {m} is not a subset of {{1,...,{k - 1}}}")
-        return m
-
-    def prefix(self, horizon: int) -> list[IndexSet]:
-        return [self.at(k) for k in range(1, horizon + 1)]
+    def bounds(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """lo, hi with M_k = {lo[k-1], ..., hi[k-1]} for k <= horizon; every
+        empty set as lo = 1, hi = 0, so equal sets have equal bounds."""
+        k = np.arange(1, horizon + 1, dtype=np.int64)
+        lo, hi = self.lo(k), self.hi(k)
+        empty = hi < lo
+        bad = ~empty & ((lo < 1) | (hi >= k))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"M_{i + 1} = {{{lo[i]},...,{hi[i]}}} is not a subset "
+                             f"of {{1,...,{i}}}")
+        lo[empty], hi[empty] = 1, 0
+        return lo, hi
 
     def __repr__(self):
         return f"SetSequence({self.name})"
 
 
-def _prefix_set(length: int, k: int) -> IndexSet:
-    length = max(0, min(length, k - 1))
-    return IndexSet(range(1, length + 1)) if length else EMPTY_SET
+def _prefix(kind: str, length: Bound, params: str = "") -> SetSequence:
+    """M_k = {1, ..., length(k)} clipped to {1,...,k-1}."""
+    return SetSequence(kind, np.ones_like, lambda k: np.minimum(length(k), k - 1),
+                       params)
+
+
+def _floor_power(k: np.ndarray, alpha: float) -> np.ndarray:
+    """int(k ** alpha) as the scalar pow rounds it.  numpy's pow can differ in
+    the last place, which moves the floor only next to an integer (k = 27,
+    alpha = 1/3), so the scalar pow recomputes the steps there."""
+    power = k ** alpha
+    near = np.flatnonzero(np.abs(power - np.rint(power)) <= 1e-12 * power)
+    power[near] = [int(j) ** alpha for j in k[near]]
+    return power.astype(np.int64)
 
 
 def prefix_fraction(lam: float) -> SetSequence:
     """M_k = {1, ..., floor(lam * k)} clipped to {1,...,k-1}."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie strictly between 0 and 1")
-    return SetSequence("prefix", lambda k: _prefix_set(int(lam * k), k), f"{lam:g}")
+    return _prefix("prefix", lambda k: (lam * k).astype(np.int64), f"{lam:g}")
 
 
 def prefix_log() -> SetSequence:
     """M_k = {1, ..., floor(ln k)}."""
-    return SetSequence("prefix-log", lambda k: _prefix_set(int(math.log(k)), k))
+    return _prefix("prefix-log", lambda k: np.log(k).astype(np.int64))
 
 
 def prefix_power(alpha: float) -> SetSequence:
     """M_k = {1, ..., floor(k**alpha)}, a regularly varying prefix length."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    return SetSequence(
-        "prefix-pow", lambda k: _prefix_set(int(k ** alpha), k), f"{alpha:g}"
-    )
+    return _prefix("prefix-pow", lambda k: _floor_power(k, alpha), f"{alpha:g}")
 
 
 def capped_prefix(m: int) -> SetSequence:
     """M_k = {1, ..., min(m, k-1)}; constant {1,...,m} once k > m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return SetSequence("capped", lambda k: _prefix_set(m, k), str(m))
+    cap = min(m, np.iinfo(np.int64).max)  # the same sets: no step exceeds int64
+    return _prefix("capped", lambda k: np.full_like(k, cap), str(m))
 
 
 def sliding_window(m: int) -> SetSequence:
     """M_k = {k-m, ..., k-1}, truncated at 1 for the first steps."""
     if m < 1:
         raise ValueError("m must be >= 1")
-
-    def fn(k: int) -> IndexSet:
-        lo = max(1, k - m)
-        return IndexSet(range(lo, k)) if k > 1 else EMPTY_SET
-
-    return SetSequence("window", fn, str(m))
-
-
-def custom_sequence(fn: Callable[[int], IndexSet], name: str = "custom") -> SetSequence:
-    def wrapped(k: int) -> IndexSet:
-        m = fn(k)
-        return m if isinstance(m, IndexSet) else IndexSet(m)
-
-    return SetSequence(name, wrapped)
+    cap = min(m, np.iinfo(np.int64).max)  # the same sets: no step exceeds int64
+    return SetSequence("window", lambda k: np.maximum(k - cap, 1), lambda k: k - 1,
+                       str(m))

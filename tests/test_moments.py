@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -543,17 +544,16 @@ def test_intersection_diagnostic_sliding_window():
 
 
 def test_intersection_diagnostic_constant_sets():
-    seq = setseq.custom_sequence(
-        lambda k: IndexSet([1, 2]) if k > 2 else IndexSet(range(1, k)), name="const"
-    )
+    # M_k = {1,...,min(2, k-1)}
+    seq = setseq.SetSequence("const", np.ones_like, lambda k: np.minimum(k - 1, 2))
     report = intersection_diagnostic(seq, horizon=200)
     assert report.mean_intersection[-1] == pytest.approx(2, abs=0.1)
     assert report.recurring == [1, 2]
 
 
 def test_intersection_diagnostic_disjoint_singletons():
-    seq = setseq.custom_sequence(lambda k: IndexSet([k - 1]) if k > 1 else EMPTY_SET,
-                                 name="last")
+    # M_k = {k-1}, empty at k = 1
+    seq = setseq.SetSequence("last", lambda k: np.maximum(k - 1, 1), lambda k: k - 1)
     report = intersection_diagnostic(seq, horizon=100)
     assert all(v == 0 for v in report.mean_intersection)
 
@@ -564,6 +564,78 @@ def test_intersection_diagnostic_rejects_growing_sets():
 
 
 def test_set_sequence_validation():
-    bad = setseq.custom_sequence(lambda k: IndexSet([k]), name="bad")
-    with pytest.raises(ValueError):
-        bad.at(3)
+    # M_k = {k} reaches past k - 1
+    bad = setseq.SetSequence("bad", lambda k: k.copy(), lambda k: k.copy())
+    with pytest.raises(ValueError, match="not a subset"):
+        bad.bounds(3)
+
+
+# the set-based diagnostics over explicit sets, the oracle of the interval
+# arithmetic in analyze_set_sequence and intersection_diagnostic
+
+
+def interval_sets(seq, horizon):
+    return [set(range(lo, hi + 1)) for lo, hi in zip(*seq.bounds(horizon))]
+
+
+def analyze_sets(sets, tolerance):
+    keys = [tuple(sorted(s)) for s in sets]
+    first_seen, counts = {}, {}
+    first_match, n_ratio, match_fraction = [], [], []
+    for n, key in enumerate(keys, start=1):
+        first_seen.setdefault(key, n)
+        counts[key] = counts.get(key, 0) + 1
+        first_match.append(first_seen[key])
+        n_ratio.append(Fraction(first_seen[key], n))
+        match_fraction.append(Fraction(counts[key], n))
+    nested = all(set(a).issubset(set(b)) for a, b in zip(keys, keys[1:]))
+    tail = match_fraction[len(sets) // 2:]
+    independent = max(float(f) for f in tail) < tolerance
+    return first_match, n_ratio, match_fraction, nested, independent
+
+
+def intersect_sets(sets, threshold):
+    horizon = len(sets) - 1
+    tail_sizes = {len(s) for s in sets[horizon // 2:]}
+    if len(tail_sizes) != 1:
+        return None
+    mean_intersection = [
+        Fraction(sum(len(sets[k] & sets[n]) for k in range(n)), n)
+        for n in range(1, horizon + 1)
+    ]
+    appearance = {}
+    for s in sets[:horizon]:
+        for k in s:
+            appearance[k] = appearance.get(k, 0) + 1
+    recurring = sorted(k for k, cnt in appearance.items() if cnt >= threshold)
+    return mean_intersection, next(iter(tail_sizes)), recurring
+
+
+DIAGNOSTIC_SEQUENCES = [
+    setseq.prefix_fraction(0.5), setseq.prefix_fraction(0.1),
+    setseq.prefix_fraction(0.9), setseq.prefix_log(), setseq.prefix_power(0.5),
+    setseq.prefix_power(0.3), setseq.capped_prefix(1), setseq.capped_prefix(3),
+    setseq.capped_prefix(40), setseq.sliding_window(1), setseq.sliding_window(3),
+    setseq.sliding_window(17),
+    # gaps and repeats that the builtin kinds do not produce
+    setseq.SetSequence("alternating", lambda k: np.maximum(k % 3, 1),
+                       lambda k: np.minimum(k // 2, k - 1)),
+    setseq.SetSequence("sparse", lambda k: k // 2 + 1, lambda k: (k - 1) * (k % 2)),
+]
+
+
+@pytest.mark.parametrize("seq", DIAGNOSTIC_SEQUENCES, ids=lambda s: s.name)
+@pytest.mark.parametrize("horizon", [2, 3, 7, 64, 257])
+def test_set_diagnostics_match_set_oracle(seq, horizon):
+    report = analyze_set_sequence(seq, horizon, tolerance=0.3)
+    assert (report.first_match, report.n_ratio, report.match_fraction, report.nested,
+            report.independent_limit) == analyze_sets(interval_sets(seq, horizon), 0.3)
+    threshold = max(2, horizon // 3)
+    expected = intersect_sets(interval_sets(seq, horizon + 1), threshold)
+    if expected is None:
+        with pytest.raises(ValueError, match="does not settle"):
+            intersection_diagnostic(seq, horizon, threshold)
+    else:
+        report = intersection_diagnostic(seq, horizon, threshold)
+        assert (report.mean_intersection, report.cardinality,
+                report.recurring) == expected

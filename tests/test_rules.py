@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbrw.algebra import EMPTY_SET, BetaFamily, IndexSet, TruthTable, beta_to_truth
+from gbrw.algebra import (
+    EMPTY_SET,
+    BetaFamily,
+    IndexSet,
+    TruthTable,
+    beta_to_truth,
+    popcounts,
+)
 from gbrw.ergodic import RepairedRule, ergodic_repair
 from gbrw.rules import (
     ConstantRule,
@@ -312,10 +319,20 @@ TABLE_RULES = [RandomRule(21), RandomRule(22, psi0=1), ergodic_repair(LevyRule()
 
 
 @st.composite
+def set_sequences(draw):
+    fraction = st.floats(0.001, 0.999)
+    length = st.one_of(st.integers(1, 6), st.integers(7, 400))
+    return draw(st.one_of(
+        fraction.map(setseq.prefix_fraction), st.just(setseq.prefix_log()),
+        fraction.map(setseq.prefix_power), length.map(setseq.capped_prefix),
+        length.map(setseq.sliding_window)))
+
+
+@st.composite
 def kernel_rules(draw):
     kind = draw(st.sampled_from(("constant", "brw", "window", "levy", "modified",
                                  "modified-max", "symmetric", "flips", "flip-steps",
-                                 "explicit", "tables")))
+                                 "explicit", "tables", "extended")))
     sgn0 = draw(st.sampled_from((-1, 1)))
     if kind == "constant":
         return draw(st.sampled_from((identity_rule(), negation_rule(),
@@ -341,6 +358,8 @@ def kernel_rules(draw):
     if kind == "explicit":
         fallback = draw(st.sampled_from((ProductRule(), WindowMaxRule(3), None)))
         return explicit_rule(draw(st.integers(0, 2**32)), fallback)
+    if kind == "extended":
+        return ExtendedBrwRule(draw(set_sequences()))
     return draw(st.sampled_from(TABLE_RULES))
 
 
@@ -374,6 +393,17 @@ def test_multipliers_match_pointwise(rule, xi):
     assert_kernel_matches_oracle(rule, xi)
 
 
+# every set-sequence kind, with lengths and fractions that put the interval
+# ends before, at and past the short paths
+EXTENDED_SEQUENCES = [
+    setseq.prefix_fraction(0.5), setseq.prefix_fraction(0.05),
+    setseq.prefix_fraction(0.95), setseq.prefix_log(), setseq.prefix_power(0.5),
+    setseq.prefix_power(0.2), setseq.prefix_power(0.9), setseq.capped_prefix(1),
+    setseq.capped_prefix(2), setseq.capped_prefix(50), setseq.sliding_window(1),
+    setseq.sliding_window(2), setseq.sliding_window(7), setseq.sliding_window(500),
+]
+
+
 def _rule_id(rule):
     sgn0 = getattr(rule, "sgn0", None)
     return rule.describe() + ("" if sgn0 is None else f" sgn0={sgn0:+d}")
@@ -389,6 +419,7 @@ RULES_AT_SHORT_LENGTHS = [
     SignFlipRule(Fraction(1, 3)), SignFlipRule([1, 2, 5]),
     explicit_rule(1, ProductRule()), explicit_rule(2, WindowMaxRule(2)),
     explicit_rule(3, None), *TABLE_RULES,
+    *(ExtendedBrwRule(seq) for seq in EXTENDED_SEQUENCES),
 ]
 
 
@@ -405,6 +436,60 @@ def test_multipliers_on_constant_paths(rule):
     for n in (1, 2, 7, 64, 300):
         for value in (-1, 1):
             assert_kernel_matches_oracle(rule, np.full(n, value, dtype=np.int8))
+
+
+@pytest.mark.parametrize("seq", EXTENDED_SEQUENCES, ids=lambda s: s.name)
+def test_extended_brw_kernel_matches_pointwise_to_2000(seq):
+    # multipliers are adapted, so one path checks every prefix length
+    rng = np.random.default_rng(2000)
+    for xi in (2 * rng.integers(0, 2, 2000, dtype=np.int8) - 1,
+               np.full(2000, -1, dtype=np.int8)):
+        assert_kernel_matches_oracle(ExtendedBrwRule(seq), xi)
+
+
+# the scalar prefix length each prefix kind had before its bounds were vectorized
+SCALAR_LENGTHS = [
+    *((setseq.prefix_fraction(lam), lambda k, lam=lam: int(lam * k))
+      for lam in (0.5, 1 / 3, 0.999)),
+    (setseq.prefix_log(), lambda k: int(math.log(k))),
+    *((setseq.prefix_power(a), lambda k, a=a: int(k ** a)) for a in (0.5, 1 / 3, 0.75)),
+    (setseq.capped_prefix(7), lambda k: 7),
+    (setseq.capped_prefix(10 ** 30), lambda k: 10 ** 30),
+]
+
+
+@pytest.mark.parametrize("seq, length", SCALAR_LENGTHS,
+                         ids=[seq.name for seq, _ in SCALAR_LENGTHS])
+def test_prefix_bounds_match_scalar_lengths(seq, length):
+    horizon = 10 ** 6
+    lengths = np.fromiter((min(length(k), k - 1) for k in range(1, horizon + 1)),
+                          np.int64, horizon)
+    lo, hi = seq.bounds(horizon)
+    assert np.all(lo == 1)  # the empty M_1 included
+    assert np.array_equal(hi, lengths)
+
+
+@pytest.mark.parametrize("m", [1, 5, 10 ** 30])
+def test_window_bounds_match_scalar_formula(m):
+    lo, hi = setseq.sliding_window(m).bounds(1000)
+    assert lo.tolist() == [max(1, k - m) for k in range(1, 1001)]
+    assert hi.tolist() == [k - 1 for k in range(1, 1001)]
+
+
+@pytest.mark.parametrize("seq", EXTENDED_SEQUENCES, ids=lambda s: s.name)
+def test_extended_brw_tables_match_popcount_formula(seq):
+    rule = ExtendedBrwRule(seq)
+    bounds = zip(*seq.bounds(15))
+    for step, (lo, hi) in enumerate(bounds, start=1):
+        arity = step - 1
+        singletons = [1 << (j - 1) for j in range(lo, hi + 1)]
+        assert rule.step_family(step).masks == tuple(singletons)
+        masks = np.arange(1 << arity, dtype=np.uint64)
+        parity = popcounts(masks & np.uint64(sum(singletons))) & 1
+        expected = np.where(parity, -1, 1).astype(np.int8)
+        table = rule.step_table(step)
+        assert table.arity == arity
+        assert np.array_equal(table.signs, expected), step
 
 
 def test_sgn_helper():

@@ -42,6 +42,8 @@ def test_make_builtin_errors():
         make_builtin("window-max:zero")
     with pytest.raises(RuleSpecError):
         make_builtin("extended-brw:mystery")
+    with pytest.raises(RuleSpecError, match="prefix-log takes no parameter"):
+        make_builtin("extended-brw:prefix-log:3")
 
 
 def test_symmetric_builtin():
