@@ -10,19 +10,17 @@ coefficient beta_{n+1,{1..n}} must be 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .algebra import (
     DEFAULT_ENUM_CAP,
     BetaFamily,
-    TruthTable,
     binomial_parity,
     check_enum_cap,
     level_family,
 )
-from .rules import RecyclingRule, first_plus, sgn_truth_table, times_prefix_max
+from .rules import PrefixMaxRule, RecyclingRule, sgn_truth_table
 
 __all__ = [
     "rule_permutation",
@@ -165,43 +163,30 @@ def is_ergodic_up_to(rule: RecyclingRule, horizon: int,
 # The level-coefficient array of the sign function
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaArray:
     """Level coefficients of sgn(u_1 + ... + u_n) for n = 1..size.
 
-    ``rows[n-1]`` packs the coefficients with bit k = beta_{n,k}; the region
-    n >= 2k+1 is identically zero.
+    ``bits`` is a read-only ``(size, size+1)`` uint8 matrix with
+    [n-1, k] = beta_{n,k}; the region n >= 2k+1 and the cells k > n are
+    identically zero.
     """
 
     size: int
-    rows: tuple[int, ...]
+    bits: np.ndarray
 
     def coefficient(self, n: int, k: int) -> int:
         if not (1 <= n <= self.size and 0 <= k <= n):
             raise ValueError(f"need 1 <= n <= {self.size} and 0 <= k <= n")
-        return (self.rows[n - 1] >> k) & 1
+        return int(self.bits[n - 1, k])
 
     def row_levels(self, n: int) -> list[int]:
         """Sizes k with beta_{n,k} = 1."""
-        bits = self.rows[n - 1]
-        return [k for k in range(n + 1) if (bits >> k) & 1]
+        return np.flatnonzero(self.bits[n - 1, :n + 1]).tolist()
 
     def row_family(self, n: int) -> BetaFamily:
         """Expand row n into the explicit family at step n+1."""
-        return level_family(n + 1, [self.coefficient(n, k) for k in range(n + 1)])
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """Read-only ``(size, size+1)`` uint8 matrix with [n-1, k] = beta_{n,k}."""
-        width = self.size + 1
-        nbytes = (width + 7) // 8
-        packed = b"".join(row.to_bytes(nbytes, "little") for row in self.rows)
-        bits = np.unpackbits(
-            np.frombuffer(packed, dtype=np.uint8).reshape(self.size, nbytes),
-            axis=1, count=width, bitorder="little",
-        )
-        bits.flags.writeable = False
-        return bits
+        return level_family(n + 1, self.bits[n - 1, :n + 1].tolist())
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cells (n, k, beta_{n,k}) for 0 <= k <= n as three arrays, n-major."""
@@ -214,7 +199,7 @@ class BetaArray:
 
 
 def sgn_beta_array(size: int) -> BetaArray:
-    """Compute the coefficient rows in closed form.
+    """Compute the coefficient matrix in closed form.
 
     With l = floor((n-1)/2), sgn is -1 on the inputs with nu >= l + 1
     coordinates at -1.  The level bits solve b_nu = sum_m C(nu, m) beta_{n,m}
@@ -223,8 +208,8 @@ def sgn_beta_array(size: int) -> BetaArray:
     = 2^m - sum_{nu<=l} C(m, nu) = C(m-1, l), since the alternating partial
     sum sum_{nu<=l} (-1)^nu C(m, nu) is (-1)^l C(m-1, l).  By Lucas'
     theorem C(m-1, l) is odd exactly when l is a submask of m-1, which
-    needs m > l; beta_{n,0} = b_0 = 0.  The bit matrix comes from one
-    broadcast over small-int index arrays and is packed into the rows.
+    needs m > l; beta_{n,0} = b_0 = 0.  The matrix is one broadcast over
+    small-int index arrays.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -234,25 +219,23 @@ def sgn_beta_array(size: int) -> BetaArray:
     bits = (((n - 1) >> 1) & ~(m - 1)) == 0
     bits[:, 0] = False
     bits &= m <= n
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return BetaArray(size=size, rows=tuple(
-        int.from_bytes(row.tobytes(), "little") for row in packed))
+    bits = bits.view(np.uint8)
+    bits.flags.writeable = False
+    return BetaArray(size=size, bits=bits)
 
 
 # ---------------------------------------------------------------------------
 # Repairing a rule into an ergodic one
 
 
-class RepairedRule(RecyclingRule):
-    """Minimal ergodic modification: force psi0 = -1 and, at each step whose
-    product criterion fails, multiply the multiplier by the full prefix max
-    (which flips exactly the full-set coefficient)."""
+class RepairedRule(PrefixMaxRule):
+    """Minimal ergodic modification: psi0 = -1 and the prefix-max factor at
+    each arity where the inner rule fails the product criterion (the factor
+    flips exactly the full-set coefficient)."""
 
     def __init__(self, inner: RecyclingRule, cap: int = DEFAULT_ENUM_CAP):
-        super().__init__(-1)
-        self.inner = inner
+        super().__init__(inner, f"repair({inner.name})")
         self.cap = cap
-        self.name = f"repair({inner.name})"
         self._needs_flip: dict[int, bool] = {}
 
     def needs_flip(self, n: int) -> bool:
@@ -261,30 +244,8 @@ class RepairedRule(RecyclingRule):
             self._needs_flip[n] = criterion_product(self.inner, n, self.cap) != -1
         return self._needs_flip[n]
 
-    def psi(self, n, u):
-        # the prefix max is +1 unless the prefix is all -1, so the repair
-        # decision is needed only there
-        value = self.inner.psi(n, u)
-        if max(int(v) for v in u[:n]) < 0 and self.needs_flip(n):
-            value = -value
-        return value
-
-    def multipliers(self, xi):
-        # the inner kernel with psi0 = -1; the prefix max acts only on the
-        # all-minus prefixes, arities 1..first_plus
-        out = self.inner.multipliers(xi)
-        out[:1] = -1
-        for arity in range(1, min(first_plus(np.asarray(xi)), out.size - 1) + 1):
-            if self.needs_flip(arity):
-                out[arity] = -out[arity]
-        return out
-
-    def step_table(self, step, cap=None):
-        cap = self.cap if cap is None else cap
-        if step == 1:
-            return TruthTable.constant(0, -1)
-        table = self.inner.step_table(step, cap)
-        return times_prefix_max(table) if self.needs_flip(step - 1) else table
+    def flips(self, arities):
+        return np.fromiter(map(self.needs_flip, arities.tolist()), bool, arities.size)
 
 
 def ergodic_repair(rule: RecyclingRule, horizon: int = 0,

@@ -19,7 +19,6 @@ one is known.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,31 +58,16 @@ def _signs(minus: np.ndarray) -> np.ndarray:
     return out
 
 
-def sgn(s, sgn0: int):
-    """sgn(s) with the value at zero fixed to sgn0.
+def running_sums(steps: np.ndarray) -> np.ndarray:
+    """steps[0] + ... + steps[i - 1] at every index i: the walk X_{k-1} seen
+    by the multiplier of step k.
 
-    ``s`` is an int (the result is an int) or an integer array (the result
-    is an int8 array); for sgn0 = -1 or +1 the array case is one comparison.
-    """
-    if np.ndim(s) == 0:
-        return sgn0 if s == 0 else (1 if s > 0 else -1)
-    if sgn0 == -1:
-        return _signs(s <= 0)
-    if sgn0 == 1:
-        return _signs(s < 0)
-    return np.where(s > 0, 1, np.where(s < 0, -1, sgn0)).astype(np.int8)
-
-
-def running_sums(steps: np.ndarray, lag: int = 1) -> np.ndarray:
-    """steps[0] + ... + steps[i - lag] at every index i (0 where i < lag).
-
-    With lag = 1 this is the walk X_{k-1} seen by the multiplier of step k.
     The sums are int32, or int64 for paths of 2**31 steps and more.
     """
     n = steps.size
     out = np.zeros(n, dtype=np.int32 if n < 1 << 31 else np.int64)
-    if n > lag:
-        out[lag:] = steps[:n - lag]
+    if n > 1:
+        out[1:] = steps[:-1]
         np.cumsum(out, out=out)
     return out
 
@@ -105,7 +89,7 @@ def first_plus(arr: np.ndarray) -> int:
 
     The prefix max max(u_1..u_n) is -1 exactly for arities n = 1..first_plus.
     """
-    i = int(np.argmax(arr > 0)) if arr.size else 0
+    i = int(arr.argmax()) if arr.size else 0  # the first maximum
     return i if arr.size and arr[i] > 0 else arr.size
 
 
@@ -126,13 +110,6 @@ def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
     else:
         np.greater(nu, n // 2, out=minus)
     return TruthTable(n, _signs(minus))
-
-
-def times_prefix_max(table: TruthTable) -> TruthTable:
-    """The table times max(u_1..u_n), which is -1 only on the all-minus input."""
-    signs = table.signs.copy()
-    signs[-1] = -signs[-1]
-    return TruthTable(table.arity, signs)
 
 
 class RecyclingRule:
@@ -387,15 +364,10 @@ class StepFunction:
             raise ValueError("adjacent pieces must differ at a breakpoint")
 
     def __call__(self, z: float) -> int:
-        if self.jump_side == "right":
-            i = bisect.bisect_right(self.breaks, z)
-        else:
-            i = bisect.bisect_left(self.breaks, z)
-        return self.values[i]
+        return int(self.vectorized(z))
 
     def vectorized(self, z: np.ndarray) -> np.ndarray:
-        side = "right" if self.jump_side == "right" else "left"
-        idx = np.searchsorted(self.breaks, z, side=side)
+        idx = np.searchsorted(self.breaks, z, side=self.jump_side)
         return np.asarray(self.values, dtype=np.int8)[idx]
 
 
@@ -432,22 +404,28 @@ class SymmetricRule(RecyclingRule):
         return self.f(s / self._scale(n))
 
     def multipliers(self, xi):
-        # f alternates sign at each break, so f(z) is values[0] times -1 per
-        # break passed; a break at 0 is passed exactly when the sum is
+        # f alternates sign at each break: it is -1 where the first break is
+        # not passed when values[0] = -1 (passed when +1), flipped by every
+        # later break passed; a break at 0 is passed exactly when the sum is
         arr = _as_signs(xi)
+        breaks = self.f.breaks
+        if not breaks:
+            return np.full(arr.size, self.f.values[0], dtype=np.int8)
         sums = running_sums(arr)
-        right = self.f.jump_side == "right"
-        if any(self.f.breaks):
+        if any(breaks):
             # the same float64 s/sqrt(k) as psi, so breaks compare exactly
             z = np.arange(1, arr.size + 1, dtype=np.float64)
             np.divide(sums, np.sqrt(z, out=z), out=z)
-        odd = np.zeros(arr.size, dtype=bool)
-        for b in self.f.breaks:
-            x, b = (sums, 0) if b == 0 else (z, b)
-            odd ^= (x >= b) if right else (x > b)
-        if self.f.values[0] == 1:
-            return _signs(odd)
-        return _signs(np.logical_not(odd, out=odd))
+        passed, below = ((np.greater_equal, np.less) if self.f.jump_side == "right"
+                         else (np.greater, np.less_equal))
+
+        def compare(op, b):
+            return op(sums, 0) if b == 0 else op(z, b)
+
+        minus = compare(below if self.f.values[0] == -1 else passed, breaks[0])
+        for b in breaks[1:]:
+            minus ^= compare(passed, b)
+        return _signs(minus)
 
     def profile(self, step: int) -> np.ndarray:
         """Multiplier value per count of -1 coordinates in the prefix."""
@@ -473,78 +451,108 @@ class LevyRule(SymmetricRule):
         super().__init__(sign_step(sgn0), name="levy")
         self.sgn0 = sgn0
 
+    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
+        return sgn_truth_table(_table_arity(step, cap), self.sgn0)
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
+class PrefixMaxRule(RecyclingRule):
+    """An inner rule times the prefix max max(u_1..u_n) at the arities n
+    where ``flips`` holds, with psi0 = -1.
 
-class ModifiedLevyRule(RecyclingRule):
-    """Sign-of-the-walk rule made ergodic by a prefix-max factor.
-
-    At steps whose multiplier arity is a power of two the multiplier is
-    sgn(u_1 + ... + u_n); elsewhere it is max(u_1..u_n) * sgn(u_1 + ... + u_n),
-    equivalently sgn adjusted to +1 on the all-minus input.
+    The prefix max is -1 only on the all-minus input, so the factor negates
+    the last entry of a table and, on a path, only the multipliers of the
+    arities 1..first_plus, whose prefixes are all -1.
     """
 
-    name = "modified-levy"
+    cap = DEFAULT_ENUM_CAP
 
-    def __init__(self, sgn0: int = -1):
+    def __init__(self, inner: RecyclingRule, name: str):
         super().__init__(-1)
-        self.sgn0 = _check_sgn0(sgn0)
+        self.inner = inner
+        self.name = name
+
+    def flips(self, arities: np.ndarray) -> np.ndarray:
+        """bool array: True at the arities that take the prefix-max factor."""
+        raise NotImplementedError
 
     def psi(self, n, u):
-        s = sum(int(v) for v in u[:n])
-        if _is_power_of_two(n):
-            return sgn(s, self.sgn0)
-        return max(int(v) for v in u[:n]) * sgn(s, self.sgn0)
+        value = self.inner.psi(n, u)
+        if max(int(v) for v in u[:n]) < 0 and self.flips(np.array([n]))[0]:
+            return -value
+        return value
 
     def multipliers(self, xi):
-        arr = _as_signs(xi)
-        out = sgn(running_sums(arr), self.sgn0)
+        out = self.inner.multipliers(xi)
+        out[:1] = -1
+        last = min(first_plus(np.asarray(xi)), out.size - 1)
+        if last > 0:
+            head = out[1:last + 1]
+            np.negative(head, out=head, where=self.flips(np.arange(1, last + 1)))
+        return out
+
+    def step_table(self, step, cap=None):
+        cap = self.cap if cap is None else cap
+        if step == 1:
+            return TruthTable.constant(0, -1)
+        table = self.inner.step_table(step, cap)
+        if not self.flips(np.array([step - 1]))[0]:
+            return table
+        signs = table.signs.copy()
+        signs[-1] = -signs[-1]
+        return TruthTable(table.arity, signs)
+
+
+class ModifiedLevyRule(PrefixMaxRule):
+    """The sign rule made ergodic (Dubins and Smorodinsky): sgn(u_1 + ... + u_n)
+    at power-of-two arities n, and max(u_1..u_n) sgn(u_1 + ... + u_n) elsewhere.
+
+    These are exactly the arities where the sign rule fails the single-orbit
+    criterion, so this is ``ergodic_repair`` of levy.
+    """
+
+    def __init__(self, sgn0: int = -1):
+        super().__init__(LevyRule(sgn0), "modified-levy")
+        self.sgn0 = sgn0
+
+    def flips(self, arities):
+        return (arities & (arities - 1)) != 0
+
+
+class _OneStepLate(RecyclingRule):
+    """psi_n = the inner psi_{n-1}: the inner multipliers, one step later."""
+
+    def __init__(self, inner: RecyclingRule):
+        super().__init__(inner.psi0)
+        self.inner = inner
+        self.name = f"late({inner.name})"
+
+    def psi(self, n, u):
+        return self.inner.multiplier(n, u)
+
+    def multipliers(self, xi):
+        inner = self.inner.multipliers(xi)
+        out = np.empty_like(inner)
+        out[1:] = inner[:-1]
         out[:1] = self.psi0
-        # the prefix max is -1 only on the all-minus prefixes, arities
-        # 1..first_plus; it flips them except at powers of two
-        arity = np.arange(1, min(first_plus(arr), arr.size - 1) + 1)
-        out[arity[(arity & (arity - 1)) != 0]] *= -1
         return out
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = _table_arity(step, cap)
-        if arity == 0:
+        if step == 1:
             return TruthTable.constant(0, self.psi0)
-        table = sgn_truth_table(arity, self.sgn0)
-        return table if _is_power_of_two(arity) else times_prefix_max(table)
+        # the last coordinate is not read: the inner table twice over
+        arity = _table_arity(step, cap)
+        return TruthTable(arity, np.tile(self.inner.step_table(step - 1, cap).signs, 2))
 
 
-class ModifiedLevyMaxRule(RecyclingRule):
+class ModifiedLevyMaxRule(PrefixMaxRule):
     """Prefix max times the sign of the sum that excludes the last coordinate."""
 
-    name = "modified-levy-max"
-
     def __init__(self, sgn0: int = -1):
-        super().__init__(-1)
-        self.sgn0 = _check_sgn0(sgn0)
+        super().__init__(_OneStepLate(LevyRule(sgn0)), "modified-levy-max")
+        self.sgn0 = sgn0
 
-    def psi(self, n, u):
-        s = sum(int(v) for v in u[: n - 1])
-        return max(int(v) for v in u[:n]) * sgn(s, self.sgn0)
-
-    def multipliers(self, xi):
-        arr = _as_signs(xi)
-        out = sgn(running_sums(arr, lag=2), self.sgn0)
-        out[:1] = self.psi0
-        # the prefix max is -1 only on the all-minus prefixes, arities
-        # 1..first_plus
-        out[1:first_plus(arr) + 1] *= -1
-        return out
-
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        arity = _table_arity(step, cap)
-        if arity == 0:
-            return TruthTable.constant(0, self.psi0)
-        # the last coordinate leaves the sum alone: the sgn table twice over
-        head = sgn_truth_table(arity - 1, self.sgn0).signs
-        return times_prefix_max(TruthTable(arity, np.tile(head, 2)))
+    def flips(self, arities):
+        return np.ones(arities.shape, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import kolmogorov
 
-from .rules import RecyclingRule, running_sums
+from .rules import LevyRule, RecyclingRule
 
 _MASK64 = (1 << 64) - 1
 
@@ -201,15 +201,6 @@ def reference_arcsine_cdf(x) -> np.ndarray:
     return (2.0 / math.pi) * np.arcsin(np.sqrt((z + 1.0) / 2.0))
 
 
-def sign_sum_final(xi: np.ndarray, sgn0: int = -1) -> int:
-    """sum_{k=1..n} sgn(X_{k-1}) for the increment sequence xi, counted as
-    #(X > 0) - #(X < 0) + sgn0 #(X == 0) over X_0, ..., X_{n-1}."""
-    walk = running_sums(np.asarray(xi))
-    above = np.count_nonzero(walk > 0)
-    below = np.count_nonzero(walk < 0)
-    return int(above - below + sgn0 * (walk.size - above - below))
-
-
 def exact_sign_sum_distribution(n: int, sgn0: int = -1
                                 ) -> list[tuple[Fraction, Fraction]]:
     """Exact law of (1/n) sum sgn(X_{k-1}) over all 2**n equally likely paths.
@@ -301,11 +292,8 @@ def arcsine_test(n: int, reps: int, seed: SeedSpec, sgn0: int = -1,
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates")
-    sums = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        xi = seed.with_replicate(r).increments(n)
-        sums[r] = sign_sum_final(xi, sgn0)
-    summary = _summarize(sums, n, reference_cdf=reference_arcsine_cdf)
+    summary = mc_covariation(LevyRule(sgn0), n, reps, seed,
+                             reference_cdf=reference_arcsine_cdf)
     limit = threshold if threshold is not None else ks_critical_value(alpha, reps)
     return ArcsineReport(
         summary=summary,

@@ -247,26 +247,27 @@ def pascal_parity_row(m: int) -> int:
     return row
 
 
-def packed_recurrence_rows(size):
+def recurrence_matrix(size):
     """The parity recurrence on packed rows: beta_{n,m} = 1 + the parity of
-    Pascal row m ANDed with the bits l+1..m-1 decided so far."""
+    Pascal row m ANDed with the bits l+1..m-1 decided so far, as the
+    (size, size+1) matrix with [n-1, m] = beta_{n,m}."""
     pascal = [pascal_parity_row(m) for m in range(size + 1)]
-    rows = []
+    matrix = np.zeros((size, size + 1), dtype=np.uint8)
     for n in range(1, size + 1):
         bits = 0
         for m in range((n - 1) // 2 + 1, n + 1):
             if not (pascal[m] & bits).bit_count() & 1:
                 bits |= 1 << m
-        rows.append(bits)
-    return tuple(rows)
+                matrix[n - 1, m] = 1
+    return matrix
 
 
 def test_closed_form_beta_array_matches_packed_recurrence():
-    expected = packed_recurrence_rows(1000)
+    expected = recurrence_matrix(1000)
     for size in (1, 2, 3, 7, 8, 64, 333, 1000):
         array = sgn_beta_array(size)
         assert array.size == size
-        assert array.rows == expected[:size], size
+        assert np.array_equal(array.bits, expected[:size, :size + 1]), size
 
 
 def test_beta_array_bits_and_columns():

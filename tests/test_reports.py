@@ -130,15 +130,14 @@ def test_write_csv_rejects_ragged_tables(tmp_path):
 # The pixmap against the per-pixel loop it replaced
 
 
-def reference_pixmap(rows, size) -> bytes:
+def reference_pixmap(bits, size) -> bytes:
     width = size + 1
     body = bytearray()
     for n in range(1, size + 1):
-        bits = rows[n - 1]
         for k in range(width):
             if k > n:
                 body.extend(reports.PIXMAP_BACKGROUND)
-            elif (bits >> k) & 1:
+            elif bits[n - 1][k]:
                 body.extend(reports.PIXMAP_ONE)
             else:
                 body.extend(reports.PIXMAP_ZERO)
@@ -149,18 +148,19 @@ def reference_pixmap(rows, size) -> bytes:
 def test_pixmap_matches_per_pixel_loop(tmp_path, size):
     array = sgn_beta_array(size)
     write_beta_pixmap(str(tmp_path / "a.ppm"), array.bits)
-    assert written(tmp_path / "a.ppm") == reference_pixmap(array.rows, size)
+    assert written(tmp_path / "a.ppm") == reference_pixmap(array.bits.tolist(), size)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 40).flatmap(
     lambda size: st.tuples(st.just(size), st.lists(
-        st.integers(0, 2 ** (size + 1) - 1), min_size=size, max_size=size))))
+        st.lists(st.integers(0, 1), min_size=size + 1, max_size=size + 1),
+        min_size=size, max_size=size))))
 def test_pixmap_of_arbitrary_rows(tmp_path_factory, drawn):
     size, rows = drawn
     # row n holds bits 0..n only
-    rows = tuple(bits & ((2 << n) - 1) for n, bits in enumerate(rows, start=1))
-    array = BetaArray(size=size, rows=rows)
+    bits = np.tril(np.array(rows, dtype=np.uint8), 1)
+    array = BetaArray(size=size, bits=bits)
     path = tmp_path_factory.mktemp("ppm") / "a.ppm"
     write_beta_pixmap(str(path), array.bits)
     assert written(path) == reference_pixmap(rows, size)

@@ -30,7 +30,6 @@ from gbrw.rules import (
     WindowMaxRule,
     identity_rule,
     negation_rule,
-    sgn,
     sign_step,
 )
 from gbrw import setseq
@@ -265,6 +264,21 @@ def test_modified_levy_equals_levy_at_powers_of_two():
             assert t_mod == TruthTable(n, signs_arr)
 
 
+@pytest.mark.parametrize("sgn0", [-1, 1])
+def test_modified_levy_is_the_ergodic_repair_of_levy(sgn0):
+    # Dubins and Smorodinsky's modification takes the prefix-max factor at
+    # exactly the arities where the sign rule fails the single-orbit criterion
+    modified = ModifiedLevyRule(sgn0)
+    repaired = ergodic_repair(LevyRule(sgn0))
+    for step in range(1, 18):
+        assert modified.step_table(step) == repaired.step_table(step), step
+    rng = np.random.default_rng(17)
+    paths = [2 * rng.integers(0, 2, 5000, dtype=np.int8) - 1,
+             *(np.full(n, -1, dtype=np.int8) for n in (1, 2, 9, 17))]
+    for xi in paths:
+        assert np.array_equal(modified.multipliers(xi), repaired.multipliers(xi))
+
+
 def test_threshold_rule_tables_are_symmetric():
     from gbrw.algebra import family_levels, truth_to_beta
 
@@ -490,15 +504,6 @@ def test_extended_brw_tables_match_popcount_formula(seq):
         table = rule.step_table(step)
         assert table.arity == arity
         assert np.array_equal(table.signs, expected), step
-
-
-def test_sgn_helper():
-    s = np.array([-3, -1, 0, 1, 2], dtype=np.int32)
-    for sgn0 in (-1, 0, 1):
-        expected = [-1, -1, sgn0, 1, 1]
-        assert sgn(s, sgn0).tolist() == expected
-        assert sgn(s, sgn0).dtype == np.int8
-        assert [sgn(int(v), sgn0) for v in s] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from gbrw.simulate import (
     mc_covariation,
     reference_arcsine_cdf,
     sample_path,
-    sign_sum_final,
     sup_distance_discrete,
 )
 
@@ -198,20 +197,28 @@ def test_reference_cdf_endpoints():
     assert reference_arcsine_cdf(-1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+def levy_sum(xi, sgn0=-1):
+    """sum_{k=1..n} sgn(X_{k-1}), the sum of the Levy rule's multipliers."""
+    return int(LevyRule(sgn0).multipliers(xi).sum(dtype=np.int64))
+
+
 def test_sign_sum_final_matches_rule():
     xi = SeedSpec(2).increments(200)
-    rule = LevyRule()
-    eta = rule.apply(xi)
-    assert sign_sum_final(xi) == int((xi * eta).sum())
+    for sgn0 in (-1, 1):
+        walk = np.concatenate([[0], np.cumsum(xi[:-1], dtype=np.int64)])
+        signs = np.where(walk > 0, 1, np.where(walk < 0, -1, sgn0))
+        assert levy_sum(xi, sgn0) == int(signs.sum())
+        eta = LevyRule(sgn0).apply(xi)
+        assert levy_sum(xi, sgn0) == int((xi * eta).sum())
 
 
-@pytest.mark.parametrize("sgn0", [-1, 0, 1])
+@pytest.mark.parametrize("sgn0", [-1, 1])
 def test_sign_sum_final_over_all_paths_matches_exact_law(sgn0):
     for n in range(1, 13):
         counts = {}
         for mask in range(1 << n):
             xi = np.where((mask >> np.arange(n)) & 1, -1, 1).astype(np.int8)
-            total = sign_sum_final(xi, sgn0)
+            total = levy_sum(xi, sgn0)
             counts[total] = counts.get(total, 0) + 1
         law = [(Fraction(t, n), Fraction(c, 1 << n)) for t, c in sorted(counts.items())]
         assert law == exact_sign_sum_distribution(n, sgn0)
