@@ -247,16 +247,21 @@ class RepairedRule(PrefixMaxRule):
     def flips(self, arities):
         return np.fromiter(map(self.needs_flip, arities.tolist()), bool, arities.size)
 
+    def _flips_table(self, n, inner_table):
+        # the criterion at n is this table's parity: record it, so that
+        # needs_flip does not build the table again
+        if n not in self._needs_flip:
+            self._needs_flip[n] = not inner_table.negatives_parity()
+        return self._needs_flip[n]
+
 
 def ergodic_repair(rule: RecyclingRule, horizon: int = 0,
                    cap: int = DEFAULT_ENUM_CAP) -> RepairedRule:
     """Wrap a rule so every single-orbit criterion holds.
 
-    ``horizon`` pre-materializes (and thereby validates against the cap)
-    the repair decisions for steps 1..horizon; decisions beyond are made
-    lazily on first use.
+    ``horizon`` is checked against the cap up front, so that a horizon
+    whose tables exceed it fails before any is built.  Each repair decision
+    is made on first use, from the one inner table that use builds.
     """
-    repaired = RepairedRule(rule, cap)
-    for n in range(1, horizon + 1):
-        repaired.needs_flip(n)
-    return repaired
+    check_enum_cap(horizon, cap, f"step {horizon + 1}: rule table arity")
+    return RepairedRule(rule, cap)

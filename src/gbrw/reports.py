@@ -92,7 +92,7 @@ def _cells(column) -> list[str]:
             return _int_cells(column)
         if column.dtype == np.float64:
             return list(map("{:.17g}".format, column.tolist()))
-    return [_csv_cell(format_value(v)) for v in column]
+    return [_csv_cell(v if type(v) is str else format_value(v)) for v in column]
 
 
 def _lines(cells: list[list[str]]) -> bytes:

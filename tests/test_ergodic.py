@@ -1,9 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from gbrw.algebra import CapacityError, beta_to_truth, truth_to_beta
+from gbrw.algebra import DEFAULT_ENUM_CAP, CapacityError, beta_to_truth, truth_to_beta
 from gbrw.ergodic import (
     binomial_parity,
     criterion_beta,
@@ -348,6 +349,30 @@ def test_repair_pointwise_consistency():
         eta = repaired.apply(np.asarray(xi))
         modified = ModifiedLevyRule().apply(np.asarray(xi))
         assert np.array_equal(eta, modified)
+
+
+def test_repair_builds_each_inner_table_once():
+    inner = LevyRule()
+    built = collections.Counter()
+    step_table = inner.step_table
+
+    def counted(step, cap=DEFAULT_ENUM_CAP):
+        built[step] += 1
+        return step_table(step, cap)
+
+    inner.step_table = counted
+    repaired = ergodic_repair(inner, horizon=12)
+    assert is_ergodic_up_to(repaired, 12).ergodic_so_far
+    assert built == {step: 1 for step in range(2, 14)}
+
+
+def test_repair_horizon_is_checked_before_any_table():
+    inner = LevyRule()
+    inner.step_table = lambda step, cap=DEFAULT_ENUM_CAP: pytest.fail("table built")
+    with pytest.raises(CapacityError,
+                       match="step 26: rule table arity 25 exceeds enumeration cap 24"):
+        ergodic_repair(inner, horizon=25)
+    ergodic_repair(inner, horizon=24)
 
 
 def test_repair_capacity_error_names_the_step():

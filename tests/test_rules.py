@@ -32,7 +32,7 @@ from gbrw.rules import (
     negation_rule,
     sign_step,
 )
-from gbrw import setseq
+from gbrw import rules, setseq
 from gbrw.simulate import SeedSpec
 
 ALL_BUILTINS = [
@@ -599,3 +599,118 @@ def test_constant_rule_rejects_bad_psi0():
 def test_modified_levy_rules_reject_bad_sgn0(cls, sgn0):
     with pytest.raises(ValueError, match=r"sgn0 must be -1 or \+1"):
         cls(sgn0=sgn0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-packed prefix scans against the plain accumulates
+
+CUTOFF = rules.PACKED_MIN_LENGTH
+SCAN_LENGTHS = (0, 1, 7, 8, 9, 63, 64, 65, CUTOFF - 1, CUTOFF, CUTOFF + 1, 100_000)
+COMPARISONS = (np.less_equal, np.less, np.greater, np.greater_equal)
+
+
+def scan_paths(n):
+    """Constant, alternating and random paths of n steps, and paths whose walk
+    sits at +-8 and +-9, where the packed walk clips, across byte starts."""
+    rng = np.random.default_rng(n)
+    paths = [np.full(n, -1, dtype=np.int8), np.full(n, 1, dtype=np.int8),
+             np.resize(signs(1, -1), n), np.resize(signs(-1, 1), n),
+             (2 * rng.integers(0, 2, n, dtype=np.int8) - 1)]
+    for sign in (-1, 1):
+        for lead in range(6, 12):
+            for wobble in (signs(1, -1), signs(-1, 1), signs(1, 1, -1, -1)):
+                path = np.resize(wobble, n)
+                path[:lead] = sign
+                paths.append(path)
+    return paths
+
+
+def assert_scans_match(xi):
+    assert np.array_equal(rules._packed_parity(xi), rules._accumulated_parity(xi))
+    for op in COMPARISONS:
+        packed = rules._packed_walk_flags(xi, op)
+        assert packed.dtype == bool and packed.shape == xi.shape
+        assert np.array_equal(packed, rules._summed_walk_flags(xi, op))
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+def test_packed_scans_match_accumulates(n):
+    for xi in scan_paths(n):
+        assert_scans_match(xi)
+
+
+@st.composite
+def long_paths(draw):
+    """Paths past the cutoff, built from runs so that the walk returns to 0
+    and dwells near the clip at +-8."""
+    n = draw(st.integers(CUTOFF, 3 * CUTOFF))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    runs = rng.integers(1, draw(st.integers(2, 20)), n)
+    steps = np.repeat(np.resize(signs(1, -1), n), runs)[:n]
+    flips = rng.random(n) < draw(st.floats(0.0, 0.5))
+    return np.where(flips, -steps, steps).astype(np.int8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_paths())
+def test_packed_scans_match_accumulates_on_long_paths(xi):
+    assert_scans_match(xi)
+
+
+# the rules whose kernels run the packed scans, both sign conventions of the
+# sign rule and both first values of the sign-of-the-walk step function
+PACKED_RULES = [
+    ProductRule(), ExtendedBrwRule(setseq.sliding_window(3)),
+    ExtendedBrwRule(setseq.prefix_fraction(0.5)),
+    *(cls(sgn0) for cls in (LevyRule, ModifiedLevyRule, ModifiedLevyMaxRule)
+      for sgn0 in (-1, 1)),
+    SymmetricRule(StepFunction((0.0,), (-1, 1), "right"), name="symmetric:-1:0:1"),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "right"), name="symmetric:1:0:-1"),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "left")),
+]
+
+
+@pytest.mark.parametrize("rule", PACKED_RULES, ids=_rule_id)
+def test_packed_rules_scan_packed_bits_from_the_cutoff(rule, monkeypatch):
+    calls = []
+    for name in ("_packed_parity", "_packed_walk_flags"):
+        monkeypatch.setattr(rules, name, lambda xi, *args, f=getattr(rules, name):
+                            calls.append(xi.size) or f(xi, *args))
+    for n in (CUTOFF - 1, CUTOFF):
+        rule.multipliers(np.ones(n, dtype=np.int8))
+    assert calls == [CUTOFF]
+
+
+@pytest.mark.parametrize("rule", PACKED_RULES, ids=_rule_id)
+def test_packed_kernels_match_plain_kernels(rule, monkeypatch):
+    for n in (CUTOFF, CUTOFF + 1, 100_000):
+        paths = scan_paths(n)
+        packed = [rule.multipliers(xi) for xi in paths]
+        with monkeypatch.context() as m:
+            m.setattr(rules, "PACKED_MIN_LENGTH", 1 << 62)
+            plain = [rule.multipliers(xi) for xi in paths]
+        for a, b in zip(packed, plain):
+            assert a.dtype == np.int8 and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rule", [r for r in PACKED_RULES if isinstance(r, SymmetricRule)],
+                         ids=_rule_id)
+def test_sign_of_walk_kernels_match_the_step_function(rule):
+    # f(X_{k-1} / sqrt(k)) straight from its definition
+    for xi in scan_paths(100_000):
+        walk = np.concatenate(([0], np.cumsum(xi[:-1], dtype=np.int64)))
+        expected = rule.f.vectorized(walk / np.sqrt(np.arange(1, xi.size + 1)))
+        assert np.array_equal(rule.multipliers(xi), expected)
+
+
+# ---------------------------------------------------------------------------
+# apply leaves validation to the kernels
+
+
+@pytest.mark.parametrize("rule", [*ALL_BUILTINS, *PACKED_RULES], ids=_rule_id)
+def test_apply_rejects_bad_increments(rule):
+    for bad in (signs(1, 0, -1), signs(1, 2)):
+        with pytest.raises(ValueError, match=r"^increments must be -1 or \+1$"):
+            rule.apply(bad)
+    with pytest.raises(ValueError, match="^increment sequence must be one-dimensional$"):
+        rule.apply(np.ones((2, 3), dtype=np.int8))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbrw import setseq
+from gbrw import rules, setseq
 from gbrw.algebra import EMPTY_SET, BetaFamily, IndexSet
 from gbrw.dyadic import Dyadic
 from gbrw.ergodic import ergodic_repair
@@ -13,6 +13,8 @@ from gbrw.rules import (
     ExplicitRule,
     ExtendedBrwRule,
     LevyRule,
+    ModifiedLevyMaxRule,
+    ModifiedLevyRule,
     ProductRule,
     RandomRule,
     WindowMaxRule,
@@ -167,6 +169,19 @@ def test_mc_sums_match_applied_paths(rule):
     for r in range(reps):
         xi = seed.with_replicate(r).increments(n)
         assert summary.finals[r] == int((xi * rule.apply(xi)).sum()) / n
+
+
+@pytest.mark.parametrize("rule", [
+    ProductRule(), ExtendedBrwRule(setseq.sliding_window(3)), LevyRule(), LevyRule(1),
+    ModifiedLevyRule(), ModifiedLevyMaxRule(), symmetric_rule([0], [-1, 1], "right"),
+    symmetric_rule([0], [1, -1], "right"),
+], ids=lambda r: r.describe())
+def test_mc_sums_match_the_plain_scans(rule, monkeypatch):
+    # past the cutoff the kernels scan packed bits; the sums must not move
+    n, reps, seed = rules.PACKED_MIN_LENGTH + 100, 6, SeedSpec(2024)
+    packed = mc_covariation(rule, n, reps, seed).finals
+    monkeypatch.setattr(rules, "PACKED_MIN_LENGTH", 1 << 62)
+    assert np.array_equal(packed, mc_covariation(rule, n, reps, seed).finals)
 
 
 def test_mc_window_two_close_to_half():
