@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .algebra import (
     BetaFamily,
     CapacityError,
-    IndexSet,
     LinearExpansion,
     PartialOrderBasis,
     TruthTable,
@@ -68,7 +67,7 @@ from .rules import (
     identity_rule,
     negation_rule,
 )
-from .rulespec import load_rule, make_builtin, parse_rule_document, symmetric_rule
+from .rulespec import load_rule, make_builtin, parse_rule_document
 from .simulate import (
     ArcsineReport,
     CovariationSeries,

@@ -8,11 +8,12 @@ u_[K] = -1 exactly when K is a submask, and turns conversion between truth
 tables and beta coefficient families into the self-inverse GF(2) subset
 zeta transform.
 
-Index sets are bitmasks throughout, bit k-1 standing for index k: a
-``BetaFamily`` holds its members as one sorted tuple of int masks, which the
-subset transform and the moment engine read directly.
-``member_strings`` prints members from the masks; ``IndexSet`` is the parse
-view, built where sets are read from rule documents.
+Index sets are int bitmasks throughout, bit k-1 standing for index k: a
+``BetaFamily`` holds its members as one sorted tuple of masks, which the
+subset transform and the moment engine read directly, and
+``member_strings`` prints them.  Products of maxima expand over their
+sub-collections through one ``union_table``, which both the linearization
+here and the moment engine's subset sums read.
 """
 
 from __future__ import annotations
@@ -42,72 +43,6 @@ def check_enum_cap(n: int, cap: int = DEFAULT_ENUM_CAP, what: str = "input arity
         raise CapacityError(f"{what} {n} exceeds enumeration cap {cap}")
 
 
-# ---------------------------------------------------------------------------
-# Index sets
-
-
-class IndexSet:
-    """An immutable finite set of positive integer indices."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Iterable[int] = ()):
-        elems = tuple(sorted(set(int(k) for k in members)))
-        if elems and elems[0] < 1:
-            raise ValueError(f"indices must be positive, got {elems[0]}")
-        object.__setattr__(self, "members", elems)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexSet is immutable")
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "IndexSet":
-        """Build from a bitmask where bit k-1 represents index k."""
-        if mask < 0:
-            raise ValueError("mask must be non-negative")
-        return cls(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for k in self.members:
-            m |= 1 << (k - 1)
-        return m
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.members + other.members)
-
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(set(self.members) & set(other.members))
-
-    __or__ = union
-    __and__ = intersection
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, k):
-        return k in self.members
-
-    def __eq__(self, other):
-        return isinstance(other, IndexSet) and self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __str__(self):
-        return "{" + ",".join(str(k) for k in self.members) + "}"
-
-    def __repr__(self):
-        return f"IndexSet({list(self.members)})"
-
-
-EMPTY_SET = IndexSet()
-
-
 def mask_of(u: Sequence[int]) -> int:
     """Bitmask of the coordinates of u equal to -1 (bit k-1 for u_k)."""
     m = 0
@@ -119,19 +54,16 @@ def mask_of(u: Sequence[int]) -> int:
     return m
 
 
-def subset_max(u: Sequence[int], k_set: IndexSet) -> int:
-    """max_{k in K} u_k, with the empty-set convention u_[empty] = -1."""
-    if not k_set.members:
+def subset_max(u: Sequence[int], mask: int) -> int:
+    """max_{k in K} u_k over the index set K of the mask (bit k-1 for index
+    k), with the empty-set convention u_[empty] = -1."""
+    if not mask:
         return -1
-    if k_set.members[-1] > len(u):
+    if mask.bit_length() > len(u):
         raise ValueError(
-            f"index {k_set.members[-1]} out of range for a vector of length {len(u)}"
+            f"index {mask.bit_length()} out of range for a vector of length {len(u)}"
         )
-    return max(u[k - 1] for k in k_set)
-
-
-def popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+    return max(u[k] for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def mask_levels(n: int) -> np.ndarray:
@@ -254,22 +186,20 @@ class BetaFamily:
     increment, a function of the first n-1 increments; members are subsets
     of {1, ..., n-1} and the empty set encodes a constant sign flip.  They
     are stored as ``masks``, one sorted tuple of distinct int bitmasks (bit
-    k-1 for index k); ``members`` and ``sorted_members`` are ``IndexSet``
-    views of it.
+    k-1 for index k); ``sorted_masks`` and ``member_strings`` order and
+    print them.
     """
 
     __slots__ = ("step", "masks")
 
-    def __init__(self, step: int, members: Iterable[int | IndexSet] = ()):
+    def __init__(self, step: int, masks: Iterable[int] = ()):
         if step < 1:
             raise ValueError("step must be >= 1")
-        masks = tuple(sorted({
-            m.mask if isinstance(m, IndexSet) else operator.index(m) for m in members
-        }))
+        masks = tuple(sorted(set(map(operator.index, masks))))
         if masks and masks[0] < 0:
             raise ValueError(f"member mask {masks[0]} is negative")
         if masks and masks[-1] >> (step - 1):
-            raise ValueError(f"member {IndexSet.from_mask(masks[-1])} "
+            raise ValueError(f"member {member_strings(masks[-1:])[0]} "
                              f"not a subset of {{1,...,{step - 1}}}")
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "masks", masks)
@@ -280,14 +210,6 @@ class BetaFamily:
     @property
     def arity(self) -> int:
         return self.step - 1
-
-    @property
-    def members(self) -> frozenset[IndexSet]:
-        return frozenset(map(IndexSet.from_mask, self.masks))
-
-    def sorted_members(self) -> list[IndexSet]:
-        """Members by size, then lexicographically."""
-        return [IndexSet.from_mask(m) for m in sorted_masks(self.masks)]
 
     @property
     def contains_full_set(self) -> bool:
@@ -346,7 +268,7 @@ def member_strings(masks: Sequence[int]) -> list[str]:
     """The index sets of the masks as "{i,j,...}", in ``sorted_masks`` order.
 
     Each mask is formatted from its bytes through a table of the fragment
-    every byte value gives at every byte position; no IndexSet is built.
+    every byte value gives at every byte position.
     """
     width = (max(masks, default=0).bit_length() + 7) // 8
     fragments = [[",".join(str(8 * j + k + 1) for k in range(8) if b >> k & 1)
@@ -396,17 +318,36 @@ def beta_to_truth(family: BetaFamily, cap: int = DEFAULT_ENUM_CAP) -> TruthTable
 # Linearization of products of maxima
 
 
+def union_table(masks: Sequence[int]) -> np.ndarray:
+    """The unions of all 2**len(masks) sub-collections of the masks.
+
+    Row h is the union of the masks that the bits of h select, held as
+    uint64 words, least significant first, as many as the widest mask
+    needs.  Built by doubling: row h with bit i set is row h - 2**i joined
+    with mask i, so the last row is the union of all masks.
+    """
+    width = max(1, -(-max(masks, default=0).bit_length() // 64))
+    table = np.zeros((1 << len(masks), width), dtype=np.uint64)
+    for i, m in enumerate(masks):
+        words = np.array([m >> (64 * j) & 0xFFFF_FFFF_FFFF_FFFF for j in range(width)],
+                         dtype=np.uint64)
+        view = table.reshape(-1, 2, 1 << i, width)
+        np.bitwise_or(view[:, 0], words, out=view[:, 1])
+    return table
+
+
 @dataclass(frozen=True)
 class LinearExpansion:
-    """An affine combination of building blocks: constant + sum c_M * u_[M]."""
+    """An affine combination of building blocks: constant + sum c_M * u_[M],
+    with each index set M held as its mask."""
 
     constant: Dyadic
-    terms: tuple[tuple[IndexSet, Dyadic], ...]
+    terms: tuple[tuple[int, Dyadic], ...]
 
     def evaluate(self, u: Sequence[int]) -> Dyadic:
         total = self.constant
-        for k_set, coeff in self.terms:
-            total = total + coeff * subset_max(u, k_set)
+        for mask, coeff in self.terms:
+            total = total + coeff * subset_max(u, mask)
         return total
 
     def evaluate_all(self, n: int) -> tuple[np.ndarray, int]:
@@ -420,49 +361,34 @@ class LinearExpansion:
         masks = np.arange(1 << n, dtype=np.int64)
         nums = np.full(1 << n, self.constant.numerator << (exp - self.constant.exponent),
                        dtype=np.int64)
-        for k_set, coeff in self.terms:
-            if k_set.members and k_set.members[-1] > n:
-                raise ValueError(f"term {k_set} exceeds arity {n}")
+        for mask, coeff in self.terms:
+            if mask >> n:
+                raise ValueError(f"term {member_strings([mask])[0]} exceeds arity {n}")
             # the block over K is -1 on the supersets of K (everywhere for K empty)
-            signs = np.where((masks & k_set.mask) == k_set.mask, -1, 1)
+            signs = np.where((masks & mask) == mask, -1, 1)
             nums += (coeff.numerator << (exp - coeff.exponent)) * signs
         return nums, exp
 
 
-def _merge_terms(raw: Iterable[tuple[IndexSet, Dyadic]]) -> tuple:
-    merged: dict[IndexSet, Dyadic] = {}
-    for k_set, coeff in raw:
-        if k_set in merged:
-            merged[k_set] = merged[k_set] + coeff
-        else:
-            merged[k_set] = coeff
-    items = [(k, c) for k, c in merged.items() if c != 0]
-    items.sort(key=lambda kc: (len(kc[0]), kc[0].members))
-    return tuple(items)
+def linearize_product(masks: Sequence[int]) -> LinearExpansion:
+    """Rewrite prod_j u_[M_j] over the index sets of the masks as an affine
+    combination of single blocks.
 
-
-def linearize_product(sets: Sequence[IndexSet]) -> LinearExpansion:
-    """Rewrite prod_j u_[M_j] as an affine combination of single blocks.
-
-    For m sets the expansion is (1/2)(-1)^m minus (1/2) sum over subsets K
-    of {1..m} of (-2)^|K| u_[union of M_j, j in K]; coefficients of
-    coinciding unions are merged by addition.  The empty product (m = 0)
-    is 1.
+    For m sets the expansion is (1/2)(-1)^m minus (1/2) sum over
+    sub-collections H of (-2)^|H| u_[union of H].  The union table groups
+    the sub-collections by union; the coefficients of each distinct union
+    are added, and the non-zero terms come out in ``sorted_masks`` order.
+    The empty product (m = 0) is 1.
     """
-    m = len(sets)
-    constant = Dyadic((-1) ** m, 1)
-    raw = []
-    for kmask in range(1 << m):
-        union = EMPTY_SET
-        size = 0
-        for j in range(m):
-            if (kmask >> j) & 1:
-                union = union | sets[j]
-                size += 1
-        # -(1/2) * (-2)^size  ==  -(-1)^size * 2^(size-1)
-        coeff = Dyadic(-((-2) ** size), 1)
-        raw.append((union, coeff))
-    return LinearExpansion(constant, _merge_terms(raw))
+    unions, where = np.unique(union_table(masks), axis=0, return_inverse=True)
+    sizes = mask_levels(len(masks)).astype(np.int64)
+    totals = np.zeros(len(unions), dtype=np.int64)
+    # -(-2)^|H|, so each union's total is twice its coefficient
+    np.add.at(totals, where.ravel(), np.where(sizes & 1, 1, -1) << sizes)
+    coeffs = {sum(w << (64 * j) for j, w in enumerate(row)): Dyadic(total, 1)
+              for row, total in zip(unions.tolist(), totals.tolist()) if total}
+    return LinearExpansion(Dyadic((-1) ** len(masks), 1),
+                           tuple((m, coeffs[m]) for m in sorted_masks(list(coeffs))))
 
 
 def expand_family(family: BetaFamily,
@@ -472,10 +398,9 @@ def expand_family(family: BetaFamily,
     Terms are indexed by sub-collections H of the family, each contributing
     coefficient -(1/2)(-2)^|H| on the block of the union of H.
     """
-    members = family.sorted_members()
-    if len(members) > cap:
-        raise CapacityError(f"family size {len(members)} exceeds expansion cap {cap}")
-    return linearize_product(members)
+    if len(family) > cap:
+        raise CapacityError(f"family size {len(family)} exceeds expansion cap {cap}")
+    return linearize_product(family.masks)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +490,9 @@ class PartialOrderBasis:
         return cls(arity, labels, lambda a, b: False, name="unordered")
 
 
-def change_basis(table: TruthTable, basis: PartialOrderBasis) -> dict[IndexSet, int]:
-    """Coefficients gamma with table = prod over K of block_K ** gamma_K.
+def change_basis(table: TruthTable, basis: PartialOrderBasis) -> dict[int, int]:
+    """Coefficients gamma with table = prod over K of block_K ** gamma_K,
+    keyed by the mask of K.
 
     Solved by GF(2) elimination along a topological enumeration of the
     order; cost can reach O(4^n) for adversarial orders.
@@ -587,7 +513,7 @@ def change_basis(table: TruthTable, basis: PartialOrderBasis) -> dict[IndexSet, 
         gamma[k_prime] = g
         if g:
             ones.append(k_prime)
-    return {IndexSet.from_mask(k): v for k, v in gamma.items()}
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -607,18 +533,14 @@ def symmetric_profile_to_levels(profile: Sequence[int]) -> np.ndarray:
     ``profile[nu]`` is the value on inputs with nu coordinates equal to -1.
     On such inputs the product of all blocks of size j equals
     (-1)^C(nu, j), so the level bits solve the triangular GF(2) system
-    b_nu = sum_j C(nu, j) lambda_j.
+    b_nu = sum_j C(nu, j) lambda_j.  By Lucas' theorem C(nu, j) is odd
+    exactly when j is a submask of nu, so the system is the subset
+    transform of the profile's -1 bits, which is its own inverse.
     """
     n = len(profile) - 1
-    b = [1 if v < 0 else 0 for v in profile]
-    levels = np.zeros(n + 1, dtype=np.uint8)
-    for nu in range(n + 1):
-        acc = 0
-        for j in range(nu):
-            if levels[j] and binomial_parity(nu, j):
-                acc ^= 1
-        levels[nu] = b[nu] ^ acc
-    return levels
+    bits = np.zeros(1 << n.bit_length(), dtype=np.uint8)
+    bits[:n + 1] = np.asarray(profile) < 0
+    return subset_xor_transform(bits)[:n + 1]
 
 
 def level_family(step: int, levels: Sequence[int]) -> BetaFamily:

@@ -7,8 +7,11 @@ sub-collections of the beta families:
     E[zeta_{k-1}]            = sum_H (-2)^|H| q(<H>)
     E[zeta_{k-1} zeta_{l-1}] = sum_{H,J} (-2)^(|H|+|J|) q(<H> union <J>)
 
-with q(M) = 2^-|M|.  Everything here is evaluated in exact dyadic
-arithmetic; floats appear only in convergence verdicts.
+with q(M) = 2^-|M|.  Index sets are int masks (bit k-1 for index k), and
+the sums over sub-collections read the union popcounts of
+``algebra.union_table``, whatever the width of the masks.  Everything here
+is evaluated in exact dyadic arithmetic; floats appear only in convergence
+verdicts.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .algebra import (
     DEFAULT_EXPANSION_CAP,
     BetaFamily,
     CapacityError,
-    IndexSet,
-    popcounts,
+    mask_levels,
+    union_table,
 )
 from .dyadic import Dyadic
 from .rules import RecyclingRule
@@ -39,9 +42,10 @@ DEFAULT_B_HORIZON = 512
 DEFAULT_TOLERANCE = 1e-2
 
 
-def q(m_set: IndexSet) -> Dyadic:
-    """Probability that the max over M of the increments is -1: 2**-|M|."""
-    return Dyadic.half_power(len(m_set))
+def q(mask: int) -> Dyadic:
+    """Probability that the max over the index set M of the mask (bit k-1
+    for index k) of the increments is -1: 2**-|M|."""
+    return Dyadic.half_power(mask.bit_count())
 
 
 def _components(masks: Sequence[int]) -> list[tuple[int, list[int]]]:
@@ -64,42 +68,19 @@ def _components(masks: Sequence[int]) -> list[tuple[int, list[int]]]:
 def _subset_sum(members: Sequence[int]) -> tuple[int, int]:
     """sum_H (-1)^|H| 2^(|H| - |union H|) over sub-collections H, as
     (numerator, exponent) over the support size of the members."""
-    support = 0
-    for m in members:
-        support |= m
-    bits = [i for i in range(support.bit_length()) if support >> i & 1]
-    # relabel the support onto bits 0..d-1
-    member_masks = [
-        sum(1 << j for j, b in enumerate(bits) if m >> b & 1) for m in members
-    ]
-    c, d = len(members), len(bits)
-    if d <= 62:
-        masks = np.zeros(1 << c, dtype=np.int64)
-        for i in range(c):
-            view = masks.reshape(-1, 2, 1 << i)
-            np.bitwise_or(view[:, 0, :], member_masks[i], out=view[:, 1, :])
-        union_pc = popcounts(masks)
-        sizes = popcounts(np.arange(1 << c, dtype=np.int64))
-        exps = (sizes + d - union_pc).astype(np.int64)
-        odd = (sizes & 1).astype(bool)
-        pos = np.bincount(exps[~odd], minlength=1)
-        neg = np.bincount(exps[odd], minlength=1)
-        numerator = 0
-        for e, cnt in enumerate(pos):
-            numerator += int(cnt) << e
-        for e, cnt in enumerate(neg):
-            numerator -= int(cnt) << e
-        return numerator, d
-    # wide-support fallback: subset DP with python integers
-    unions = [0] * (1 << c)
+    table = union_table(members)
+    union_pc = np.bitwise_count(table).sum(axis=1, dtype=np.int64)
+    d = int(union_pc[-1])  # the last row is the whole support
+    sizes = mask_levels(len(members))
+    exps = d - union_pc + sizes
+    odd = (sizes & 1).astype(bool)
+    pos = np.bincount(exps[~odd], minlength=1)
+    neg = np.bincount(exps[odd], minlength=1)
     numerator = 0
-    for h in range(1 << c):
-        if h:
-            low = h & -h
-            unions[h] = unions[h ^ low] | member_masks[low.bit_length() - 1]
-        size = h.bit_count()
-        exp = size + d - unions[h].bit_count()
-        numerator += -(1 << exp) if size & 1 else (1 << exp)
+    for e, cnt in enumerate(pos):
+        numerator += int(cnt) << e
+    for e, cnt in enumerate(neg):
+        numerator -= int(cnt) << e
     return numerator, d
 
 
@@ -142,15 +123,17 @@ def _product_terms(masks: Sequence[int], cap: int) -> tuple[int, int]:
     return numerator, exponent
 
 
-def expected_product(sets: Sequence[IndexSet],
+def expected_product(masks: Sequence[int],
                      cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:
-    """Exact expectation of a product of increment maxima.
+    """Exact expectation of a product of increment maxima over the index
+    sets of the masks (bit k-1 for index k).
 
     Factorizes over overlap components (maxima over disjoint index sets are
-    independent); the 2**size sub-collection sum runs per component, so the
-    cap applies to the largest component rather than the whole collection.
+    independent); the 2**size sub-collection sum runs per component on the
+    union table, so the cap applies to the largest component rather than
+    the whole collection.
     """
-    return Dyadic(*_product_terms([s.mask for s in sets], cap))
+    return Dyadic(*_product_terms(masks, cap))
 
 
 def expected_zeta(family: BetaFamily, cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:

@@ -184,15 +184,7 @@ def _table_arity(step: int, cap: int) -> int:
 
 def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
     """Sign table of sgn(u_1 + ... + u_n) with the stated value at zero."""
-    # the sum n - 2 nu is negative for nu > n/2 and zero at nu = n/2: compare
-    # the uint8 counts in place (n - 2 nu would need a wider type)
-    nu = mask_levels(n)
-    minus = nu.view(bool)
-    if _check_sgn0(sgn0) == -1:
-        np.greater_equal(nu, (n + 1) // 2, out=minus)
-    else:
-        np.greater(nu, n // 2, out=minus)
-    return TruthTable(n, _signs(minus))
+    return LevyRule(sgn0).step_table(n + 1, cap=n)
 
 
 class RecyclingRule:
@@ -454,15 +446,10 @@ class StepFunction:
         return np.asarray(self.values, dtype=np.int8)[idx]
 
 
-def _check_sgn0(sgn0: int) -> int:
-    if sgn0 not in (-1, 1):
-        raise ValueError("sgn0 must be -1 or +1")
-    return sgn0
-
-
 def sign_step(sgn0: int = -1) -> StepFunction:
     """sgn with the value at zero fixed to sgn0."""
-    _check_sgn0(sgn0)
+    if sgn0 not in (-1, 1):
+        raise ValueError("sgn0 must be -1 or +1")
     return StepFunction((0.0,), (-1, 1), "left" if sgn0 == -1 else "right")
 
 
@@ -521,13 +508,24 @@ class SymmetricRule(RecyclingRule):
         return self.f.vectorized(z)
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
+        # -1 where an odd number of the levels at which the profile turns
+        # (from +1 before level 0) are at most the count nu of -1 inputs.
+        # The first comparison of the uint8 counts writes in place, so one
+        # turn, the sign rule's, needs no wider or second array.
         arity = _table_arity(step, cap)
-        return TruthTable(arity, self.profile(step)[mask_levels(arity)])
+        minus_at = (self.profile(step) < 0).tolist()
+        turns = [nu for nu, (a, b) in enumerate(zip([False] + minus_at, minus_at)) if a != b]
+        nu = mask_levels(arity)
+        later = [nu >= c for c in turns[1:]]
+        minus = nu.view(bool)
+        np.greater_equal(nu, turns[0] if turns else arity + 1, out=minus)
+        for flags in later:
+            minus ^= flags
+        return TruthTable(arity, _signs(minus))
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         check_enum_cap(step - 1, cap, "rule family arity")
-        levels = symmetric_profile_to_levels(list(self.profile(step)))
-        return level_family(step, levels)
+        return level_family(step, symmetric_profile_to_levels(self.profile(step)))
 
 
 class LevyRule(SymmetricRule):
@@ -536,9 +534,6 @@ class LevyRule(SymmetricRule):
     def __init__(self, sgn0: int = -1):
         super().__init__(sign_step(sgn0), name="levy")
         self.sgn0 = sgn0
-
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        return sgn_truth_table(_table_arity(step, cap), self.sgn0)
 
 
 class PrefixMaxRule(RecyclingRule):

@@ -33,11 +33,10 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .algebra import BetaFamily, IndexSet, TruthTable
+from .algebra import BetaFamily, TruthTable
 from .rules import (
     ExplicitRule,
     ExtendedBrwRule,
@@ -88,25 +87,13 @@ def _parse_set_sequence(parts: list[str]) -> setseq.SetSequence:
     return factory(*(parse(arg) for arg in args))
 
 
-def symmetric_rule(breaks: Sequence[float], values: Sequence[int],
-                   jump_side: str = "left", name: str | None = None) -> SymmetricRule:
-    """Rule eta_k = f(X_{k-1}/sqrt(k)) xi_k for a sign step function f.
-
-    ``jump_side`` fixes the value taken at the jump locations: "left"
-    matches the sgn(0) = -1 convention of the sign rule, "right" the
-    right-continuous convention.
-    """
-    f = StepFunction(tuple(float(b) for b in breaks),
-                     tuple(int(v) for v in values), jump_side=jump_side)
-    return SymmetricRule(f, name=name)
-
-
 def _parse_symmetric(parts: list[str]) -> SymmetricRule:
     # alternating value, break, value, break, ..., value
     if len(parts) % 2 == 0 or not parts:
         raise RuleSpecError("symmetric takes values alternating with breakpoints")
-    return symmetric_rule(parts[1::2], parts[0::2], jump_side="right",
-                          name="symmetric:" + ":".join(parts))
+    f = StepFunction(tuple(float(b) for b in parts[1::2]),
+                     tuple(int(v) for v in parts[0::2]), jump_side="right")
+    return SymmetricRule(f, name="symmetric:" + ":".join(parts))
 
 
 def make_builtin(spec: str, sgn0: int = -1) -> RecyclingRule:
@@ -150,21 +137,23 @@ def make_builtin(spec: str, sgn0: int = -1) -> RecyclingRule:
 _SET_RE = re.compile(r"\{([0-9,\s]*)\}")
 
 
-def parse_index_set(text: str) -> IndexSet:
+def parse_index_set(text: str) -> int:
+    """The mask (bit k-1 for index k) of an index set written as "{i,j,...}"."""
     text = text.strip()
     m = _SET_RE.fullmatch(text)
     if not m:
         raise RuleSpecError(f"malformed index set {text!r}")
     body = m.group(1).strip()
-    if not body:
-        return IndexSet()
-    return IndexSet(int(tok) for tok in body.split(","))
+    indices = [int(tok) for tok in body.split(",")] if body else []
+    if indices and min(indices) < 1:
+        raise RuleSpecError(f"indices must be positive, got {min(indices)}")
+    return sum({1 << (k - 1) for k in indices})
 
 
-def _parse_set_list(text: str, line: int) -> list[IndexSet]:
+def _parse_set_list(text: str) -> list[int]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise RuleSpecError("expected a [...] list of index sets", line)
+        raise RuleSpecError("expected a [...] list of index sets")
     body = text[1:-1].strip()
     if not body:
         return []
@@ -173,14 +162,14 @@ def _parse_set_list(text: str, line: int) -> list[IndexSet]:
         sets.append(parse_index_set(m.group(0)))
     leftovers = _SET_RE.sub("", body).replace(",", "").strip()
     if leftovers:
-        raise RuleSpecError(f"unexpected tokens {leftovers!r} in set list", line)
+        raise RuleSpecError(f"unexpected tokens {leftovers!r} in set list")
     return sets
 
 
-def _parse_signs(text: str, line: int) -> np.ndarray:
+def _parse_signs(text: str) -> np.ndarray:
     text = text.strip().replace(" ", "")
     if not text or set(text) - {"+", "-"}:
-        raise RuleSpecError("truth rows must be strings of + and - signs", line)
+        raise RuleSpecError("truth rows must be strings of + and - signs")
     return np.array([1 if c == "+" else -1 for c in text], dtype=np.int8)
 
 
@@ -201,30 +190,34 @@ def parse_rule_document(text: str, sgn0: int = -1) -> RecyclingRule:
             if line == "}":
                 in_block = False
                 continue
-            if ":" not in line:
-                raise RuleSpecError("expected 'n: ...' or 'fallback: ...'", lineno)
-            key, value = (part.strip() for part in line.split(":", 1))
-            if key == "fallback":
-                fallback = make_builtin(value, sgn0=sgn0)
-                continue
+            # every error in a block line, the set and fallback checks of
+            # BetaFamily and make_builtin among them, names the line
             try:
-                step = int(key)
-            except ValueError:
-                raise RuleSpecError(f"bad step number {key!r}", lineno) from None
-            if step < 2:
-                raise RuleSpecError("explicit steps must be >= 2", lineno)
-            if step in block_entries:
-                raise RuleSpecError(f"step {step} defined twice", lineno)
-            if generator_kind == "beta":
-                block_entries[step] = BetaFamily(step, _parse_set_list(value, lineno))
-            else:
-                signs = _parse_signs(value, lineno)
-                if signs.size != 1 << (step - 1):
-                    raise RuleSpecError(
-                        f"step {step} needs {1 << (step - 1)} signs, got {signs.size}",
-                        lineno,
-                    )
-                block_entries[step] = TruthTable(step - 1, signs)
+                if ":" not in line:
+                    raise RuleSpecError("expected 'n: ...' or 'fallback: ...'")
+                key, value = (part.strip() for part in line.split(":", 1))
+                if key == "fallback":
+                    fallback = make_builtin(value, sgn0=sgn0)
+                    continue
+                try:
+                    step = int(key)
+                except ValueError:
+                    raise RuleSpecError(f"bad step number {key!r}") from None
+                if step < 2:
+                    raise RuleSpecError("explicit steps must be >= 2")
+                if step in block_entries:
+                    raise RuleSpecError(f"step {step} defined twice")
+                if generator_kind == "beta":
+                    block_entries[step] = BetaFamily(step, _parse_set_list(value))
+                else:
+                    signs = _parse_signs(value)
+                    if signs.size != 1 << (step - 1):
+                        raise RuleSpecError(
+                            f"step {step} needs {1 << (step - 1)} signs, got {signs.size}"
+                        )
+                    block_entries[step] = TruthTable(step - 1, signs)
+            except ValueError as exc:
+                raise RuleSpecError(str(exc), lineno) from None
             continue
         if ":" not in line:
             raise RuleSpecError(f"expected 'key: value', got {line!r}", lineno)

@@ -13,7 +13,6 @@ import numpy as np
 
 from gbrw.algebra import (
     BetaFamily,
-    IndexSet,
     TruthTable,
     beta_to_truth,
     linearize_product,
@@ -58,6 +57,11 @@ from gbrw.simulate import (
 )
 
 MASTER_SEED = 20260809
+
+
+def _mask(bits):
+    """The mask with the given bit positions set (bit k-1 for index k)."""
+    return sum(1 << int(b) for b in bits)
 
 
 class _Budget:
@@ -122,14 +126,14 @@ def test_criterion_02_linearization():
         sets = []
         for _ in range(m):
             size = int(rng.integers(0, 11))
-            sets.append(IndexSet(rng.choice(10, size=size, replace=False) + 1))
+            sets.append(_mask(rng.choice(10, size=size, replace=False)))
         nums, exp = linearize_product(sets).evaluate_all(10)
         direct = np.ones(1 << 10, dtype=np.int64)
         for s in sets:
-            if s.mask == 0:
+            if s == 0:
                 direct = -direct
             else:
-                direct *= np.where((masks & s.mask) == s.mask, -1, 1)
+                direct *= np.where((masks & s) == s, -1, 1)
         ok &= bool(np.array_equal(nums, direct << exp))
         if not ok:
             break
@@ -145,9 +149,7 @@ def test_criterion_03_moment_oracle():
         for _ in range(2):
             count = int(rng.integers(0, 5))
             members = [
-                IndexSet(
-                    rng.choice(16, size=int(rng.integers(0, 7)), replace=False) + 1
-                )
+                _mask(rng.choice(16, size=int(rng.integers(0, 7)), replace=False))
                 for _ in range(count)
             ]
             fams.append(BetaFamily(17, members))
@@ -166,7 +168,7 @@ def test_criterion_04_closed_forms():
     for kappa in range(1, 6):
         for m in range(0, 6):
             sets = [
-                IndexSet(range(1 + i * kappa, 1 + (i + 1) * kappa)) for i in range(m)
+                _mask(range(i * kappa, (i + 1) * kappa)) for i in range(m)
             ]
             start = max(2, kappa * m + 1)
             horizon = 4 * start

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbrw.algebra import (
-    EMPTY_SET,
     BetaFamily,
     CapacityError,
-    IndexSet,
+    LinearExpansion,
     PartialOrderBasis,
     TruthTable,
     beta_to_truth,
@@ -25,6 +24,7 @@ from gbrw.algebra import (
     truth_to_beta,
 )
 from gbrw.dyadic import Dyadic
+from gbrw.rulespec import parse_index_set
 
 
 def sgn_table(n, sgn0=-1):
@@ -37,37 +37,30 @@ def sgn_table(n, sgn0=-1):
     return TruthTable.from_function(n, fn)
 
 
+def S(*indices):
+    """The mask of the index set {indices} (bit k-1 for index k)."""
+    return sum({1 << (k - 1) for k in indices})
+
+
 # ---------------------------------------------------------------------------
-# IndexSet and subset_max
-
-
-def test_index_set_basics():
-    s = IndexSet([3, 1, 2])
-    assert s.members == (1, 2, 3)
-    assert s.mask == 0b111
-    assert IndexSet.from_mask(0b101) == IndexSet([1, 3])
-    assert str(IndexSet()) == "{}"
-    assert str(IndexSet([2, 5])) == "{2,5}"
-    assert len(EMPTY_SET) == 0
-    with pytest.raises(ValueError):
-        IndexSet([0, 1])
+# subset_max
 
 
 def test_subset_max_empty_set_convention():
-    assert subset_max([1, -1], EMPTY_SET) == -1
+    assert subset_max([1, -1], 0) == -1
 
 
 def test_subset_max_all_minus():
-    assert subset_max([-1, -1, -1], IndexSet([1, 2, 3])) == -1
+    assert subset_max([-1, -1, -1], S(1, 2, 3)) == -1
 
 
 def test_subset_max_with_plus():
-    assert subset_max([-1, 1], IndexSet([1, 2])) == 1
+    assert subset_max([-1, 1], S(1, 2)) == 1
 
 
 def test_subset_max_out_of_range():
     with pytest.raises(ValueError):
-        subset_max([1, 1], IndexSet([3]))
+        subset_max([1, 1], S(3))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +68,7 @@ def test_subset_max_out_of_range():
 
 
 def test_eval_family_majority_example():
-    fam = BetaFamily(3, [IndexSet([1]), IndexSet([2]), IndexSet([1, 2])])
+    fam = BetaFamily(3, [S(1), S(2), S(1, 2)])
     assert fam.evaluate([1, -1]) == -1  # sgn(u1+u2) at (+1,-1) with sgn(0)=-1
     assert fam.evaluate([1, 1]) == 1
     assert fam.evaluate([-1, -1]) == -1
@@ -88,14 +81,14 @@ def test_eval_family_empty_family():
 
 
 def test_eval_family_empty_set_member():
-    fam = BetaFamily(4, [EMPTY_SET])
+    fam = BetaFamily(4, [0])
     for u in ([1, 1, 1], [-1, -1, -1]):
         assert fam.evaluate(u) == -1
 
 
 def test_family_membership_validation():
     with pytest.raises(ValueError):
-        BetaFamily(3, [IndexSet([3])])
+        BetaFamily(3, [S(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +98,23 @@ def test_family_membership_validation():
 def test_truth_to_beta_coordinate():
     table = TruthTable.from_function(1, lambda u: u[0])
     fam = truth_to_beta(table)
-    assert fam.members == frozenset({IndexSet([1])})
+    assert set(fam.masks) == {S(1)}
 
 
 def test_truth_to_beta_constant_minus():
     table = TruthTable.constant(2, -1)
     fam = truth_to_beta(table)
-    assert fam.members == frozenset({EMPTY_SET})
+    assert set(fam.masks) == {0}
 
 
 def test_truth_to_beta_majority_of_three():
     fam = truth_to_beta(sgn_table(3))
-    expected = {IndexSet([1, 2]), IndexSet([1, 3]), IndexSet([2, 3])}
-    assert fam.members == frozenset(expected)
+    expected = {S(1, 2), S(1, 3), S(2, 3)}
+    assert set(fam.masks) == expected
 
 
 def test_beta_to_truth_majority():
-    fam = BetaFamily(3, [IndexSet([1]), IndexSet([2]), IndexSet([1, 2])])
+    fam = BetaFamily(3, [S(1), S(2), S(1, 2)])
     assert beta_to_truth(fam) == sgn_table(2)
 
 
@@ -130,7 +123,7 @@ def test_beta_to_truth_empty_family_constant():
 
 
 def test_beta_to_truth_projection():
-    fam = BetaFamily(3, [IndexSet([1])])
+    fam = BetaFamily(3, [S(1)])
     table = beta_to_truth(fam)
     assert table == TruthTable.from_function(2, lambda u: u[0])
 
@@ -177,24 +170,24 @@ def all_sign_vectors(n):
 
 
 def test_linearize_single_set():
-    expansion = linearize_product([IndexSet([1, 2])])
+    expansion = linearize_product([S(1, 2)])
     assert expansion.constant == Dyadic(-1, 1)
     for u in all_sign_vectors(2):
-        assert expansion.evaluate(u) == subset_max(u, IndexSet([1, 2]))
+        assert expansion.evaluate(u) == subset_max(u, S(1, 2))
 
 
 def test_linearize_disjoint_pair():
-    m1, m2 = IndexSet([1]), IndexSet([2, 3])
+    m1, m2 = S(1), S(2, 3)
     expansion = linearize_product([m1, m2])
     for u in all_sign_vectors(3):
         assert expansion.evaluate(u) == eval_direct_product([m1, m2], u)
 
 
 def test_linearize_equal_sets_merges_to_constant():
-    m = IndexSet([1, 2])
+    m = S(1, 2)
     expansion = linearize_product([m, m])
     # the coefficients on u_[M] cancel; only the deterministic blocks remain
-    assert all(k == EMPTY_SET for k, _ in expansion.terms)
+    assert all(k == 0 for k, _ in expansion.terms)
     for u in all_sign_vectors(2):
         assert expansion.evaluate(u) == 1
 
@@ -208,16 +201,48 @@ def test_linearize_equal_sets_merges_to_constant():
     )
 )
 def test_linearize_random_products(raw_sets):
-    sets = [IndexSet(s) for s in raw_sets]
+    sets = [S(*s) for s in raw_sets]
     expansion = linearize_product(sets)
     nums, exp = expansion.evaluate_all(8)
     masks = np.arange(1 << 8, dtype=np.int64)
     direct = np.ones(1 << 8, dtype=np.int64)
     for s in sets:
-        if s.mask == 0:
+        if s == 0:
             direct = -direct
         else:
-            direct *= np.where((masks & s.mask) == s.mask, -1, 1)
+            direct *= np.where((masks & s) == s, -1, 1)
+    assert np.array_equal(nums, direct << exp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(min_value=1, max_value=8), max_size=8),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.integers(min_value=65, max_value=256), min_size=7, max_size=7,
+             unique=True),
+)
+def test_linearize_wide_masks_match_relabelled_products(raw_sets, high):
+    # index k of {1..8} moves to positions[k-1]: bit 0 and seven bits past
+    # the first 64-bit word; relabelled back, the expansion of the wide
+    # product is the product of maxima on every input of the support
+    positions = [1] + high
+    wide = [S(*(positions[k - 1] for k in s)) for s in raw_sets]
+
+    def narrow(mask):
+        return sum(1 << i for i, p in enumerate(positions) if mask >> (p - 1) & 1)
+
+    expansion = linearize_product(wide)
+    assert all(m & ~S(*positions) == 0 for m, _ in expansion.terms)
+    relabelled = LinearExpansion(expansion.constant,
+                                 tuple((narrow(m), c) for m, c in expansion.terms))
+    nums, exp = relabelled.evaluate_all(8)
+    masks = np.arange(1 << 8, dtype=np.int64)
+    direct = np.ones(1 << 8, dtype=np.int64)
+    for s in raw_sets:  # u_[K] is -1 on the supersets of K, everywhere for K empty
+        direct *= np.where((masks & S(*s)) == S(*s), -1, 1)
     assert np.array_equal(nums, direct << exp)
 
 
@@ -227,7 +252,7 @@ def test_linearize_random_products(raw_sets):
 
 def test_expand_family_single_member():
     for m in range(1, 5):
-        member = IndexSet(range(1, m + 1))
+        member = S(*range(1, m + 1))
         fam = BetaFamily(m + 1, [member])
         expansion = expand_family(fam)
         for u in all_sign_vectors(m):
@@ -236,12 +261,12 @@ def test_expand_family_single_member():
 
 def test_expand_family_constants():
     assert expand_family(BetaFamily(3)).evaluate([1, -1]) == 1
-    assert expand_family(BetaFamily(3, [EMPTY_SET])).evaluate([1, -1]) == -1
+    assert expand_family(BetaFamily(3, [0])).evaluate([1, -1]) == -1
 
 
 def test_expand_family_agrees_with_evaluate():
     fam = BetaFamily(
-        5, [IndexSet([1, 2]), IndexSet([2, 3]), IndexSet([4]), EMPTY_SET]
+        5, [S(1, 2), S(2, 3), S(4), 0]
     )
     expansion = expand_family(fam)
     for u in all_sign_vectors(4):
@@ -249,7 +274,7 @@ def test_expand_family_agrees_with_evaluate():
 
 
 def test_expand_family_capacity():
-    fam = BetaFamily(8, [IndexSet([k]) for k in range(1, 8)])
+    fam = BetaFamily(8, [S(k) for k in range(1, 8)])
     with pytest.raises(CapacityError):
         expand_family(fam, cap=5)
 
@@ -262,7 +287,7 @@ def test_expand_family_capacity():
     )
 )
 def test_expand_family_exhaustive_agreement(raw_sets):
-    fam = BetaFamily(7, {IndexSet(s) for s in raw_sets})
+    fam = BetaFamily(7, {S(*s) for s in raw_sets})
     expansion = expand_family(fam)
     for u in all_sign_vectors(6):
         assert expansion.evaluate(u) == fam.evaluate(u)
@@ -276,7 +301,7 @@ def test_max_basis_change_matches_truth_to_beta():
     table = sgn_table(2)
     gamma = change_basis(table, PartialOrderBasis.max_basis(2))
     ones = {k for k, bit in gamma.items() if bit}
-    assert ones == set(truth_to_beta(table).members)
+    assert ones == set(truth_to_beta(table).masks)
 
 
 def test_unordered_basis_constant():
@@ -288,8 +313,8 @@ def test_unordered_basis_constant():
 def test_min_basis_coordinate():
     table = TruthTable.from_function(1, lambda u: u[0])
     gamma = change_basis(table, PartialOrderBasis.min_basis(1))
-    assert gamma[IndexSet([1])] == 1
-    assert gamma[EMPTY_SET] == 1
+    assert gamma[S(1)] == 1
+    assert gamma[0] == 1
 
 
 def _reconstruct(basis, gamma):
@@ -297,7 +322,7 @@ def _reconstruct(basis, gamma):
     signs = np.ones(1 << n, dtype=np.int8)
     for k_set, bit in gamma.items():
         if bit:
-            signs *= basis.block_table(k_set.mask).signs
+            signs *= basis.block_table(k_set).signs
     return TruthTable(n, signs)
 
 
@@ -379,7 +404,7 @@ family_cases = st.integers(min_value=0, max_value=8).flatmap(
 
 
 def _indices(mask, arity):
-    return IndexSet(k + 1 for k in range(arity) if mask >> k & 1)
+    return [k + 1 for k in range(arity) if mask >> k & 1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -387,11 +412,14 @@ def _indices(mask, arity):
 def test_family_from_index_sets_equals_family_from_masks(case):
     arity, masks = case
     fam = BetaFamily(arity + 1, masks)
-    from_sets = BetaFamily(arity + 1, [_indices(m, arity) for m in masks])
+    # the same sets read as a rule document writes them
+    from_sets = BetaFamily(arity + 1, [
+        parse_index_set("{" + ",".join(map(str, _indices(m, arity))) + "}")
+        for m in masks])
     assert from_sets == fam
     assert hash(from_sets) == hash(fam)
     assert fam.masks == tuple(sorted(set(masks)))
-    assert fam.members == frozenset(_indices(m, arity) for m in masks)
+    assert set(fam.masks) == {S(*_indices(m, arity)) for m in masks}
     assert len(fam) == len(set(masks))
 
 
@@ -404,7 +432,7 @@ def test_evaluate_matches_truth_table_and_subset_maxima(case):
     for neg in range(1 << arity):
         u = [-1 if neg >> k & 1 else 1 for k in range(arity)]
         direct = 1
-        for m in fam.members:
+        for m in fam.masks:
             direct *= subset_max(u, m)
         assert fam.evaluate(u) == table.sign(u) == direct
 
@@ -427,29 +455,24 @@ wide_family_cases = st.integers(min_value=0, max_value=200).flatmap(
 def test_sorted_members_by_size_then_indices(case):
     arity, masks = case
     fam = BetaFamily(arity + 1, masks)
-    expected = sorted(fam.members, key=lambda m: (len(m), m.members))
-    assert fam.sorted_members() == expected
-    assert sorted_masks(fam.masks) == [m.mask for m in expected]
+    # the oracle: sort by (size, indices), print as "{i,j,...}"
+    indices = {m: _indices(m, arity) for m in fam.masks}
+    expected = sorted(fam.masks, key=lambda m: (len(indices[m]), indices[m]))
+    assert sorted_masks(fam.masks) == expected
     # the mask formatter prints the same strings in the same order
-    assert member_strings(fam.masks) == [str(m) for m in expected]
-
-
-def test_member_strings_build_no_index_sets(monkeypatch):
-    def refuse(self, members=()):
-        raise AssertionError("IndexSet built")
-
-    fam = BetaFamily(80, [0, 1 << 70, (1 << 79) - 1, 0b101])
-    monkeypatch.setattr(IndexSet, "__init__", refuse)
     assert member_strings(fam.masks) == [
-        "{}", "{71}", "{1,3}", "{" + ",".join(map(str, range(1, 80))) + "}"]
-    assert repr(BetaFamily(3, [])) == "BetaFamily(step=3, members=[])"
+        "{" + ",".join(map(str, indices[m])) + "}" for m in expected]
 
 
 def test_sorted_members_differs_from_mask_order():
     fam = BetaFamily(5, [0b1001, 0b0110, 0b0100, 0b0011])
     assert fam.masks == (0b0011, 0b0100, 0b0110, 0b1001)
-    assert [str(m) for m in fam.sorted_members()] == ["{3}", "{1,2}", "{1,4}", "{2,3}"]
+    assert member_strings(fam.masks) == ["{3}", "{1,2}", "{1,4}", "{2,3}"]
     assert repr(fam) == "BetaFamily(step=5, members=[{3}, {1,2}, {1,4}, {2,3}])"
+    wide = BetaFamily(80, [0, 1 << 70, (1 << 79) - 1, 0b101])
+    assert member_strings(wide.masks) == [
+        "{}", "{71}", "{1,3}", "{" + ",".join(map(str, range(1, 80))) + "}"]
+    assert repr(BetaFamily(3, [])) == "BetaFamily(step=3, members=[])"
 
 
 def test_contains_full_set():
@@ -458,7 +481,7 @@ def test_contains_full_set():
     assert not BetaFamily(4, [0b011, 0b101, 0b110]).contains_full_set
     assert not BetaFamily(4).contains_full_set
     # at step 1 the full set of {} is the empty set
-    assert BetaFamily(1, [EMPTY_SET]).contains_full_set
+    assert BetaFamily(1, [0]).contains_full_set
     assert not BetaFamily(1).contains_full_set
 
 
@@ -475,7 +498,7 @@ def test_family_validation_messages():
     with pytest.raises(ValueError, match=message):
         BetaFamily(3, [0b100])
     with pytest.raises(ValueError, match=message):
-        BetaFamily(3, [IndexSet([1]), IndexSet([3])])
+        BetaFamily(3, [S(1), S(3)])
     with pytest.raises(ValueError, match="member mask -1 is negative"):
         BetaFamily(3, [1, -1])
     with pytest.raises(ValueError, match="step must be >= 1"):

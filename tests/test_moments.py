@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbrw.algebra import EMPTY_SET, BetaFamily, CapacityError, IndexSet
+from gbrw.algebra import BetaFamily, CapacityError
 from gbrw.moments import (
     analyze_set_sequence,
     brute_force_expect,
@@ -31,11 +31,17 @@ from gbrw.rules import (
 )
 from gbrw import setseq
 
-index_sets = st.sets(st.integers(min_value=1, max_value=12), max_size=6).map(IndexSet)
+def S(*indices):
+    """The mask of the index set {indices} (bit k-1 for index k)."""
+    return sum({1 << (k - 1) for k in indices})
+
+
+index_sets = st.sets(st.integers(min_value=1, max_value=12), max_size=6).map(
+    lambda s: S(*s))
 
 
 def family(*sets, step=13):
-    return BetaFamily(step, [IndexSet(s) for s in sets])
+    return BetaFamily(step, [S(*s) for s in sets])
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +49,9 @@ def family(*sets, step=13):
 
 
 def test_q_values():
-    assert q(IndexSet([1, 2, 3])) == Fraction(1, 8)
-    assert q(EMPTY_SET) == 1
-    assert q(IndexSet([5])) == Fraction(1, 2)
+    assert q(S(1, 2, 3)) == Fraction(1, 8)
+    assert q(0) == 1
+    assert q(S(5)) == Fraction(1, 2)
 
 
 @given(index_sets, index_sets)
@@ -89,13 +95,13 @@ def test_brute_force_examples():
 
 
 def test_brute_force_capacity():
-    fam = BetaFamily(30, [IndexSet(range(1, 29))])
+    fam = BetaFamily(30, [S(*range(1, 29))])
     with pytest.raises(CapacityError):
         brute_force_expect([fam], cap=24)
 
 
 def test_expected_product_component_cap():
-    sets = [IndexSet([k, k + 1]) for k in range(1, 9)]  # one chained component
+    sets = [S(k, k + 1) for k in range(1, 9)]  # one chained component
     with pytest.raises(CapacityError):
         expected_product(sets, cap=4)
 
@@ -127,13 +133,13 @@ def test_expectations_bounded(fam):
 # index sets over 1..6 (empty allowed), with repeats and translated copies
 # far enough apart to form separate overlap components of one structure
 base_sets = st.lists(
-    st.sets(st.integers(min_value=1, max_value=6), max_size=4).map(IndexSet),
+    st.sets(st.integers(min_value=1, max_value=6), max_size=4).map(lambda s: S(*s)),
     min_size=1, max_size=5,
 )
 
 
 def _translate(s, shift):
-    return IndexSet(k + shift for k in s)
+    return s << shift
 
 
 @settings(max_examples=80, deadline=None)
@@ -159,16 +165,33 @@ def test_expected_product_translation_invariant(sets, shift):
 
 def test_expected_product_components_of_three_or_more():
     # two translated chains of three sets, and one chain shifted by a gap
-    chain = [IndexSet([1, 2]), IndexSet([2, 3]), IndexSet([3, 4, 5])]
-    sets = chain + [_translate(s, 10) for s in chain] + [IndexSet([30, 40]),
-                                                         IndexSet([40, 50]),
-                                                         IndexSet([30, 50])]
+    chain = [S(1, 2), S(2, 3), S(3, 4, 5)]
+    sets = chain + [_translate(s, 10) for s in chain] + [S(30, 40),
+                                                         S(40, 50),
+                                                         S(30, 50)]
     one = expected_product(chain)
     assert one == brute_force_expect([BetaFamily(6, [s]) for s in chain])
     triangle = brute_force_expect(
-        [BetaFamily(4, [IndexSet(s)]) for s in ([1, 2], [2, 3], [1, 3])]
+        [BetaFamily(4, [S(*s)]) for s in ([1, 2], [2, 3], [1, 3])]
     )
     assert expected_product(sets) == one * one * triangle
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=(1 << 200) - 1), min_size=3,
+                max_size=7))
+def test_wide_component_matches_direct_subset_sum(raw):
+    # every member holds index 151, so the members form one overlap
+    # component whose support runs past the first 64-bit word
+    members = [m | 1 << 150 for m in raw]
+    direct = Fraction(0)
+    for h in range(1 << len(members)):
+        union = 0
+        for j, m in enumerate(members):
+            if h >> j & 1:
+                union |= m
+        direct += Fraction((-2) ** h.bit_count(), 2 ** union.bit_count())
+    assert expected_product(members) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +291,8 @@ def test_bounded_rule_two_moving_sets_with_sign():
     # a fixed number of sets per step, all sliding, so pairs decorrelate
     def fam_at(step):
         return BetaFamily(
-            step, [EMPTY_SET, IndexSet([step - 4, step - 3]),
-                   IndexSet([step - 2, step - 1])]
+            step, [0, S(step - 4, step - 3),
+                   S(step - 2, step - 1)]
         )
 
     fams = {step: fam_at(step) for step in range(6, 81)}
@@ -285,7 +308,7 @@ def test_bounded_rule_two_moving_sets_with_sign():
 def test_bounded_rule_constant_sets_fails_condition_b():
     # constant sets repeat the same covariation increment forever, so the
     # double mean tends to 1 instead of rho**2
-    sets = [EMPTY_SET, IndexSet([1, 2]), IndexSet([3, 4, 5])]
+    sets = [0, S(1, 2), S(3, 4, 5)]
     fams = {step: BetaFamily(step, sets) for step in range(6, 61)}
     rule = ExplicitRule(+1, families=fams, fallback=identity_rule())
     report = condition_B_partial(rule, horizon=60)
@@ -364,7 +387,7 @@ def test_condition_b_grid_matches_per_pair_engine_explicit(psi0, per_step):
     # overlap their neighbours and leave distant steps disjoint
     fams = {}
     for step, members in enumerate(per_step, start=2):
-        sets = [IndexSet(step - 1 - j for j in m if step - 1 - j >= 1)
+        sets = [S(*(step - 1 - j for j in m if step - 1 - j >= 1))
                 for m in members]
         fams[step] = BetaFamily(step, sets)
     rule = ExplicitRule(psi0, families=fams, fallback=identity_rule())
@@ -407,34 +430,11 @@ def test_levy_scan_fails_at_the_first_blocked_step():
     assert built == list(range(1, 8))
 
 
-def test_mask_native_paths_build_no_index_sets(monkeypatch):
-    from gbrw.algebra import truth_to_beta
-    from gbrw.ergodic import criterion_beta
-    from gbrw.rules import sgn_truth_table
-
-    built = []
-    init = IndexSet.__init__
-
-    def counting(self, members=()):
-        built.append(members)
-        init(self, members)
-
-    monkeypatch.setattr(IndexSet, "__init__", counting)
-    LevyRule().step_family(12)
-    truth_to_beta(sgn_truth_table(8))
-    criterion_beta(LevyRule(), 10)
-    criterion_beta(WindowMaxRule(3), 10)
-    condition_B_partial(WindowMaxRule(3), 32)
-    assert built == []
-    IndexSet([1])  # the patch does see a construction
-    assert len(built) == 1
-
-
 def test_condition_b_pair_capacity_names_the_pair():
     # each family fits the cap alone; their chains join into one component
     fams = {
-        5: BetaFamily(5, [IndexSet([1, 2]), IndexSet([2, 3]), IndexSet([3, 4])]),
-        8: BetaFamily(8, [IndexSet([4, 5]), IndexSet([5, 6]), IndexSet([6, 7])]),
+        5: BetaFamily(5, [S(1, 2), S(2, 3), S(3, 4)]),
+        8: BetaFamily(8, [S(4, 5), S(5, 6), S(6, 7)]),
     }
     rule = ExplicitRule(+1, families=fams, fallback=identity_rule())
     condition_A_partial(rule, horizon=8, expansion_cap=4)
@@ -460,7 +460,7 @@ def test_closed_form_matches_condition_a_exactly():
     # family of two disjoint sets of size 3, constant from the first full step
     for kappa, m in [(2, 2), (3, 2), (4, 1), (5, 3)]:
         sets = [
-            IndexSet(range(1 + i * kappa, 1 + (i + 1) * kappa)) for i in range(m)
+            S(*range(1 + i * kappa, 1 + (i + 1) * kappa)) for i in range(m)
         ]
         start = kappa * m + 1
         horizon = 4 * start

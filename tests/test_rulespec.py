@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbrw.algebra import EMPTY_SET, IndexSet
 from gbrw.rules import LevyRule, WindowMaxRule
 from gbrw.rulespec import (
     RuleSpecError,
@@ -55,10 +54,13 @@ def test_symmetric_builtin():
 
 
 def test_parse_index_set():
-    assert parse_index_set("{1,2,5}") == IndexSet([1, 2, 5])
-    assert parse_index_set("{}") == EMPTY_SET
+    assert parse_index_set("{1,2,5}") == 0b10011
+    assert parse_index_set("{}") == 0
+    assert parse_index_set("{2,2,1}") == 0b11
     with pytest.raises(RuleSpecError):
         parse_index_set("{1;2}")
+    with pytest.raises(RuleSpecError, match="indices must be positive, got 0"):
+        parse_index_set("{0,1}")
 
 
 def test_parse_builtin_document():
@@ -83,8 +85,8 @@ generator: beta {
 """
     rule = parse_rule_document(text)
     assert rule.psi0 == -1
-    assert rule.step_family(2).members == frozenset({IndexSet([1])})
-    assert rule.step_family(3).members == frozenset({IndexSet([1, 2]), EMPTY_SET})
+    assert set(rule.step_family(2).masks) == {0b1}
+    assert set(rule.step_family(3).masks) == {0b11, 0}
     # unlisted step falls back
     expected = WindowMaxRule(2).step_table(4)
     assert rule.step_table(4) == expected
@@ -118,6 +120,27 @@ def test_parse_errors_carry_line_numbers():
         parse_rule_document("psi0: -1\ngenerator: beta {\n2: [{1}]\n")  # no brace
     with pytest.raises(RuleSpecError):
         parse_rule_document("generator: builtin levy\n")  # no psi0
+
+
+def _document_error(block_line):
+    text = f"psi0: -1\ngenerator: beta {{\n  {block_line}\n}}\n"
+    with pytest.raises(RuleSpecError) as err:
+        parse_rule_document(text)
+    return str(err.value)
+
+
+def test_document_set_index_error_names_its_line():
+    assert _document_error("2: [{0}]") == "line 3: indices must be positive, got 0"
+
+
+def test_document_set_range_error_names_its_line():
+    assert _document_error("3: [{3}]") == (
+        "line 3: member {3} not a subset of {1,...,2}")
+
+
+def test_document_fallback_error_names_its_line():
+    assert _document_error("fallback: nosuch") == (
+        "line 3: unknown builtin rule 'nosuch'")
 
 
 def test_load_rule_builtin_and_file(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gbrw import rules, setseq
-from gbrw.algebra import EMPTY_SET, BetaFamily, IndexSet
+from gbrw.algebra import BetaFamily
 from gbrw.dyadic import Dyadic
 from gbrw.ergodic import ergodic_repair
 from gbrw.moments import expected_zeta
@@ -17,11 +17,12 @@ from gbrw.rules import (
     ModifiedLevyRule,
     ProductRule,
     RandomRule,
+    StepFunction,
+    SymmetricRule,
     WindowMaxRule,
     identity_rule,
     negation_rule,
 )
-from gbrw.rulespec import symmetric_rule
 from gbrw.simulate import (
     SeedSpec,
     arcsine_test,
@@ -154,8 +155,8 @@ def test_mc_determinism_and_histogram_mass():
 
 
 @pytest.mark.parametrize("rule", [
-    ExplicitRule(-1, families={2: BetaFamily(2, [EMPTY_SET, IndexSet([1])]),
-                               4: BetaFamily(4, [IndexSet([1, 3])])},
+    ExplicitRule(-1, families={2: BetaFamily(2, [0, 0b1]),
+                               4: BetaFamily(4, [0b101])},
                  fallback=ProductRule()),
     RandomRule(5),
     ergodic_repair(LevyRule()),
@@ -173,8 +174,9 @@ def test_mc_sums_match_applied_paths(rule):
 
 @pytest.mark.parametrize("rule", [
     ProductRule(), ExtendedBrwRule(setseq.sliding_window(3)), LevyRule(), LevyRule(1),
-    ModifiedLevyRule(), ModifiedLevyMaxRule(), symmetric_rule([0], [-1, 1], "right"),
-    symmetric_rule([0], [1, -1], "right"),
+    ModifiedLevyRule(), ModifiedLevyMaxRule(),
+    SymmetricRule(StepFunction((0.0,), (-1, 1), "right")),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "right")),
 ], ids=lambda r: r.describe())
 def test_mc_sums_match_the_plain_scans(rule, monkeypatch):
     # past the cutoff the kernels scan packed bits; the sums must not move
@@ -316,21 +318,21 @@ def test_arcsine_test_rejects_tiny_reps():
 
 
 def test_symmetric_rule_sign_matches_levy():
-    rule = symmetric_rule([0.0], [-1, 1], jump_side="left")
+    rule = SymmetricRule(StepFunction((0.0,), (-1, 1), jump_side="left"))
     levy = LevyRule()
     xi = SeedSpec(4).increments(300)
     assert np.array_equal(rule.apply(xi), levy.apply(xi))
 
 
 def test_symmetric_rule_constant_plus_is_identity():
-    rule = symmetric_rule([], [1])
+    rule = SymmetricRule(StepFunction((), (1,)))
     xi = SeedSpec(4).increments(50)
     assert np.array_equal(rule.apply(xi), xi)
     assert rule.psi0 == 1
 
 
 def test_symmetric_threshold_rule_symmetric_tables():
-    rule = symmetric_rule([1.0], [-1, 1], jump_side="right")
+    rule = SymmetricRule(StepFunction((1.0,), (-1, 1), jump_side="right"))
     for step in (3, 5, 8):
         table = rule.step_table(step)
         assert table.is_symmetric()
