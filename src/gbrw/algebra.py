@@ -54,9 +54,18 @@ def mask_of(u: Sequence[int]) -> int:
     return m
 
 
+def check_masks(masks: Sequence[int]) -> None:
+    """Reject negative masks: an index set's mask (bit k-1 for index k) is
+    a non-negative int."""
+    low = min(masks, default=0)
+    if low < 0:
+        raise ValueError(f"mask {low} is negative")
+
+
 def subset_max(u: Sequence[int], mask: int) -> int:
     """max_{k in K} u_k over the index set K of the mask (bit k-1 for index
     k), with the empty-set convention u_[empty] = -1."""
+    check_masks((mask,))
     if not mask:
         return -1
     if mask.bit_length() > len(u):
@@ -380,6 +389,7 @@ def linearize_product(masks: Sequence[int]) -> LinearExpansion:
     are added, and the non-zero terms come out in ``sorted_masks`` order.
     The empty product (m = 0) is 1.
     """
+    check_masks(masks)
     unions, where = np.unique(union_table(masks), axis=0, return_inverse=True)
     sizes = mask_levels(len(masks)).astype(np.int64)
     totals = np.zeros(len(unions), dtype=np.int64)

@@ -29,6 +29,7 @@ from .algebra import (
     DEFAULT_EXPANSION_CAP,
     BetaFamily,
     CapacityError,
+    check_masks,
     mask_levels,
     union_table,
 )
@@ -45,6 +46,7 @@ DEFAULT_TOLERANCE = 1e-2
 def q(mask: int) -> Dyadic:
     """Probability that the max over the index set M of the mask (bit k-1
     for index k) of the increments is -1: 2**-|M|."""
+    check_masks((mask,))
     return Dyadic.half_power(mask.bit_count())
 
 
@@ -133,6 +135,7 @@ def expected_product(masks: Sequence[int],
     union table, so the cap applies to the largest component rather than
     the whole collection.
     """
+    check_masks(masks)
     return Dyadic(*_product_terms(masks, cap))
 
 

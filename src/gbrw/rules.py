@@ -7,21 +7,23 @@ xi and so defines a second simple random walk on the same filtration.
 
 Each rule states its whole-path behaviour once, in ``multipliers``: the
 int8 array psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}), which
-``apply`` multiplies by the increments.  Builtins compute it in vectorized
-int8/bool passes.  The two prefix scans of the paper's Monte Carlo limits,
-the running -1 parity (running product, extended-brw) and the sign of the
-walk (the sign rule and its ergodic modifications), work on the path
-packed 64 steps to a word once it has ``PACKED_MIN_LENGTH`` steps: a
-shift-XOR prefix inside each word with a carry across words, and a table
-that maps a byte and the walk at its start to the byte's eight signs.
-Shorter paths take the plain accumulates, whose fixed cost is lower and
-which are the packed scans' oracle.  Table-backed rules (explicit,
-random, repaired) start from an inner rule's kernel or a running prefix
-mask and look up only the steps they tabulate, so no rule re-reads its
-prefix at every step.  ``psi`` evaluates one multiplier and is the
-pointwise oracle of the kernels; ``step_table`` and ``step_family`` give
-one step's truth table and beta coefficient family, in closed form where
-one is known.
+``apply`` multiplies by the increments.  A kernel takes a ``(..., n)``
+array with time on the last axis, so a block of replicate paths is one
+call; a single path is the case with no leading axes.  Builtins compute it
+in vectorized int8/bool passes.  The two prefix scans of the paper's Monte
+Carlo limits, the running -1 parity (running product, extended-brw) and
+the sign of the walk (the sign rule and its ergodic modifications), work
+on each path packed 64 steps to a word once it has ``PACKED_MIN_LENGTH``
+steps: a shift-XOR prefix inside each word with a carry across words, and
+a table that maps a byte and the walk at its start to the byte's eight
+signs.  Shorter paths take the plain accumulates, whose fixed cost is
+lower and which are the packed scans' oracle.  Table-backed rules
+(explicit, random, repaired) start from an inner rule's kernel or a
+running prefix mask and look up only the steps they tabulate, row by row,
+so no rule re-reads its prefix at every step.  ``psi`` evaluates one
+multiplier and is the pointwise oracle of the kernels; ``step_table`` and
+``step_family`` give one step's truth table and beta coefficient family,
+in closed form where one is known.
 """
 
 from __future__ import annotations
@@ -45,13 +47,15 @@ from .algebra import (
     symmetric_profile_to_levels,
     truth_to_beta,
 )
+from .philox import philox, stream_key
 from .setseq import SetSequence
 
 
 def _as_signs(xi: Sequence[int]) -> np.ndarray:
+    """int8 increments with time on the last axis, checked to be signs."""
     arr = np.asarray(xi, dtype=np.int8)
-    if arr.ndim != 1:
-        raise ValueError("increment sequence must be one-dimensional")
+    if arr.ndim < 1:
+        raise ValueError("increments need a time axis")
     if arr.size and not np.all(np.abs(arr) == 1):
         raise ValueError("increments must be -1 or +1")
     return arr
@@ -74,29 +78,30 @@ PACKED_MIN_LENGTH = 6000
 
 
 def running_sums(steps: np.ndarray) -> np.ndarray:
-    """steps[0] + ... + steps[i - 1] at every index i: the walk X_{k-1} seen
-    by the multiplier of step k.
+    """steps[..., 0] + ... + steps[..., i - 1] at every index i of the last
+    axis: the walk X_{k-1} seen by the multiplier of step k.
 
     The sums are int32, or int64 for paths of 2**31 steps and more.
     """
-    n = steps.size
-    out = np.zeros(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+    n = steps.shape[-1]
+    out = np.zeros(steps.shape, dtype=np.int32 if n < 1 << 31 else np.int64)
     if n > 1:
-        out[1:] = steps[:-1]
-        np.cumsum(out, out=out)
+        out[..., 1:] = steps[..., :-1]
+        np.cumsum(out, axis=-1, out=out)
     return out
 
 
 def minus_parity(arr: np.ndarray) -> np.ndarray:
-    """uint8 parity of the count of -1 entries in arr[:j], at every j = 0..n."""
-    if arr.size < PACKED_MIN_LENGTH:
+    """uint8 parity of the count of -1 entries in arr[..., :j], at every
+    j = 0..n of the last axis."""
+    if arr.shape[-1] < PACKED_MIN_LENGTH:
         return _accumulated_parity(arr)
     return _packed_parity(arr)
 
 
 def _accumulated_parity(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(arr.size + 1, dtype=np.uint8)
-    np.bitwise_xor.accumulate((arr < 0).view(np.uint8), out=out[1:])
+    out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), dtype=np.uint8)
+    np.bitwise_xor.accumulate((arr < 0).view(np.uint8), axis=-1, out=out[..., 1:])
     return out
 
 
@@ -104,24 +109,26 @@ def _packed_parity(arr: np.ndarray) -> np.ndarray:
     # bit j of the little-endian words is 1 where arr[j - 1] < 0 (bit 0 is
     # the empty prefix), so the inclusive prefix XOR at bit j is the parity
     # of arr[:j]; n + 1 bits, padded with zeros to whole words
-    n = arr.size
-    minus = np.zeros(n // 64 * 64 + 64, dtype=bool)
-    np.less(arr, 0, out=minus[1:n + 1])
-    words = np.packbits(minus, bitorder="little").view("<u8")
+    n = arr.shape[-1]
+    minus = np.zeros(arr.shape[:-1] + (n // 64 * 64 + 64,), dtype=bool)
+    np.less(arr, 0, out=minus[..., 1:n + 1])
+    words = np.packbits(minus, axis=-1, bitorder="little").view("<u8")
     for shift in (1, 2, 4, 8, 16, 32):  # the prefix XOR inside each word
         words ^= words << shift
     # each word's parity (its top bit), then that of every word before it,
     # XORed in as all ones or all zeros
     carry = words >> 63
-    np.bitwise_xor.accumulate(carry, out=carry)
-    words[1:] ^= np.negative(carry[:-1])
-    return np.unpackbits(words.view(np.uint8), count=n + 1, bitorder="little")
+    np.bitwise_xor.accumulate(carry, axis=-1, out=carry)
+    words[..., 1:] ^= np.negative(carry[..., :-1])
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n + 1,
+                         bitorder="little")
 
 
 def walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """bool ``op(X_{k-1}, 0)`` at every step k = 1..n, for a comparison ufunc
-    ``op`` and the walk X_{k-1} = arr[0] + ... + arr[k-2]."""
-    if arr.size < PACKED_MIN_LENGTH:
+    """bool ``op(X_{k-1}, 0)`` at every step k = 1..n of the last axis, for a
+    comparison ufunc ``op`` and the walk X_{k-1} = arr[..., 0] + ... +
+    arr[..., k-2]."""
+    if arr.shape[-1] < PACKED_MIN_LENGTH:
         return _summed_walk_flags(arr, op)
     return _packed_walk_flags(arr, op)
 
@@ -132,34 +139,57 @@ def _summed_walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
 
 @functools.cache
 def _walk_table(op: np.ufunc) -> np.ndarray:
-    """uint8 table of 17 * 256 packed flags: entry 256 (s + 8) + b holds bit j
-    = op(X, 0) at the byte's j-th step, for the byte b of -1 steps (least
-    significant bit first) entered with the walk at s."""
+    """uint8 table of 256 * 256 packed flags: entry 256 v + b holds bit j =
+    op(X, 0) at the byte's j-th step, for the byte b of -1 steps (least
+    significant bit first) entered with the walk at v - 128.  A byte moves
+    the walk by at most 8, so its flags are those of the start clipped to
+    [-8, 8]."""
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                          bitorder="little").view(np.int8)
     inside = np.zeros((256, 8), dtype=np.int8)  # the walk before bit j, from 0
     np.cumsum(1 - 2 * bits[:, :-1], axis=1, out=inside[:, 1:])
     walk = np.arange(-8, 9, dtype=np.int8)[:, None, None] + inside
-    return np.packbits(op(walk, 0), axis=-1, bitorder="little").ravel()
+    flags = np.packbits(op(walk, 0), axis=-1, bitorder="little")
+    return flags[np.clip(np.arange(-128, 128), -8, 8) + 8].ravel()
+
+
+#: A one in every byte of a word, and 8 j in byte j.
+_BYTE_ONES = np.uint64(0x0101010101010101)
+_BYTE_OFFSETS = np.uint64(0x3830282018100800)
 
 
 def _packed_walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
-    # the walk at each byte's start: a byte moves it by 8 - 2 (its count of
-    # -1 steps), and by at most 8, so a start clipped to [-8, 8] gives the
-    # byte's eight flags; the counts are summed in int64, exact at any length
-    minus = np.packbits(arr < 0, bitorder="little")
-    steps = np.bitwise_count(minus[:-1]).view(np.int8)
+    # The walk at each byte's start, in bytes of 64-bit words.  Multiplying
+    # a word of byte counts of -1 steps by the ones puts the counts of bytes
+    # 0..j in byte j (at most 64: no carries), so its top byte is the word's
+    # count, which the walk at word starts sums in int64 over the n/64 words
+    # (exact at any length).  A byte moves the walk by at most 8, so a word
+    # start clipped to [-64, 64] leaves every flag as it is; then byte j of
+    # 128 + start + 8 j - 2 (the counts of bytes 0..j-1) lies in [8, 248],
+    # and no byte carries into or borrows from the next.
+    n = arr.shape[-1]
+    words = -(-n // 64)
+    minus = np.zeros(arr.shape[:-1] + (64 * words,), dtype=bool)
+    np.less(arr, 0, out=minus[..., :n])
+    packed = np.packbits(minus, axis=-1, bitorder="little")
+    counts = np.bitwise_count(packed).view("<u8") * _BYTE_ONES
+    steps = (counts >> 56).view(np.int64)
     steps *= -2
-    steps += 8
-    start = np.zeros(minus.size, dtype=np.int64)
-    np.cumsum(steps, out=start[1:])
-    np.minimum(start, 8, out=start)  # np.clip costs more at these sizes
-    np.maximum(start, -8, out=start)
-    start += 8
-    start <<= 8
-    start |= minus
-    flags = np.take(_walk_table(op), start)
-    return np.unpackbits(flags, count=arr.size, bitorder="little").view(bool)
+    steps += 64
+    start = np.zeros(steps.shape, dtype=np.int64)
+    np.cumsum(steps[..., :-1], axis=-1, out=start[..., 1:])
+    np.minimum(start, 64, out=start)  # np.clip costs more at these sizes
+    np.maximum(start, -64, out=start)
+    start += 128
+    walk = start.view(np.uint64) * _BYTE_ONES
+    walk += _BYTE_OFFSETS
+    counts <<= 9  # twice the counts of bytes 0..j-1 in byte j
+    walk -= counts
+    index = walk.astype("<u8", copy=False).view(np.uint8).astype(np.uint16)
+    index <<= 8
+    index |= packed
+    flags = np.take(_walk_table(op), index)
+    return np.unpackbits(flags, axis=-1, count=n, bitorder="little").view(bool)
 
 
 def parity_signs(n: int) -> np.ndarray:
@@ -167,13 +197,18 @@ def parity_signs(n: int) -> np.ndarray:
     return _signs(mask_levels(n) & 1)
 
 
-def first_plus(arr: np.ndarray) -> int:
-    """Index of the first +1 increment, or the length when there is none.
+def first_plus(arr: np.ndarray) -> np.ndarray:
+    """Index of the first +1 increment along the last axis, or the length
+    where there is none, as an int64 array of the leading shape.
 
     The prefix max max(u_1..u_n) is -1 exactly for arities n = 1..first_plus.
     """
-    i = int(arr.argmax()) if arr.size else 0  # the first maximum
-    return i if arr.size and arr[i] > 0 else arr.size
+    n = arr.shape[-1]
+    if n == 0:
+        return np.zeros(arr.shape[:-1], dtype=np.int64)
+    first = arr.argmax(axis=-1)  # the first maximum
+    # a maximum past index 0 exceeds entry 0, so it is +1
+    return np.where((first > 0) | (arr[..., 0] > 0), first, n)
 
 
 def _table_arity(step: int, cap: int) -> int:
@@ -221,12 +256,15 @@ class RecyclingRule:
     # -- whole-path --------------------------------------------------------
 
     def multipliers(self, xi: Sequence[int]) -> np.ndarray:
-        """psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}) as a fresh int8 array."""
+        """psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}) as a fresh int8
+        array, for increments of shape (..., n): one row per path."""
         raise NotImplementedError
 
     def apply(self, xi: Sequence[int]) -> np.ndarray:
-        """Transform an increment sequence; invertible on {-1,+1}^n."""
-        arr = np.asarray(xi, dtype=np.int8)  # multipliers validates it
+        """Transform one increment path; invertible on {-1,+1}^n."""
+        arr = np.asarray(xi, dtype=np.int8)  # multipliers checks the signs
+        if arr.ndim != 1:
+            raise ValueError("increment sequence must be one-dimensional")
         return self.multipliers(arr) * arr
 
     # -- materialized views --------------------------------------------------
@@ -262,8 +300,8 @@ class ConstantRule(RecyclingRule):
         return self.value
 
     def multipliers(self, xi):
-        out = np.full(_as_signs(xi).size, self.value, dtype=np.int8)
-        out[:1] = self.psi0
+        out = np.full(_as_signs(xi).shape, self.value, dtype=np.int8)
+        out[..., :1] = self.psi0
         return out
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
@@ -300,7 +338,7 @@ class ProductRule(RecyclingRule):
         return math.prod(map(int, u[:n]))
 
     def multipliers(self, xi):
-        return _signs(minus_parity(_as_signs(xi))[:-1])
+        return _signs(minus_parity(_as_signs(xi))[..., :-1])
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         return TruthTable(step - 1, parity_signs(_table_arity(step, cap)))
@@ -330,9 +368,9 @@ class ExtendedBrwRule(RecyclingRule):
 
     def multipliers(self, xi):
         arr = _as_signs(xi)
-        lo, hi = self.seq.bounds(arr.size)
+        lo, hi = self.seq.bounds(arr.shape[-1])
         odd = minus_parity(arr)
-        return _signs(odd[hi] ^ odd[lo - 1])
+        return _signs(odd[..., hi] ^ odd[..., lo - 1])
 
     def step_family(self, step, cap=DEFAULT_ENUM_CAP):
         lo, hi = self._interval(step)
@@ -376,24 +414,27 @@ class WindowMaxRule(RecyclingRule):
         # the multiplier at index i is -1 iff xi[max(0, i - w):i] is all -1
         # (the empty window included)
         arr = _as_signs(xi)
-        n, w = arr.size, self.width
+        n, w = arr.shape[-1], self.width
         if w is None or w >= n:  # the window is the whole prefix
-            out = np.ones(n, dtype=np.int8)
-            out[:first_plus(arr) + 1] = -1
+            out = np.ones(arr.shape, dtype=np.int8)
+            last = first_plus(arr)  # -1 up to each row's first +1
+            head = out[..., :int(last.max(initial=-1)) + 1]
+            np.negative(head, out=head,
+                        where=np.arange(head.shape[-1]) <= last[..., None])
             return out
         # AND the window together from blocks of power-of-two length, as in
         # a sparse table: O(n log w); entries before the path count as -1
-        block = np.ones(n, dtype=bool)  # block[i]: xi[i - size:i] all -1
-        block[1:] = arr[:-1] < 0
-        all_minus = np.ones(n, dtype=bool)  # same for xi[i - done:i]
+        block = np.ones(arr.shape, dtype=bool)  # block[i]: xi[i - size:i] all -1
+        block[..., 1:] = arr[..., :-1] < 0
+        all_minus = np.ones(arr.shape, dtype=bool)  # same for xi[i - done:i]
         size, done = 1, 0
         while True:
             if w & size:
-                all_minus[done:] &= block[:n - done]
+                all_minus[..., done:] &= block[..., :n - done]
                 done += size
             if 2 * size > w:
                 return _signs(all_minus)
-            block[size:] &= block[:-size]
+            block[..., size:] &= block[..., :-size]
             size *= 2
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
@@ -480,7 +521,7 @@ class SymmetricRule(RecyclingRule):
         arr = _as_signs(xi)
         breaks = self.f.breaks
         if not breaks:
-            return np.full(arr.size, self.f.values[0], dtype=np.int8)
+            return np.full(arr.shape, self.f.values[0], dtype=np.int8)
         passed, below = ((np.greater_equal, np.less) if self.f.jump_side == "right"
                          else (np.greater, np.less_equal))
         first = below if self.f.values[0] == -1 else passed
@@ -489,8 +530,7 @@ class SymmetricRule(RecyclingRule):
         sums = running_sums(arr)
         if any(breaks):
             # the same float64 s/sqrt(k) as psi, so breaks compare exactly
-            z = np.arange(1, arr.size + 1, dtype=np.float64)
-            np.divide(sums, np.sqrt(z, out=z), out=z)
+            z = sums / np.sqrt(np.arange(1, arr.shape[-1] + 1, dtype=np.float64))
 
         def compare(op, b):
             return op(sums, 0) if b == 0 else op(z, b)
@@ -563,12 +603,17 @@ class PrefixMaxRule(RecyclingRule):
         return value
 
     def multipliers(self, xi):
+        # each row's arities 1..last, flipped where ``flips`` holds; flips
+        # is asked only up to the longest run
         out = self.inner.multipliers(xi)
-        out[:1] = -1
-        last = min(first_plus(np.asarray(xi)), out.size - 1)
-        if last > 0:
-            head = out[1:last + 1]
-            np.negative(head, out=head, where=self.flips(np.arange(1, last + 1)))
+        out[..., :1] = -1
+        last = np.minimum(first_plus(np.asarray(xi)), out.shape[-1] - 1)
+        longest = int(last.max(initial=0))
+        if longest > 0:
+            arities = np.arange(1, longest + 1)
+            head = out[..., 1:longest + 1]
+            np.negative(head, out=head,
+                        where=self.flips(arities) & (arities <= last[..., None]))
         return out
 
     def step_table(self, step, cap=None):
@@ -617,8 +662,8 @@ class _OneStepLate(RecyclingRule):
     def multipliers(self, xi):
         inner = self.inner.multipliers(xi)
         out = np.empty_like(inner)
-        out[1:] = inner[:-1]
-        out[:1] = self.psi0
+        out[..., 1:] = inner[..., :-1]
+        out[..., :1] = self.psi0
         return out
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
@@ -688,17 +733,20 @@ class SignFlipRule(RecyclingRule):
         return self.epsilon(n + 1)
 
     def multipliers(self, xi):
-        n = _as_signs(xi).size
+        shape = _as_signs(xi).shape
+        n = shape[-1]
         if self.density is None:
-            eps = np.ones(n, dtype=np.int8)
-            eps[[k - 1 for k in self.steps if k <= n]] = -1
-            return eps
+            out = np.ones(shape, dtype=np.int8)
+            out[..., [k - 1 for k in self.steps if k <= n]] = -1
+            return out
         a, b = self.density.numerator, self.density.denominator
         if n * a < 1 << 62:
             floors = np.arange(n + 1, dtype=np.int64) * a // b
         else:  # products beyond int64: exact python integers
             floors = np.array([k * a // b for k in range(n + 1)], dtype=object)
-        return _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
+        out = np.empty(shape, dtype=np.int8)  # every row's signs are the same
+        out[...] = _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
+        return out
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
         return TruthTable.constant(_table_arity(step, cap), self.epsilon(step))
@@ -748,15 +796,18 @@ class ExplicitRule(RecyclingRule):
         # no fallback every step is evaluated, and psi raises at the first
         # step without a definition
         arr = _as_signs(xi)
+        n = arr.shape[-1]
         if self.fallback is None:
-            out, steps = np.empty_like(arr), range(2, arr.size + 1)
+            out, steps = np.empty_like(arr), range(2, n + 1)
         else:
             out = self.fallback.multipliers(arr)
-            steps = sorted(s for s in {*self.tables, *self.families} if s <= arr.size)
-        out[:1] = self.psi0
-        u = arr[:steps[-1]].tolist() if steps else []
-        for step in steps:
-            out[step - 1] = self.psi(step - 1, u)
+            steps = sorted(s for s in {*self.tables, *self.families} if s <= n)
+        out[..., :1] = self.psi0
+        if steps:
+            for row in np.ndindex(arr.shape[:-1]):
+                u, psi = arr[row][:steps[-1]].tolist(), out[row]
+                for step in steps:
+                    psi[step - 1] = self.psi(step - 1, u)
         return out
 
     def step_table(self, step, cap=DEFAULT_ENUM_CAP):
@@ -806,9 +857,7 @@ class RandomRule(RecyclingRule):
             return TruthTable.constant(0, self.psi0)
         if step not in self._tables:
             arity = _table_arity(step, cap)
-            rng = np.random.Generator(
-                np.random.Philox(key=[self.seed & (2**64 - 1), step])
-            )
+            rng = np.random.Generator(philox(stream_key(self.seed, step)))
             bits = rng.integers(0, 2, size=1 << arity, dtype=np.uint8)
             if self.force_full is not None:
                 parity = int(bits.sum()) & 1
@@ -823,12 +872,14 @@ class RandomRule(RecyclingRule):
     def multipliers(self, xi):
         arr = _as_signs(xi)
         out = np.empty_like(arr)
-        out[:1] = self.psi0
-        mask = 0  # -1 bitmask of the prefix xi_1..xi_{step-1}
-        for step, x in enumerate(arr[:-1].tolist(), start=2):
-            if x < 0:
-                mask |= 1 << (step - 2)
-            out[step - 1] = self.step_table(step).signs[mask]
+        out[..., :1] = self.psi0
+        for row in np.ndindex(arr.shape[:-1]):
+            psi = out[row]
+            mask = 0  # -1 bitmask of the prefix xi_1..xi_{step-1}
+            for step, x in enumerate(arr[row][:-1].tolist(), start=2):
+                if x < 0:
+                    mask |= 1 << (step - 2)
+                psi[step - 1] = self.step_table(step).signs[mask]
         return out
 
 

@@ -5,6 +5,13 @@ covariation (1/n) sum_{k <= nt} xi_k eta_k, a piecewise-constant series
 with plus-or-minus 1/n jumps.  Its terminal value concentrates at the
 correlation rho in the Gaussian regime and follows the arcsine-derived law
 under the sign rule.
+
+Monte Carlo runs its replicates in blocks of ``BLOCK_STEPS`` steps (one
+replicate when a path is longer): each block is one draw of a (rows, n)
+int8 array from ``SeedSpec.increment_block`` and one call of the rule's
+kernel, which takes increments of shape (..., n) with time on the last
+axis.  Replicate r always reads its own stream, so the results do not
+depend on the blocking.
 """
 
 from __future__ import annotations
@@ -17,9 +24,17 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import kolmogorov
 
+from .philox import philox, raw_words, stream_key
 from .rules import LevyRule, RecyclingRule
 
-_MASK64 = (1 << 64) - 1
+#: Steps per block of Monte Carlo replicates.  A path of more steps is a
+#: block of its own, so long paths (1e5 steps) cost what they did one at a
+#: time, in memory and in work per kernel call.
+BLOCK_STEPS = 1 << 16
+#: Blocks of more rows count their -1 multipliers along the time axis in one
+#: call; smaller blocks, of paths of about 2,000 steps and more, count row by
+#: row, where numpy's flat count is some five times faster per step.
+_AXIS_COUNT_MIN_ROWS = 32
 
 #: Default evaluation grid for covariation series: 101 equispaced times.
 DEFAULT_GRID_POINTS = 101
@@ -29,15 +44,16 @@ DEFAULT_GRID_POINTS = 101
 class SeedSpec:
     """Counter-based stream key: (master seed, replicate id) -> Philox stream.
 
-    Identical (master, replicate) pairs reproduce identical draws bit for
-    bit, and distinct replicates get statistically independent streams.
+    Both are taken mod 2**64, so -1 and 2**64 - 1 name one stream.
+    Identical pairs reproduce identical draws bit for bit, and distinct
+    replicates get statistically independent streams.
     """
 
     master: int
     replicate: int = 0
 
     def bit_generator(self) -> np.random.Philox:
-        return np.random.Philox(key=[self.master & _MASK64, self.replicate & _MASK64])
+        return philox(stream_key(self.master, self.replicate))
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(self.bit_generator())
@@ -52,11 +68,16 @@ class SeedSpec:
         significant bit first; a set bit is a -1 increment.  A shorter
         draw is a prefix of a longer one.
         """
+        return self.increment_block(1, n)[0]
+
+    def increment_block(self, rows: int, n: int) -> np.ndarray:
+        """(rows, n) int8: row r holds ``increments(n)`` of replicate
+        ``replicate + r``."""
         if n < 0:
             raise ValueError("number of increments must be >= 0")
-        words = self.bit_generator().random_raw(-(-n // 64))
+        words = raw_words(self.master, self.replicate, rows, -(-n // 64))
         bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                             count=n, bitorder="little")
+                             axis=-1, count=n, bitorder="little")
         xi = bits.view(np.int8)
         xi *= -2
         xi += 1
@@ -172,18 +193,28 @@ def _summarize(final_sums: np.ndarray, n: int, bins: int = 41,
 def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
                    reference_cdf: Callable[[np.ndarray], np.ndarray] | None = None
                    ) -> MonteCarloSummary:
-    """Terminal covariation over independent replicates, one stream each.
+    """Terminal covariation over independent replicates 0..reps-1 of the
+    seed's master, one stream each.
 
     Since xi_k eta_k = psi_{k-1} xi_k**2 = psi_{k-1}, each replicate's sum is
     the sum of the rule's multipliers, n minus twice the number of -1s; eta
-    is never formed.
+    is never formed.  Replicates run in blocks of ``BLOCK_STEPS`` steps, one
+    draw and one kernel call each.
     """
+    if n < 1:
+        raise ValueError("path length must be >= 1")
     if reps < 2:
         raise ValueError("need at least two replicates")
+    rows = max(1, BLOCK_STEPS // n)
     sums = np.empty(reps, dtype=np.int64)
-    for r in range(reps):
-        xi = seed.with_replicate(r).increments(n)
-        sums[r] = n - 2 * np.count_nonzero(rule.multipliers(xi) < 0)
+    for first in range(0, reps, rows):
+        xi = seed.with_replicate(first).increment_block(min(rows, reps - first), n)
+        minus = rule.multipliers(xi) < 0
+        if len(minus) > _AXIS_COUNT_MIN_ROWS:
+            counts = np.count_nonzero(minus, axis=-1)
+        else:
+            counts = [np.count_nonzero(row) for row in minus]
+        sums[first:first + len(minus)] = n - 2 * np.asarray(counts)
     return _summarize(sums, n, reference_cdf=reference_cdf)
 
 

@@ -63,6 +63,13 @@ def test_subset_max_out_of_range():
         subset_max([1, 1], S(3))
 
 
+def test_negative_masks_are_rejected():
+    with pytest.raises(ValueError, match="^mask -1 is negative$"):
+        subset_max([1, -1], -1)
+    with pytest.raises(ValueError, match="^mask -2 is negative$"):
+        linearize_product([S(1), -2])
+
+
 # ---------------------------------------------------------------------------
 # Family evaluation
 

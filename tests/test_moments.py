@@ -54,6 +54,15 @@ def test_q_values():
     assert q(S(5)) == Fraction(1, 2)
 
 
+def test_negative_masks_are_rejected():
+    with pytest.raises(ValueError, match="^mask -1 is negative$"):
+        q(-1)
+    with pytest.raises(ValueError, match="^mask -1 is negative$"):
+        expected_product([-1])
+    with pytest.raises(ValueError, match="^mask -3 is negative$"):
+        expected_product([-3, 5, 6])
+
+
 @given(index_sets, index_sets)
 def test_q_multiplicativity(m1, m2):
     assert q(m1 | m2) * q(m1 & m2) == q(m1) * q(m2)

@@ -608,8 +608,10 @@ COMPARISONS = (np.less_equal, np.less, np.greater, np.greater_equal)
 
 
 def scan_paths(n):
-    """Constant, alternating and random paths of n steps, and paths whose walk
-    sits at +-8 and +-9, where the packed walk clips, across byte starts."""
+    """Constant, alternating and random paths of n steps, paths whose walk
+    sits at +-8 and +-9, where the packed walk clips, across byte starts,
+    and paths that climb to +-64 and beyond, where it clips word starts,
+    and run straight back."""
     rng = np.random.default_rng(n)
     paths = [np.full(n, -1, dtype=np.int8), np.full(n, 1, dtype=np.int8),
              np.resize(signs(1, -1), n), np.resize(signs(-1, 1), n),
@@ -620,6 +622,10 @@ def scan_paths(n):
                 path = np.resize(wobble, n)
                 path[:lead] = sign
                 paths.append(path)
+        for climb in (63, 64, 65, 128):
+            path = np.full(n, -sign, dtype=np.int8)
+            path[:climb] = sign
+            paths.append(path)
     return paths
 
 
@@ -699,6 +705,63 @@ def test_sign_of_walk_kernels_match_the_step_function(rule):
         walk = np.concatenate(([0], np.cumsum(xi[:-1], dtype=np.int64)))
         expected = rule.f.vectorized(walk / np.sqrt(np.arange(1, xi.size + 1)))
         assert np.array_equal(rule.multipliers(xi), expected)
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+def test_scans_of_a_block_are_the_scans_of_its_rows(n):
+    block = np.stack(scan_paths(n))
+    for parity in (rules._packed_parity, rules._accumulated_parity):
+        got = parity(block)
+        assert got.shape == (len(block), n + 1)
+        for row, xi in zip(got, block):
+            assert np.array_equal(row, parity(xi))
+    for flags in (rules._packed_walk_flags, rules._summed_walk_flags):
+        for op in COMPARISONS:
+            got = flags(block, op)
+            assert got.shape == block.shape
+            for row, xi in zip(got, block):
+                assert np.array_equal(row, flags(xi, op))
+
+
+# ---------------------------------------------------------------------------
+# A block of paths, shape (..., n), is one kernel call
+
+BLOCK_RULES = [*ALL_BUILTINS, SignFlipRule([1, 2, 5, 64, CUTOFF]),
+               explicit_rule(4, ProductRule()), explicit_rule(5, WindowMaxRule(None)),
+               explicit_rule(6, None), *TABLE_RULES]
+BLOCK_LENGTHS = (1, 2, 63, 64, 65, CUTOFF - 1, CUTOFF + 1)
+
+
+def block_paths(shape, n):
+    """Random paths, all but the first and last with a leading run of -1
+    steps of its own length, where the prefix-max factors act, and the
+    last all -1."""
+    rng = np.random.default_rng(n)
+    block = 2 * rng.integers(0, 2, (*shape, n), dtype=np.int8) - 1
+    rows = block.reshape(-1, n)
+    for i, row in enumerate(rows[1:-1], start=1):
+        row[:3 * i] = -1
+        row[3 * i:3 * i + 1] = 1
+    if len(rows) > 1:
+        rows[-1] = -1
+    return block
+
+
+@pytest.mark.parametrize("rule", BLOCK_RULES, ids=_rule_id)
+def test_block_multipliers_are_the_multipliers_of_each_row(rule):
+    for n in {min(n, max_length(rule) or n) for n in BLOCK_LENGTHS}:
+        for shape in ((1,), (2,), (7,), (2, 3)):
+            block = block_paths(shape, n)
+            got = rule.multipliers(block)
+            assert got.dtype == np.int8 and got.shape == block.shape
+            for row in np.ndindex(shape):
+                assert np.array_equal(got[row], rule.multipliers(block[row]))
+
+
+def test_kernels_need_a_time_axis():
+    for rule in (ProductRule(), LevyRule(), RandomRule(1)):
+        with pytest.raises(ValueError, match="^increments need a time axis$"):
+            rule.multipliers(np.int8(1))
 
 
 # ---------------------------------------------------------------------------

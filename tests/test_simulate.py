@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbrw import rules, setseq
+from gbrw import rules, setseq, simulate
 from gbrw.algebra import BetaFamily
 from gbrw.dyadic import Dyadic
 from gbrw.ergodic import ergodic_repair
@@ -184,6 +184,53 @@ def test_mc_sums_match_the_plain_scans(rule, monkeypatch):
     packed = mc_covariation(rule, n, reps, seed).finals
     monkeypatch.setattr(rules, "PACKED_MIN_LENGTH", 1 << 62)
     assert np.array_equal(packed, mc_covariation(rule, n, reps, seed).finals)
+
+
+def per_replicate_sums(rule, n, reps, seed):
+    """The Monte Carlo loop one replicate at a time: the blocks' oracle."""
+    sums = np.empty(reps, dtype=np.int64)
+    for r in range(reps):
+        xi = seed.with_replicate(r).increments(n)
+        sums[r] = n - 2 * np.count_nonzero(rule.multipliers(xi) < 0)
+    return sums
+
+
+BLOCK_ORACLE_RULES = [
+    ProductRule(), LevyRule(), LevyRule(1), ModifiedLevyRule(), ModifiedLevyMaxRule(),
+    WindowMaxRule(None), WindowMaxRule(3), ExtendedBrwRule(setseq.prefix_fraction(0.5)),
+    ExplicitRule(-1, families={2: BetaFamily(2, [0, 0b1]), 4: BetaFamily(4, [0b101])},
+                 fallback=ProductRule()),
+    RandomRule(5), ergodic_repair(LevyRule()),
+]
+
+
+@pytest.mark.parametrize("rule", BLOCK_ORACLE_RULES, ids=lambda r: r.describe())
+@pytest.mark.parametrize("n, reps, block_steps", [
+    (20, 23, 100),        # blocks of 5 rows, the last of 3
+    (20, 550, None),      # one block; the vectorized draw
+    (1000, 150, None),    # blocks of 65, 65 and 20 rows
+    (5000, 30, None),     # blocks of 13 rows, counted row by row
+])
+def test_mc_blocks_match_the_per_replicate_loop(rule, n, reps, block_steps, monkeypatch):
+    if isinstance(rule, RandomRule) or rule.name.startswith("repair"):
+        n = min(n, 20)  # tables of 2^(k-1) entries at step k
+    if block_steps is not None:
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block_steps)
+    for seed in (SeedSpec(8), SeedSpec(2**63 + 8)):
+        summary = mc_covariation(rule, n, reps, seed)
+        assert np.array_equal(summary.finals, per_replicate_sums(rule, n, reps, seed) / n)
+
+
+def test_mc_blocks_keep_long_paths_one_per_call(monkeypatch):
+    # a path longer than a block is a block of its own
+    shapes = []
+    rule = LevyRule()
+    monkeypatch.setattr(rule, "multipliers",
+                        lambda xi, f=rule.multipliers: shapes.append(xi.shape) or f(xi))
+    mc_covariation(rule, simulate.BLOCK_STEPS + 1, 3, SeedSpec(1))
+    mc_covariation(rule, simulate.BLOCK_STEPS // 2, 5, SeedSpec(1))
+    half = simulate.BLOCK_STEPS // 2
+    assert shapes == [(1, half * 2 + 1)] * 3 + [(2, half), (2, half), (1, half)]
 
 
 def test_mc_window_two_close_to_half():
