@@ -28,19 +28,26 @@ import numpy as np
 
 from .dyadic import Dyadic
 
-#: Largest n for which 2**n state enumerations are attempted by default.
+#: Largest n for which 2**n state enumerations are attempted.
 DEFAULT_ENUM_CAP = 24
 #: Largest family size for which 2**|family| expansions are attempted.
 DEFAULT_EXPANSION_CAP = 20
 
 
 class CapacityError(RuntimeError):
-    """An enumeration would exceed the configured size cap."""
+    """An enumeration would exceed its size cap."""
 
 
-def check_enum_cap(n: int, cap: int = DEFAULT_ENUM_CAP, what: str = "input arity"):
-    if n > cap:
-        raise CapacityError(f"{what} {n} exceeds enumeration cap {cap}")
+# The two checks read the caps when called, so every table and expansion in
+# the package is held to the module's one value of each.
+def check_enum_cap(n: int, what: str):
+    if n > DEFAULT_ENUM_CAP:
+        raise CapacityError(f"{what} {n} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
+
+
+def check_expansion_cap(n: int, what: str):
+    if n > DEFAULT_EXPANSION_CAP:
+        raise CapacityError(f"{what} {n} exceeds expansion cap {DEFAULT_EXPANSION_CAP}")
 
 
 def mask_of(u: Sequence[int]) -> int:
@@ -115,9 +122,8 @@ class TruthTable:
         return cls(arity, np.full(1 << arity, value, dtype=np.int8))
 
     @classmethod
-    def from_function(cls, arity: int, fn: Callable[[tuple[int, ...]], int],
-                      cap: int = DEFAULT_ENUM_CAP) -> "TruthTable":
-        check_enum_cap(arity, cap, "truth table arity")
+    def from_function(cls, arity: int, fn: Callable[[tuple[int, ...]], int]) -> "TruthTable":
+        check_enum_cap(arity, "truth table arity")
         signs = np.empty(1 << arity, dtype=np.int8)
         for mask in range(1 << arity):
             u = tuple(-1 if (mask >> k) & 1 else 1 for k in range(arity))
@@ -316,9 +322,9 @@ def truth_to_beta(table: TruthTable) -> BetaFamily:
     return BetaFamily(table.arity + 1, np.flatnonzero(coeffs).tolist())
 
 
-def beta_to_truth(family: BetaFamily, cap: int = DEFAULT_ENUM_CAP) -> TruthTable:
+def beta_to_truth(family: BetaFamily) -> TruthTable:
     """Materialize the sign table of the family's product over all inputs."""
-    check_enum_cap(family.arity, cap, "truth table arity")
+    check_enum_cap(family.arity, "truth table arity")
     bits = subset_xor_transform(family.indicator_bits())
     return TruthTable.from_neg_bits(bits)
 
@@ -364,7 +370,7 @@ class LinearExpansion:
 
         The value at input mask m is numerators[m] / 2**exponent.
         """
-        check_enum_cap(n, what="expansion evaluation arity")
+        check_enum_cap(n, "expansion evaluation arity")
         exp = max([self.constant.exponent] + [c.exponent for _, c in self.terms],
                   default=0)
         masks = np.arange(1 << n, dtype=np.int64)
@@ -401,15 +407,13 @@ def linearize_product(masks: Sequence[int]) -> LinearExpansion:
                            tuple((m, coeffs[m]) for m in sorted_masks(list(coeffs))))
 
 
-def expand_family(family: BetaFamily,
-                  cap: int = DEFAULT_EXPANSION_CAP) -> LinearExpansion:
+def expand_family(family: BetaFamily) -> LinearExpansion:
     """Affine expansion of the family's product over blocks u_[<H>].
 
     Terms are indexed by sub-collections H of the family, each contributing
     coefficient -(1/2)(-2)^|H| on the block of the union of H.
     """
-    if len(family) > cap:
-        raise CapacityError(f"family size {len(family)} exceeds expansion cap {cap}")
+    check_expansion_cap(len(family), "family size")
     return linearize_product(family.masks)
 
 
@@ -556,7 +560,7 @@ def symmetric_profile_to_levels(profile: Sequence[int]) -> np.ndarray:
 def level_family(step: int, levels: Sequence[int]) -> BetaFamily:
     """Family containing every subset of {1..step-1} whose size has a set level bit."""
     n = step - 1
-    check_enum_cap(n, what="level family arity")
+    check_enum_cap(n, "level family arity")
     active = [j for j, bit in enumerate(levels) if bit]
     if any(j > n for j in active):
         raise ValueError("level index exceeds arity")

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_ENUM_CAP,
-    BetaFamily,
-    binomial_parity,
-    check_enum_cap,
-    level_family,
-)
+from .algebra import BetaFamily, binomial_parity, check_enum_cap, level_family
 from .rules import PrefixMaxRule, RecyclingRule, sgn_truth_table
 
 __all__ = [
@@ -43,19 +37,18 @@ __all__ = [
 CLOSED_FORM_ERGODIC = ("max", "modified-levy", "modified-levy-max")
 
 
-def rule_permutation(rule: RecyclingRule, n: int,
-                     cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def rule_permutation(rule: RecyclingRule, n: int) -> np.ndarray:
     """The map tau_n as a permutation of input bitmasks.
 
     Output bit k-1 of entry m is the sign bit of eta_k on the input encoded
     by m; built from the per-step tables with one vectorized pass per step.
     """
-    check_enum_cap(n, cap, "state space exponent")
+    check_enum_cap(n, "state space exponent")
     out = np.arange(1 << n, dtype=np.int64)
     for k in range(1, n + 1):
         # eta_k is -1 where u_k is -1 or the multiplier is, not both; the
         # multiplier reads the k-1 low bits, so its table repeats along out
-        flips = np.tile(rule.step_table(k, cap).signs < 0, 1 << (n - k + 1))
+        flips = np.tile(rule.step_table(k).signs < 0, 1 << (n - k + 1))
         out ^= flips.astype(np.int64) << (k - 1)
     return out
 
@@ -76,10 +69,9 @@ class OrbitDecomposition:
         return self.cycles == (1 << self.n,)
 
 
-def orbit_decompose(rule: RecyclingRule, n: int,
-                    cap: int = DEFAULT_ENUM_CAP) -> OrbitDecomposition:
+def orbit_decompose(rule: RecyclingRule, n: int) -> OrbitDecomposition:
     """Full cycle structure of tau_n by visited-flag traversal."""
-    perm = rule_permutation(rule, n, cap)
+    perm = rule_permutation(rule, n)
     size = perm.size
     visited = np.zeros(size, dtype=bool)
     cycles = []
@@ -97,21 +89,19 @@ def orbit_decompose(rule: RecyclingRule, n: int,
     return OrbitDecomposition(n=n, cycles=tuple(cycles))
 
 
-def criterion_product(rule: RecyclingRule, n: int,
-                      cap: int = DEFAULT_ENUM_CAP) -> int:
+def criterion_product(rule: RecyclingRule, n: int) -> int:
     """Product of psi_n over all 2**n inputs; -1 at every n means ergodic."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = rule.step_table(n + 1, cap)
+    table = rule.step_table(n + 1)
     return -1 if table.negatives_parity() else 1
 
 
-def criterion_beta(rule: RecyclingRule, n: int,
-                   cap: int = DEFAULT_ENUM_CAP) -> int:
+def criterion_beta(rule: RecyclingRule, n: int) -> int:
     """Full-set coefficient beta_{n+1,{1..n}} of the step-(n+1) multiplier."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return int(rule.step_family(n + 1, cap).contains_full_set)
+    return int(rule.step_family(n + 1).contains_full_set)
 
 
 @dataclass(frozen=True)
@@ -131,8 +121,7 @@ class ErgodicityVerdict:
     closed_form: bool = False
 
 
-def is_ergodic_up_to(rule: RecyclingRule, horizon: int,
-                     cap: int = DEFAULT_ENUM_CAP) -> ErgodicityVerdict:
+def is_ergodic_up_to(rule: RecyclingRule, horizon: int) -> ErgodicityVerdict:
     """Check psi0 = -1 and the product criterion for n = 1..horizon."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -144,7 +133,7 @@ def is_ergodic_up_to(rule: RecyclingRule, horizon: int,
             failure_value=rule.psi0,
         )
     for n in range(1, horizon + 1):
-        value = criterion_product(rule, n, cap)
+        value = criterion_product(rule, n)
         if value != -1:
             return ErgodicityVerdict(
                 checked_up_to=horizon,
@@ -233,15 +222,14 @@ class RepairedRule(PrefixMaxRule):
     each arity where the inner rule fails the product criterion (the factor
     flips exactly the full-set coefficient)."""
 
-    def __init__(self, inner: RecyclingRule, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, inner: RecyclingRule):
         super().__init__(inner, f"repair({inner.name})")
-        self.cap = cap
         self._needs_flip: dict[int, bool] = {}
 
     def needs_flip(self, n: int) -> bool:
         """True when the inner rule fails the criterion at step multiplier n."""
         if n not in self._needs_flip:
-            self._needs_flip[n] = criterion_product(self.inner, n, self.cap) != -1
+            self._needs_flip[n] = criterion_product(self.inner, n) != -1
         return self._needs_flip[n]
 
     def flips(self, arities):
@@ -255,13 +243,12 @@ class RepairedRule(PrefixMaxRule):
         return self._needs_flip[n]
 
 
-def ergodic_repair(rule: RecyclingRule, horizon: int = 0,
-                   cap: int = DEFAULT_ENUM_CAP) -> RepairedRule:
+def ergodic_repair(rule: RecyclingRule, horizon: int = 0) -> RepairedRule:
     """Wrap a rule so every single-orbit criterion holds.
 
     ``horizon`` is checked against the cap up front, so that a horizon
     whose tables exceed it fails before any is built.  Each repair decision
     is made on first use, from the one inner table that use builds.
     """
-    check_enum_cap(horizon, cap, f"step {horizon + 1}: rule table arity")
-    return RepairedRule(rule, cap)
+    check_enum_cap(horizon, f"step {horizon + 1}: rule table arity")
+    return RepairedRule(rule)

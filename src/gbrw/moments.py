@@ -25,10 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_EXPANSION_CAP,
     BetaFamily,
     CapacityError,
+    check_enum_cap,
+    check_expansion_cap,
     check_masks,
     mask_levels,
     union_table,
@@ -99,7 +99,7 @@ def _component_terms(union: int, members: list[int]) -> tuple[int, int]:
     return _subset_sum(members)
 
 
-def _product_terms(masks: Sequence[int], cap: int) -> tuple[int, int]:
+def _product_terms(masks: Sequence[int]) -> tuple[int, int]:
     """E[prod_K u_[K]] over member masks (bit k-1 for index k), as
     (numerator, exponent); the value is numerator / 2**exponent."""
     nonempty = [m for m in masks if m]
@@ -113,10 +113,7 @@ def _product_terms(masks: Sequence[int], cap: int) -> tuple[int, int]:
         return (0 if parity else sign), 0
     components = _components(nonempty)
     for _, members in components:
-        if len(members) > cap:
-            raise CapacityError(
-                f"overlap component of size {len(members)} exceeds expansion cap {cap}"
-            )
+        check_expansion_cap(len(members), "overlap component of size")
     numerator, exponent = sign, 0
     for union, members in components:
         num, exp = _component_terms(union, members)
@@ -125,8 +122,7 @@ def _product_terms(masks: Sequence[int], cap: int) -> tuple[int, int]:
     return numerator, exponent
 
 
-def expected_product(masks: Sequence[int],
-                     cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:
+def expected_product(masks: Sequence[int]) -> Dyadic:
     """Exact expectation of a product of increment maxima over the index
     sets of the masks (bit k-1 for index k).
 
@@ -136,30 +132,27 @@ def expected_product(masks: Sequence[int],
     the whole collection.
     """
     check_masks(masks)
-    return Dyadic(*_product_terms(masks, cap))
+    return Dyadic(*_product_terms(masks))
 
 
-def expected_zeta(family: BetaFamily, cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:
+def expected_zeta(family: BetaFamily) -> Dyadic:
     """E[zeta_{k-1}] for the multiplier encoded by the family."""
-    return Dyadic(*_product_terms(family.masks, cap))
+    return Dyadic(*_product_terms(family.masks))
 
 
-def expected_zeta_pair(fam_k: BetaFamily, fam_l: BetaFamily,
-                       cap: int = DEFAULT_EXPANSION_CAP) -> Dyadic:
+def expected_zeta_pair(fam_k: BetaFamily, fam_l: BetaFamily) -> Dyadic:
     """E[zeta_{k-1} zeta_{l-1}]; the two families contribute independently
     chosen sub-collections, which is the subset sum over their concatenation."""
-    return Dyadic(*_product_terms(fam_k.masks + fam_l.masks, cap))
+    return Dyadic(*_product_terms(fam_k.masks + fam_l.masks))
 
 
-def brute_force_expect(families: Sequence[BetaFamily],
-                       cap: int = DEFAULT_ENUM_CAP) -> Dyadic:
+def brute_force_expect(families: Sequence[BetaFamily]) -> Dyadic:
     """Oracle: average the product of family evaluations over all sign
     assignments of the joint index support."""
     support = functools.reduce(operator.or_, (m for f in families for m in f.masks), 0)
     bits = [b for b in range(support.bit_length()) if support >> b & 1]
     d = len(bits)
-    if d > cap:
-        raise CapacityError(f"joint support {d} exceeds enumeration cap {cap}")
+    check_enum_cap(d, "joint support")
     # relabel the support onto bits 0..d-1
     member_masks = [
         [sum(1 << i for i, b in enumerate(bits) if m >> b & 1) for m in fam.masks]
@@ -216,8 +209,7 @@ def _stabilized_tail(rho: list[Dyadic]) -> Dyadic | None:
     return None
 
 
-def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float,
-                       cap: int, expansion_cap: int
+def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float
                        ) -> tuple[MomentReport, list[tuple[int, ...]]]:
     """condition_A_partial, also returning the member masks of each step.
 
@@ -232,8 +224,8 @@ def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float,
     total, total_exp = 0, 0  # running sum total / 2**total_exp
     for k in range(1, horizon + 1):
         try:
-            masks = rule.step_family(k, cap).masks
-            num, exp = _product_terms(masks, expansion_cap)
+            masks = rule.step_family(k).masks
+            num, exp = _product_terms(masks)
         except CapacityError as exc:
             if str(exc).startswith(f"step {k}:"):
                 raise
@@ -266,21 +258,17 @@ def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float,
 
 
 def condition_A_partial(rule: RecyclingRule, horizon: int,
-                        tolerance: float = DEFAULT_TOLERANCE,
-                        cap: int = DEFAULT_ENUM_CAP,
-                        expansion_cap: int = DEFAULT_EXPANSION_CAP) -> MomentReport:
+                        tolerance: float = DEFAULT_TOLERANCE) -> MomentReport:
     """First-moment Cesaro scan: rho_k = E[zeta_{k-1}] for k <= horizon.
 
     Converged means the last half of the Cesaro sequence has range below the
     tolerance.
     """
-    return _first_moment_scan(rule, horizon, tolerance, cap, expansion_cap)[0]
+    return _first_moment_scan(rule, horizon, tolerance)[0]
 
 
 def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
                         tolerance: float = DEFAULT_TOLERANCE,
-                        cap: int = DEFAULT_ENUM_CAP,
-                        expansion_cap: int = DEFAULT_EXPANSION_CAP,
                         keep_grid: bool = False) -> MomentReport:
     """Second-moment scan: double Cesaro means of theta_{k,l} versus rho**2.
 
@@ -300,9 +288,7 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
     lands within the tolerance of the squared first-moment estimate,
     diverged when stable but away from it.
     """
-    report_a, step_masks = _first_moment_scan(
-        rule, horizon, tolerance, cap, expansion_cap
-    )
+    report_a, step_masks = _first_moment_scan(rule, horizon, tolerance)
     supports, parities, signs, plain = [], [], [], []
     for masks in step_masks:
         support = parity = 0
@@ -339,9 +325,7 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
                 exp = 0
             else:
                 try:
-                    num, exp = _product_terms(
-                        step_masks[i] + step_masks[j], expansion_cap
-                    )
+                    num, exp = _product_terms(step_masks[i] + step_masks[j])
                 except CapacityError as exc:
                     raise CapacityError(f"pair ({k},{l}): {exc}") from exc
             if exp > total_exp:

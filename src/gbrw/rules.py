@@ -21,9 +21,11 @@ lower and which are the packed scans' oracle.  Table-backed rules
 (explicit, random, repaired) start from an inner rule's kernel or a
 running prefix mask and look up only the steps they tabulate, row by row,
 so no rule re-reads its prefix at every step.  ``psi`` evaluates one
-multiplier and is the pointwise oracle of the kernels; ``step_table`` and
-``step_family`` give one step's truth table and beta coefficient family,
-in closed form where one is known.
+multiplier and is the pointwise oracle of the kernels.  ``step_table``
+gives one step's truth table, the psi0 constant at step 1 and otherwise a
+rule's ``table_signs`` once the arity is checked against the enumeration
+cap; ``step_family`` gives the beta coefficient family, in closed form
+where one is known.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ENUM_CAP,
     BetaFamily,
     TruthTable,
     beta_to_truth,
@@ -211,19 +212,13 @@ def first_plus(arr: np.ndarray) -> np.ndarray:
     return np.where((first > 0) | (arr[..., 0] > 0), first, n)
 
 
-def _table_arity(step: int, cap: int) -> int:
-    """Arity step - 1 of the multiplier table at ``step``, checked against the cap."""
-    check_enum_cap(step - 1, cap, f"step {step}: rule table arity")
-    return step - 1
-
-
 def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
     """Sign table of sgn(u_1 + ... + u_n) with the stated value at zero."""
-    return LevyRule(sgn0).step_table(n + 1, cap=n)
+    return LevyRule(sgn0).step_table(n + 1)
 
 
 class RecyclingRule:
-    """Base class; subclasses provide psi, multipliers and step_table."""
+    """Base class; subclasses provide psi, multipliers and table_signs."""
 
     name = "rule"
 
@@ -269,13 +264,21 @@ class RecyclingRule:
 
     # -- materialized views --------------------------------------------------
 
-    def step_table(self, step: int, cap: int = DEFAULT_ENUM_CAP) -> TruthTable:
+    def step_table(self, step: int) -> TruthTable:
         """Truth table (arity step-1) of the multiplier at ``step``."""
+        if step == 1:
+            return TruthTable.constant(0, self.psi0)
+        check_enum_cap(step - 1, f"step {step}: rule table arity")
+        return TruthTable(step - 1, self.table_signs(step))
+
+    def table_signs(self, step: int) -> np.ndarray:
+        """int8 signs of the multiplier at ``step`` >= 2 over the 2**(step-1)
+        input masks, for a step whose arity is within the cap."""
         raise NotImplementedError
 
-    def step_family(self, step: int, cap: int = DEFAULT_ENUM_CAP) -> BetaFamily:
+    def step_family(self, step: int) -> BetaFamily:
         """Beta family of the multiplier at ``step``."""
-        return truth_to_beta(self.step_table(step, cap))
+        return truth_to_beta(self.step_table(step))
 
     def describe(self) -> str:
         return f"{self.name} (psi0={self.psi0:+d})"
@@ -304,12 +307,10 @@ class ConstantRule(RecyclingRule):
         out[..., :1] = self.psi0
         return out
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        if step == 1:
-            return TruthTable.constant(0, self.psi0)
-        return TruthTable.constant(_table_arity(step, cap), self.value)
+    def table_signs(self, step):
+        return np.full(1 << (step - 1), self.value, dtype=np.int8)
 
-    def step_family(self, step, cap=DEFAULT_ENUM_CAP):
+    def step_family(self, step):
         value = self.psi0 if step == 1 else self.value
         return BetaFamily(step, [0] if value == -1 else [])
 
@@ -340,10 +341,10 @@ class ProductRule(RecyclingRule):
     def multipliers(self, xi):
         return _signs(minus_parity(_as_signs(xi))[..., :-1])
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        return TruthTable(step - 1, parity_signs(_table_arity(step, cap)))
+    def table_signs(self, step):
+        return parity_signs(step - 1)
 
-    def step_family(self, step, cap=DEFAULT_ENUM_CAP):
+    def step_family(self, step):
         return BetaFamily(step, [1 << j for j in range(step - 1)])
 
 
@@ -372,16 +373,15 @@ class ExtendedBrwRule(RecyclingRule):
         odd = minus_parity(arr)
         return _signs(odd[..., hi] ^ odd[..., lo - 1])
 
-    def step_family(self, step, cap=DEFAULT_ENUM_CAP):
+    def step_family(self, step):
         lo, hi = self._interval(step)
         return BetaFamily(step, [1 << (j - 1) for j in range(lo, hi + 1)])
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
+    def table_signs(self, step):
         # the parity table of M_k's bits, repeated below lo and tiled above hi
-        arity = _table_arity(step, cap)
         lo, hi = self._interval(step)
         signs = np.repeat(parity_signs(hi - lo + 1), 1 << (lo - 1))
-        return TruthTable(arity, np.tile(signs, 1 << (arity - hi)))
+        return np.tile(signs, 1 << (step - 1 - hi))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +437,14 @@ class WindowMaxRule(RecyclingRule):
             block[..., size:] &= block[..., :-size]
             size *= 2
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
+    def table_signs(self, step):
         # the window is the top bits of the arity, so an input is -1 on all
         # of it exactly when its mask is at least the window mask
-        signs = np.ones(1 << _table_arity(step, cap), dtype=np.int8)
+        signs = np.ones(1 << (step - 1), dtype=np.int8)
         signs[self.window_mask(step):] = -1
-        return TruthTable(step - 1, signs)
+        return signs
 
-    def step_family(self, step, cap=DEFAULT_ENUM_CAP):
+    def step_family(self, step):
         return BetaFamily(step, [self.window_mask(step)])
 
 
@@ -547,12 +547,12 @@ class SymmetricRule(RecyclingRule):
         z = (arity - 2.0 * nu) / self._scale(arity)
         return self.f.vectorized(z)
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
+    def table_signs(self, step):
         # -1 where an odd number of the levels at which the profile turns
         # (from +1 before level 0) are at most the count nu of -1 inputs.
         # The first comparison of the uint8 counts writes in place, so one
         # turn, the sign rule's, needs no wider or second array.
-        arity = _table_arity(step, cap)
+        arity = step - 1
         minus_at = (self.profile(step) < 0).tolist()
         turns = [nu for nu, (a, b) in enumerate(zip([False] + minus_at, minus_at)) if a != b]
         nu = mask_levels(arity)
@@ -561,10 +561,10 @@ class SymmetricRule(RecyclingRule):
         np.greater_equal(nu, turns[0] if turns else arity + 1, out=minus)
         for flags in later:
             minus ^= flags
-        return TruthTable(arity, _signs(minus))
+        return _signs(minus)
 
-    def step_family(self, step, cap=DEFAULT_ENUM_CAP):
-        check_enum_cap(step - 1, cap, "rule family arity")
+    def step_family(self, step):
+        check_enum_cap(step - 1, "rule family arity")
         return level_family(step, symmetric_profile_to_levels(self.profile(step)))
 
 
@@ -584,8 +584,6 @@ class PrefixMaxRule(RecyclingRule):
     the last entry of a table and, on a path, only the multipliers of the
     arities 1..first_plus, whose prefixes are all -1.
     """
-
-    cap = DEFAULT_ENUM_CAP
 
     def __init__(self, inner: RecyclingRule, name: str):
         super().__init__(-1)
@@ -616,16 +614,13 @@ class PrefixMaxRule(RecyclingRule):
                         where=self.flips(arities) & (arities <= last[..., None]))
         return out
 
-    def step_table(self, step, cap=None):
-        cap = self.cap if cap is None else cap
-        if step == 1:
-            return TruthTable.constant(0, -1)
-        table = self.inner.step_table(step, cap)
+    def table_signs(self, step):
+        table = self.inner.step_table(step)
         if not self._flips_table(step - 1, table):
-            return table
+            return table.signs
         signs = table.signs.copy()
         signs[-1] = -signs[-1]
-        return TruthTable(table.arity, signs)
+        return signs
 
     def _flips_table(self, n: int, inner_table: TruthTable) -> bool:
         """``flips`` at arity n, given the inner table at step n + 1."""
@@ -666,12 +661,9 @@ class _OneStepLate(RecyclingRule):
         out[..., :1] = self.psi0
         return out
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        if step == 1:
-            return TruthTable.constant(0, self.psi0)
+    def table_signs(self, step):
         # the last coordinate is not read: the inner table twice over
-        arity = _table_arity(step, cap)
-        return TruthTable(arity, np.tile(self.inner.step_table(step - 1, cap).signs, 2))
+        return np.tile(self.inner.step_table(step - 1).signs, 2)
 
 
 class ModifiedLevyMaxRule(PrefixMaxRule):
@@ -748,10 +740,10 @@ class SignFlipRule(RecyclingRule):
         out[...] = _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
         return out
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        return TruthTable.constant(_table_arity(step, cap), self.epsilon(step))
+    def table_signs(self, step):
+        return np.full(1 << (step - 1), self.epsilon(step), dtype=np.int8)
 
-    def step_family(self, step, cap=DEFAULT_ENUM_CAP):
+    def step_family(self, step):
         return BetaFamily(step, [0] if self.epsilon(step) == -1 else [])
 
 
@@ -810,23 +802,21 @@ class ExplicitRule(RecyclingRule):
                     psi[step - 1] = self.psi(step - 1, u)
         return out
 
-    def step_table(self, step, cap=DEFAULT_ENUM_CAP):
-        if step == 1:
-            return TruthTable.constant(0, self.psi0)
+    def table_signs(self, step):
         if step in self.tables:
-            return self.tables[step]
+            return self.tables[step].signs
         if step in self.families:
-            return beta_to_truth(self.families[step], cap)
-        return self._fallback_at(step).step_table(step, cap)
+            return beta_to_truth(self.families[step]).signs
+        return self._fallback_at(step).step_table(step).signs
 
-    def step_family(self, step, cap=DEFAULT_ENUM_CAP):
+    def step_family(self, step):
         if step == 1:
             return BetaFamily(1, [0] if self.psi0 == -1 else [])
         if step in self.families:
             return self.families[step]
         if step in self.tables:
             return truth_to_beta(self.tables[step])
-        return self._fallback_at(step).step_family(step, cap)
+        return self._fallback_at(step).step_family(step)
 
     def _fallback_at(self, step: int) -> RecyclingRule:
         if self.fallback is None:
@@ -842,29 +832,26 @@ class RandomRule(RecyclingRule):
     psi0 = -1) or certifiably non-ergodic (coefficient forced to zero).
     """
 
-    def __init__(self, seed: int, psi0: int = -1,
-                 force_full: bool | None = None, cap: int = DEFAULT_ENUM_CAP):
+    def __init__(self, seed: int, psi0: int = -1, force_full: bool | None = None):
         super().__init__(psi0)
         self.seed = int(seed)
         self.force_full = force_full
-        self.cap = cap
         self.name = f"random:{seed}"
         self._tables: dict[int, TruthTable] = {}
 
-    def step_table(self, step, cap=None):
-        cap = self.cap if cap is None else cap
-        if step == 1:
-            return TruthTable.constant(0, self.psi0)
+    def step_table(self, step):
         if step not in self._tables:
-            arity = _table_arity(step, cap)
-            rng = np.random.Generator(philox(stream_key(self.seed, step)))
-            bits = rng.integers(0, 2, size=1 << arity, dtype=np.uint8)
-            if self.force_full is not None:
-                parity = int(bits.sum()) & 1
-                if parity != int(self.force_full):
-                    bits[-1] ^= 1  # flips exactly the full-set coefficient
-            self._tables[step] = TruthTable.from_neg_bits(bits)
+            self._tables[step] = super().step_table(step)
         return self._tables[step]
+
+    def table_signs(self, step):
+        rng = np.random.Generator(philox(stream_key(self.seed, step)))
+        bits = rng.integers(0, 2, size=1 << (step - 1), dtype=np.uint8)
+        if self.force_full is not None:
+            parity = int(bits.sum()) & 1
+            if parity != int(self.force_full):
+                bits[-1] ^= 1  # flips exactly the full-set coefficient
+        return _signs(bits)
 
     def psi(self, n, u):
         return self.step_table(n + 1).sign(u[:n])

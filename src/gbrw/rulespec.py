@@ -96,29 +96,33 @@ def _parse_symmetric(parts: list[str]) -> SymmetricRule:
     return SymmetricRule(f, name="symmetric:" + ":".join(parts))
 
 
+#: Builtins without parameters: factories of sgn0, which only the sign
+#: rules read.
+_PARAMETERLESS = {
+    "identity": lambda sgn0: identity_rule(),
+    "negation": lambda sgn0: negation_rule(),
+    "brw": lambda sgn0: ProductRule(),
+    "product": lambda sgn0: ProductRule(),
+    "max": lambda sgn0: WindowMaxRule(None),
+    "levy": LevyRule,
+    "modified-levy": ModifiedLevyRule,
+    "modified-levy-max": ModifiedLevyMaxRule,
+}
+
+
 def make_builtin(spec: str, sgn0: int = -1) -> RecyclingRule:
     """Instantiate a builtin rule from its colon-separated name."""
     parts = spec.split(":")
     name, args = parts[0], parts[1:]
     try:
-        if name == "identity":
-            return identity_rule()
-        if name == "negation":
-            return negation_rule()
-        if name in ("brw", "product"):
-            return ProductRule()
-        if name == "max":
-            return WindowMaxRule(None)
+        if name in _PARAMETERLESS:
+            if args:
+                raise RuleSpecError(f"{name} takes no parameter")
+            return _PARAMETERLESS[name](sgn0)
         if name == "window-max":
             if len(args) != 1:
                 raise RuleSpecError("window-max takes one length parameter")
             return WindowMaxRule(int(args[0]))
-        if name == "levy":
-            return LevyRule(sgn0=sgn0)
-        if name == "modified-levy":
-            return ModifiedLevyRule(sgn0=sgn0)
-        if name == "modified-levy-max":
-            return ModifiedLevyMaxRule(sgn0=sgn0)
         if name == "extended-brw":
             return ExtendedBrwRule(_parse_set_sequence(args))
         if name == "sign-flips":

@@ -193,8 +193,8 @@ def _summarize(final_sums: np.ndarray, n: int, bins: int = 41,
 def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
                    reference_cdf: Callable[[np.ndarray], np.ndarray] | None = None
                    ) -> MonteCarloSummary:
-    """Terminal covariation over independent replicates 0..reps-1 of the
-    seed's master, one stream each.
+    """Terminal covariation over the replicates ``seed.replicate`` + 0 ..
+    reps - 1 of the seed's master, one independent stream each.
 
     Since xi_k eta_k = psi_{k-1} xi_k**2 = psi_{k-1}, each replicate's sum is
     the sum of the rule's multipliers, n minus twice the number of -1s; eta
@@ -208,8 +208,8 @@ def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
     rows = max(1, BLOCK_STEPS // n)
     sums = np.empty(reps, dtype=np.int64)
     for first in range(0, reps, rows):
-        xi = seed.with_replicate(first).increment_block(min(rows, reps - first), n)
-        minus = rule.multipliers(xi) < 0
+        block = seed.with_replicate(seed.replicate + first)
+        minus = rule.multipliers(block.increment_block(min(rows, reps - first), n)) < 0
         if len(minus) > _AXIS_COUNT_MIN_ROWS:
             counts = np.count_nonzero(minus, axis=-1)
         else:

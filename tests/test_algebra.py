@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbrw import algebra
 from gbrw.algebra import (
     BetaFamily,
     CapacityError,
@@ -137,7 +138,7 @@ def test_beta_to_truth_projection():
 
 def test_beta_to_truth_capacity():
     with pytest.raises(CapacityError):
-        beta_to_truth(BetaFamily(30), cap=24)
+        beta_to_truth(BetaFamily(30))
 
 
 def test_roundtrip_exhaustive_small():
@@ -280,10 +281,11 @@ def test_expand_family_agrees_with_evaluate():
         assert expansion.evaluate(u) == fam.evaluate(u)
 
 
-def test_expand_family_capacity():
+def test_expand_family_capacity(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_EXPANSION_CAP", 5)
     fam = BetaFamily(8, [S(k) for k in range(1, 8)])
-    with pytest.raises(CapacityError):
-        expand_family(fam, cap=5)
+    with pytest.raises(CapacityError, match="^family size 7 exceeds expansion cap 5$"):
+        expand_family(fam)
 
 
 @settings(max_examples=100, deadline=None)

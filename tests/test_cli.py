@@ -233,6 +233,12 @@ def test_bad_rule_spec_is_usage_error(capsys, tmp_path):
     assert "rule specification error" in err
 
 
+def test_builtin_parameter_on_a_parameterless_rule_is_usage_error(capsys):
+    code, _, err = run(["rules", "--rule", "builtin:max:3"], capsys)
+    assert code == 1
+    assert "max takes no parameter" in err
+
+
 def test_capacity_error_is_usage_error(capsys, tmp_path):
     code, _, err = run(
         ["convert", "--rule", "builtin:levy", "--step", "30", "--out", str(tmp_path)],

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gbrw.algebra import DEFAULT_ENUM_CAP, CapacityError, beta_to_truth, truth_to_beta
+from gbrw.algebra import CapacityError, beta_to_truth, truth_to_beta
 from gbrw.ergodic import (
     binomial_parity,
     criterion_beta,
@@ -356,9 +356,9 @@ def test_repair_builds_each_inner_table_once():
     built = collections.Counter()
     step_table = inner.step_table
 
-    def counted(step, cap=DEFAULT_ENUM_CAP):
+    def counted(step):
         built[step] += 1
-        return step_table(step, cap)
+        return step_table(step)
 
     inner.step_table = counted
     repaired = ergodic_repair(inner, horizon=12)
@@ -368,7 +368,7 @@ def test_repair_builds_each_inner_table_once():
 
 def test_repair_horizon_is_checked_before_any_table():
     inner = LevyRule()
-    inner.step_table = lambda step, cap=DEFAULT_ENUM_CAP: pytest.fail("table built")
+    inner.step_table = lambda step: pytest.fail("table built")
     with pytest.raises(CapacityError,
                        match="step 26: rule table arity 25 exceeds enumeration cap 24"):
         ergodic_repair(inner, horizon=25)
@@ -400,6 +400,12 @@ def test_sgn_truth_table_matches_walk_sums(sgn0):
         sums = np.array([n - 2 * bin(m).count("1") for m in range(1 << n)])
         expected = np.where(sums > 0, 1, np.where(sums < 0, -1, sgn0))
         assert np.array_equal(sgn_truth_table(n, sgn0).signs, expected)
+
+
+def test_sgn_truth_table_keeps_to_the_cap():
+    with pytest.raises(CapacityError,
+                       match="^step 26: rule table arity 25 exceeds enumeration cap 24$"):
+        sgn_truth_table(25)
 
 
 def test_sgn_truth_table_rejects_bad_sgn0():

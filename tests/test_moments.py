@@ -29,7 +29,7 @@ from gbrw.rules import (
     WindowMaxRule,
     identity_rule,
 )
-from gbrw import setseq
+from gbrw import algebra, setseq
 
 def S(*indices):
     """The mask of the index set {indices} (bit k-1 for index k)."""
@@ -105,14 +105,16 @@ def test_brute_force_examples():
 
 def test_brute_force_capacity():
     fam = BetaFamily(30, [S(*range(1, 29))])
-    with pytest.raises(CapacityError):
-        brute_force_expect([fam], cap=24)
+    with pytest.raises(CapacityError, match="^joint support 28 exceeds enumeration cap 24$"):
+        brute_force_expect([fam])
 
 
-def test_expected_product_component_cap():
+def test_expected_product_component_cap(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_EXPANSION_CAP", 4)
     sets = [S(k, k + 1) for k in range(1, 9)]  # one chained component
-    with pytest.raises(CapacityError):
-        expected_product(sets, cap=4)
+    with pytest.raises(CapacityError,
+                       match="^overlap component of size 8 exceeds expansion cap 4$"):
+        expected_product(sets)
 
 
 families = st.lists(index_sets, max_size=5).map(
@@ -352,10 +354,10 @@ def test_lagged_rules_have_zero_moments():
             table = TruthTable(arity, _lagged_table(inner, arity))
             fams.append(truth_to_beta(table))
         fam_k, fam_l = fams
-        assert expected_zeta(fam_k, cap=24) == 0
-        assert expected_zeta(fam_l, cap=24) == 0
+        assert expected_zeta(fam_k) == 0
+        assert expected_zeta(fam_l) == 0
         assert brute_force_expect([fam_k, fam_l]) == 0
-        assert expected_zeta_pair(fam_k, fam_l, cap=24) == 0
+        assert expected_zeta_pair(fam_k, fam_l) == 0
 
 
 def _assert_grid_matches_pairs(rule, horizon, oracle_horizon=0):
@@ -411,11 +413,12 @@ def test_levy_capacity_message_unchanged():
         assert str(err.value) == message
 
 
-def test_table_capacity_message_names_the_step_once():
+def test_table_capacity_message_names_the_step_once(monkeypatch):
     # the table cap error already names its step; the scan adds no prefix
+    monkeypatch.setattr(algebra, "DEFAULT_ENUM_CAP", 3)
     for scan in (condition_A_partial, condition_B_partial):
         with pytest.raises(CapacityError) as err:
-            scan(ModifiedLevyRule(), 8, cap=3)
+            scan(ModifiedLevyRule(), 8)
         assert str(err.value) == "step 5: rule table arity 4 exceeds enumeration cap 3"
 
 
@@ -426,9 +429,9 @@ def test_levy_scan_fails_at_the_first_blocked_step():
     built = []
     step_family = rule.step_family
 
-    def recording(step, cap):
+    def recording(step):
         built.append(step)
-        return step_family(step, cap)
+        return step_family(step)
 
     rule.step_family = recording
     with pytest.raises(CapacityError) as err:
@@ -439,16 +442,17 @@ def test_levy_scan_fails_at_the_first_blocked_step():
     assert built == list(range(1, 8))
 
 
-def test_condition_b_pair_capacity_names_the_pair():
+def test_condition_b_pair_capacity_names_the_pair(monkeypatch):
     # each family fits the cap alone; their chains join into one component
+    monkeypatch.setattr(algebra, "DEFAULT_EXPANSION_CAP", 4)
     fams = {
         5: BetaFamily(5, [S(1, 2), S(2, 3), S(3, 4)]),
         8: BetaFamily(8, [S(4, 5), S(5, 6), S(6, 7)]),
     }
     rule = ExplicitRule(+1, families=fams, fallback=identity_rule())
-    condition_A_partial(rule, horizon=8, expansion_cap=4)
+    condition_A_partial(rule, horizon=8)
     with pytest.raises(CapacityError) as err:
-        condition_B_partial(rule, horizon=8, expansion_cap=4)
+        condition_B_partial(rule, horizon=8)
     assert str(err.value) == (
         "pair (5,8): overlap component of size 6 exceeds expansion cap 4"
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gbrw.algebra import (
     BetaFamily,
+    CapacityError,
     TruthTable,
     beta_to_truth,
 )
@@ -232,6 +233,25 @@ def test_apply_is_bijection_small(rule):
         for u in enumerate_inputs(n):
             images.add(tuple(int(v) for v in rule.apply(np.array(u, dtype=np.int8))))
         assert len(images) == 1 << n
+
+
+#: Every rule class: the builtins and the table-backed rules.
+VIEW_RULES = [*ALL_BUILTINS,
+              ExplicitRule(+1, families={2: BetaFamily(2, [0])}, fallback=ProductRule()),
+              RandomRule(5, psi0=+1), ergodic_repair(ProductRule())]
+
+
+@pytest.mark.parametrize("rule", VIEW_RULES, ids=lambda r: r.name)
+def test_step_one_table_is_the_psi0_constant(rule):
+    assert rule.step_table(1) == TruthTable.constant(0, rule.psi0)
+
+
+@pytest.mark.parametrize("rule", VIEW_RULES, ids=lambda r: r.name)
+def test_step_table_checks_the_cap_before_any_table(rule, monkeypatch):
+    monkeypatch.setattr(rule, "table_signs", lambda step: pytest.fail("table built"))
+    with pytest.raises(CapacityError,
+                       match="^step 26: rule table arity 25 exceeds enumeration cap 24$"):
+        rule.step_table(26)
 
 
 def test_builtin_table_families_known():

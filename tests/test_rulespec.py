@@ -45,6 +45,15 @@ def test_make_builtin_errors():
         make_builtin("extended-brw:prefix-log:3")
 
 
+@pytest.mark.parametrize("name", ["identity", "negation", "brw", "product", "max",
+                                  "levy", "modified-levy", "modified-levy-max"])
+def test_parameterless_builtins_reject_parameters(name):
+    # builtin:max:3 is not window-max:3, so a parameter is an error
+    for spec in (f"builtin:{name}:3", f"builtin:{name}:x"):
+        with pytest.raises(RuleSpecError, match=f"^{name} takes no parameter$"):
+            load_rule(spec)
+
+
 def test_symmetric_builtin():
     rule = make_builtin("symmetric:-1:0:1")
     assert rule.psi(2, [1, 1]) == 1

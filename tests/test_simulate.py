@@ -190,7 +190,7 @@ def per_replicate_sums(rule, n, reps, seed):
     """The Monte Carlo loop one replicate at a time: the blocks' oracle."""
     sums = np.empty(reps, dtype=np.int64)
     for r in range(reps):
-        xi = seed.with_replicate(r).increments(n)
+        xi = seed.with_replicate(seed.replicate + r).increments(n)
         sums[r] = n - 2 * np.count_nonzero(rule.multipliers(xi) < 0)
     return sums
 
@@ -219,6 +219,19 @@ def test_mc_blocks_match_the_per_replicate_loop(rule, n, reps, block_steps, monk
     for seed in (SeedSpec(8), SeedSpec(2**63 + 8)):
         summary = mc_covariation(rule, n, reps, seed)
         assert np.array_equal(summary.finals, per_replicate_sums(rule, n, reps, seed) / n)
+
+
+@pytest.mark.parametrize("block_steps", [100, None])
+def test_mc_draws_from_the_seed_replicate_onward(block_steps, monkeypatch):
+    # every block draws from seed.replicate on, so two replicates of one
+    # master give two runs on distinct streams
+    if block_steps is not None:
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block_steps)
+    rule, n, reps = LevyRule(), 20, 12
+    finals = mc_covariation(rule, n, reps, SeedSpec(7, 11)).finals
+    paths = [SeedSpec(7, 11 + r).increments(n) for r in range(reps)]
+    assert np.array_equal(finals, [(xi * rule.apply(xi)).sum() / n for xi in paths])
+    assert not np.array_equal(finals, mc_covariation(rule, n, reps, SeedSpec(7, 0)).finals)
 
 
 def test_mc_blocks_keep_long_paths_one_per_call(monkeypatch):
