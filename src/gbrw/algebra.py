@@ -10,8 +10,8 @@ zeta transform.
 
 Index sets are int bitmasks throughout, bit k-1 standing for index k: a
 ``BetaFamily`` holds its members as one sorted tuple of masks, which the
-subset transform and the moment engine read directly, and
-``member_strings`` prints them.  Products of maxima expand over their
+subset transform and the moment engine read directly, and one numpy
+encoder, ``member_cells``, prints them.  Products of maxima expand over their
 sub-collections through one ``union_table``, which both the linearization
 here and the moment engine's subset sums read.
 """
@@ -265,32 +265,43 @@ class BetaFamily:
         return f"BetaFamily(step={self.step}, members=[{body}])"
 
 
-#: Each byte value bit-reversed, then complemented: equal-size index sets
-#: order lexicographically as their bit-reversed masks order descending, so
-#: the little-endian bytes of a mask mapped through this table sort ascending.
-_LEX_KEY = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+def _member_order(masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Order of the masks' index sets by size, then indices, and their bits in it
+    (column k-1 for index k).  Of two sets of one size, the one holding the first
+    index where they differ is first: the order of the bit-reversed bytes, negated."""
+    width = max(masks, default=0).bit_length()
+    size = (width + 7) // 8
+    flat = np.unpackbits(np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
+                                       np.uint8), bitorder="little")
+    bits = flat.reshape(len(masks), 8 * size)[:, :width]
+    keys = ~np.packbits(flat).reshape(len(masks), size).T[::-1].copy()
+    order = np.lexsort((*keys, np.count_nonzero(bits, axis=1)))
+    return order, bits[order]
 
 
 def sorted_masks(masks: Sequence[int]) -> list[int]:
     """The masks ordered as their index sets by size, then lexicographically."""
-    width = (max(masks, default=0).bit_length() + 7) // 8
-    ordered = sorted(masks, key=lambda m: m.to_bytes(width, "little").translate(_LEX_KEY))
-    ordered.sort(key=int.bit_count)  # stable, so each size keeps that order
-    return ordered
+    return [masks[i] for i in _member_order(masks)[0].tolist()]
+
+
+def member_cells(masks: Sequence[int]) -> np.ndarray:
+    """The index sets as "{i,j,...}" in an S-dtype array, in ``sorted_masks`` order:
+    rows of "{1,2,...,n," keep their indices' bytes, packed left, and "}" ends them."""
+    bits = _member_order(masks)[1]
+    ks = range(1, bits.shape[1] + 1)
+    text = np.frombuffer(("{" + "".join(f"{k}," for k in ks)).encode(), np.uint8)
+    cells = text * np.pad(bits, ((0, 0), (1, 0)), constant_values=1)[
+        :, [0, *(k for k in ks for _ in f"{k},")]]
+    lengths = np.count_nonzero(cells, axis=1)
+    packed = np.zeros((len(masks), max(lengths.max(initial=0), 2)), np.uint8)
+    packed[np.arange(packed.shape[1]) < lengths[:, None]] = cells[cells != 0]
+    packed[np.arange(len(masks)), np.maximum(lengths - 1, 1)] = ord("}")
+    return packed.view(f"S{packed.shape[1]}").ravel()
 
 
 def member_strings(masks: Sequence[int]) -> list[str]:
-    """The index sets of the masks as "{i,j,...}", in ``sorted_masks`` order.
-
-    Each mask is formatted from its bytes through a table of the fragment
-    every byte value gives at every byte position.
-    """
-    width = (max(masks, default=0).bit_length() + 7) // 8
-    fragments = [[",".join(str(8 * j + k + 1) for k in range(8) if b >> k & 1)
-                  for b in range(256)] for j in range(width)]
-    return ["{" + ",".join([f[b] for f, b in zip(fragments, m.to_bytes(width, "little"))
-                            if b]) + "}"
-            for m in sorted_masks(masks)]
+    """The index sets of the masks as "{i,j,...}", in ``sorted_masks`` order."""
+    return member_cells(masks).astype(str).tolist()
 
 
 # ---------------------------------------------------------------------------

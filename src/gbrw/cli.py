@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import CapacityError, beta_to_truth, member_strings, truth_to_beta
+from .algebra import CapacityError, beta_to_truth, member_cells, member_strings, truth_to_beta
 from .dyadic import Dyadic
 from .ergodic import (
     ergodic_repair,
@@ -102,10 +102,10 @@ def cmd_convert(args) -> int:
     table = rule.step_table(n + 1)
     family = rule.step_family(n + 1)
     roundtrip = beta_to_truth(truth_to_beta(table)) == table
-    members = member_strings(family.masks)
+    members = member_cells(family.masks)
     print(f"rule {rule.name}, multiplier {n} (a function of {n} increments)")
     if len(members) <= _PRINT_MAX:
-        print(f"beta members: {', '.join(members) or '(empty)'}")
+        print(f"beta members: {b', '.join(members.tolist()).decode() or '(empty)'}")
     else:
         print(f"beta members: {len(members)} (see beta_members.csv)")
     if table.signs.size <= _PRINT_MAX:

@@ -3,9 +3,9 @@
 Files are written atomically (temp file then rename) and get the mode a
 newly created file gets under the process umask.  CSV tables are given
 column by column and written with a header row, ``\\n`` line ends and
-``csv.QUOTE_MINIMAL`` quoting.  Floating-point columns carry 17 significant
-digits; exact dyadic values are serialized both as p/2^e strings and as
-decimal doubles.
+``csv.QUOTE_MINIMAL`` quoting.  Integer and S-dtype arrays are encoded in
+numpy as zero-padded byte matrices; floats (17 significant digits),
+``Fraction``, ``Dyadic`` (p/2^e) and text are formatted by ``format_value``.
 """
 
 from __future__ import annotations
@@ -24,15 +24,12 @@ import numpy as np
 #: takes while it is written.
 CHUNK_ROWS = 1 << 16
 
-#: Characters that make csv.QUOTE_MINIMAL quote a cell (with "\n" line ends).
-_MUST_QUOTE = re.compile(r'[,"\n]')
-
 
 def format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, Fraction):
+    if isinstance(value, (float, Fraction)):
         return f"{float(value):.17g}"
+    if isinstance(value, bytes):  # a cell of an S-dtype array
+        return value.decode()
     return str(value)  # a Dyadic prints as p/2^e
 
 
@@ -60,51 +57,64 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
         raise
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` quoted as csv.QUOTE_MINIMAL quotes a cell."""
-    if _MUST_QUOTE.search(text):
-        return '"' + text.replace('"', '""') + '"'
-    if "\r" in text:  # quoted by some Python versions only: let csv decide
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerow((text,))
-        return buffer.getvalue()[:-1]
-    return text
-
-
-def _int_cells(column: np.ndarray) -> list[str]:
-    """Cells of an integer array, looked up in a table of its distinct values."""
-    lo, hi = int(column.min()), int(column.max())
-    if hi - lo <= 2 * column.size:
-        # offsets from lo, taken modulo 2**bits and read back unsigned
-        index = (column - column.dtype.type(lo)).view(f"u{column.itemsize}")
-        values = range(lo, hi + 1)
-    else:
-        values, index = np.unique(column, return_inverse=True)
-        values = values.tolist()
-    table = np.array([str(v) for v in values], dtype=object)
-    return table[index].tolist()
+#: Characters that csv.QUOTE_MINIMAL quotes a cell for, "\r" on the Python
+#: versions that quote it: writerow returns the length it wrote, 2 unquoted.
+_SPECIAL = ',"\n' + "\r" * (
+    csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) > 2)
+_MUST_QUOTE = re.compile(f"[{re.escape(_SPECIAL)}]")
 
 
 def _cells(column) -> list[str]:
     """Cells of one column as format_value writes them, quoted for csv."""
     if isinstance(column, np.ndarray) and column.size:
         if column.dtype.kind in "iu":
-            return _int_cells(column)
+            return list(map(str, column.tolist()))
         if column.dtype == np.float64:
             return list(map("{:.17g}".format, column.tolist()))
-    return [_csv_cell(v if type(v) is str else format_value(v)) for v in column]
+    return ['"' + t.replace('"', '""') + '"' if _MUST_QUOTE.search(t) else t
+            for t in (v if type(v) is str else format_value(v) for v in column)]
 
 
 def _lines(cells: list[list[str]]) -> bytes:
     """CSV lines of rows given as per-column cell lists."""
     if len(cells) == 1:  # csv quotes the cell of a one-field row when it is empty
         cells = [['""' if c == "" else c for c in cells[0]]]
-    # one join over the cells interleaved with their separators
-    stride = 2 * len(cells)
-    parts = ([","] * (stride - 1) + ["\n"]) * len(cells[0]) if cells else ["\n"]
-    for j, column in enumerate(cells):
-        parts[2 * j::stride] = column
-    return "".join(parts).encode("utf-8")
+    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
+
+
+def _int_field(column: np.ndarray) -> np.ndarray:
+    """Decimal cells of an integer array, right-aligned in a zero-padded matrix."""
+    mag = column.astype(np.uint64)
+    np.negative(mag, out=mag, where=(neg := column < 0))  # |v| mod 2**64: exact at -2**63
+    mag = mag.astype(np.min_scalar_type(top := int(mag.max())))
+    out = np.zeros((column.size, int(neg.any()) + len(str(top))), np.uint8)
+    for j in range(out.shape[1] - 1, -1, -1):  # units first; no leading zeros
+        tens = mag // 10
+        out[:, j] = (mag - tens * 10 + 48) * ((mag > 0) | (j == out.shape[1] - 1))
+        mag = tens
+    out[:, 0] |= neg.view(np.uint8) * 45  # the sign column has no digit
+    return out
+
+
+def _text_field(column: np.ndarray, alone: bool) -> np.ndarray:
+    """Cells of an S-dtype array without '"', csv-quoted in a zero-padded matrix."""
+    cells = np.ascontiguousarray(column).view(np.uint8).reshape(column.size, -1)
+    quote = np.isin(cells, list(_SPECIAL.encode())).any(axis=1) | (alone & ~cells.any(axis=1))
+    out = np.pad(cells, ((0, 0), (1, 1)))
+    out[quote, 0] = out[quote, -1] = ord('"')
+    return out
+
+
+def _rows(columns: list) -> bytes:
+    """CSV lines of one chunk: a zero-padded byte matrix where the columns allow."""
+    if not all(isinstance(c, np.ndarray) and (c.dtype.kind in "iu" or c.dtype.kind == "S"
+                                              and b'"' not in c.tobytes()) for c in columns):
+        return _lines([_cells(column) for column in columns])
+    comma = np.full((len(columns[0]), 1), ord(","), np.uint8)
+    buf = np.hstack([part for c in columns for part in (
+        _text_field(c, len(columns) == 1) if c.dtype.kind == "S" else _int_field(c), comma)])
+    buf[:, -1] = ord("\n")
+    return buf[buf != 0].tobytes()
 
 
 def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
@@ -122,10 +132,9 @@ def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
         raise ValueError("columns differ in length")
 
     def chunks():
-        yield _lines([[_csv_cell(format_value(name))] for name in header])
+        yield _lines([[cell] for cell in _cells(header)])
         for start in range(0, rows, CHUNK_ROWS):
-            stop = start + CHUNK_ROWS
-            yield _lines([_cells(column[start:stop]) for column in columns])
+            yield _rows([column[start:start + CHUNK_ROWS] for column in columns])
 
     _atomic_write(path, chunks())
 

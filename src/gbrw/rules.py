@@ -266,6 +266,8 @@ class RecyclingRule:
 
     def step_table(self, step: int) -> TruthTable:
         """Truth table (arity step-1) of the multiplier at ``step``."""
+        if step < 1:
+            raise ValueError("step must be >= 1")
         if step == 1:
             return TruthTable.constant(0, self.psi0)
         check_enum_cap(step - 1, f"step {step}: rule table arity")

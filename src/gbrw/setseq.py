@@ -17,8 +17,8 @@ Bound = Callable[[np.ndarray], np.ndarray]
 class SetSequence:
     """A total map step k -> M_k = {lo(k), ..., hi(k)}, empty when hi(k) < lo(k).
 
-    ``lo`` and ``hi`` map an int64 array of steps to fresh int64 arrays of
-    the bounds at those steps.
+    ``lo`` and ``hi`` map an array of steps (int32 below 2**31 steps) to fresh
+    arrays of the bounds there, in its dtype; parameters are clipped to that.
     """
 
     def __init__(self, kind: str, lo: Bound, hi: Bound, params: str = ""):
@@ -34,7 +34,7 @@ class SetSequence:
     def bounds(self, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """lo, hi with M_k = {lo[k-1], ..., hi[k-1]} for k <= horizon; every
         empty set as lo = 1, hi = 0, so equal sets have equal bounds."""
-        k = np.arange(1, horizon + 1, dtype=np.int64)
+        k = np.arange(1, horizon + 1, dtype=np.int32 if horizon < 2 ** 31 else np.int64)
         lo, hi = self.lo(k), self.hi(k)
         empty = hi < lo
         bad = ~empty & ((lo < 1) | (hi >= k))
@@ -62,19 +62,19 @@ def _floor_power(k: np.ndarray, alpha: float) -> np.ndarray:
     power = k ** alpha
     near = np.flatnonzero(np.abs(power - np.rint(power)) <= 1e-12 * power)
     power[near] = [int(j) ** alpha for j in k[near]]
-    return power.astype(np.int64)
+    return power.astype(k.dtype)
 
 
 def prefix_fraction(lam: float) -> SetSequence:
     """M_k = {1, ..., floor(lam * k)} clipped to {1,...,k-1}."""
     if not 0 < lam < 1:
         raise ValueError("lam must lie strictly between 0 and 1")
-    return _prefix("prefix", lambda k: (lam * k).astype(np.int64), f"{lam:g}")
+    return _prefix("prefix", lambda k: (lam * k).astype(k.dtype), f"{lam:g}")
 
 
 def prefix_log() -> SetSequence:
     """M_k = {1, ..., floor(ln k)}."""
-    return _prefix("prefix-log", lambda k: np.log(k).astype(np.int64))
+    return _prefix("prefix-log", lambda k: np.log(k).astype(k.dtype))
 
 
 def prefix_power(alpha: float) -> SetSequence:
@@ -88,14 +88,12 @@ def capped_prefix(m: int) -> SetSequence:
     """M_k = {1, ..., min(m, k-1)}; constant {1,...,m} once k > m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    cap = min(m, np.iinfo(np.int64).max)  # the same sets: no step exceeds int64
-    return _prefix("capped", lambda k: np.full_like(k, cap), str(m))
+    return _prefix("capped", lambda k: np.full_like(k, min(m, np.iinfo(k.dtype).max)), str(m))
 
 
 def sliding_window(m: int) -> SetSequence:
     """M_k = {k-m, ..., k-1}, truncated at 1 for the first steps."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    cap = min(m, np.iinfo(np.int64).max)  # the same sets: no step exceeds int64
-    return SetSequence("window", lambda k: np.maximum(k - cap, 1), lambda k: k - 1,
-                       str(m))
+    return SetSequence("window", lambda k: np.maximum(k - min(m, np.iinfo(k.dtype).max), 1),
+                       lambda k: k - 1, str(m))

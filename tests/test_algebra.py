@@ -18,6 +18,7 @@ from gbrw.algebra import (
     family_levels,
     level_family,
     linearize_product,
+    member_cells,
     member_strings,
     sorted_masks,
     subset_max,
@@ -459,6 +460,33 @@ wide_family_cases = st.integers(min_value=0, max_value=200).flatmap(
 )
 
 
+#: Each byte value bit-reversed, then complemented: equal-size index sets
+#: order lexicographically as their bit-reversed masks order descending, so
+#: the little-endian bytes of a mask mapped through this table sort ascending.
+_LEX_KEY = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def python_sorted_masks(masks):
+    """The masks ordered by size, then lexicographically, as Python sorts keep
+    them: a second oracle for the numpy encoder's lexsort."""
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    ordered = sorted(masks, key=lambda m: m.to_bytes(width, "little").translate(_LEX_KEY))
+    ordered.sort(key=int.bit_count)  # stable, so each size keeps that order
+    return ordered
+
+
+def python_member_strings(masks):
+    """The members in python_sorted_masks order, formatted from each mask's
+    bytes through a table of the fragment every byte value gives at every
+    byte position."""
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    fragments = [[",".join(str(8 * j + k + 1) for k in range(8) if b >> k & 1)
+                  for b in range(256)] for j in range(width)]
+    return ["{" + ",".join([f[b] for f, b in zip(fragments, m.to_bytes(width, "little"))
+                            if b]) + "}"
+            for m in python_sorted_masks(masks)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(family_cases, wide_family_cases))
 def test_sorted_members_by_size_then_indices(case):
@@ -467,10 +495,16 @@ def test_sorted_members_by_size_then_indices(case):
     # the oracle: sort by (size, indices), print as "{i,j,...}"
     indices = {m: _indices(m, arity) for m in fam.masks}
     expected = sorted(fam.masks, key=lambda m: (len(indices[m]), indices[m]))
-    assert sorted_masks(fam.masks) == expected
-    # the mask formatter prints the same strings in the same order
-    assert member_strings(fam.masks) == [
-        "{" + ",".join(map(str, indices[m])) + "}" for m in expected]
+    assert sorted_masks(fam.masks) == expected == python_sorted_masks(fam.masks)
+    # the numpy encoder prints the same strings in the same order
+    strings = ["{" + ",".join(map(str, indices[m])) + "}" for m in expected]
+    assert member_strings(fam.masks) == strings == python_member_strings(fam.masks)
+    cells = member_cells(fam.masks)
+    assert cells.dtype.kind == "S" and cells.tolist() == [t.encode() for t in strings]
+    # and so in any order of the masks given
+    shuffled = list(fam.masks[1::2]) + list(fam.masks[::2])
+    assert sorted_masks(shuffled) == expected
+    assert member_cells(shuffled).tolist() == cells.tolist()
 
 
 def test_sorted_members_differs_from_mask_order():
@@ -482,6 +516,7 @@ def test_sorted_members_differs_from_mask_order():
     assert member_strings(wide.masks) == [
         "{}", "{71}", "{1,3}", "{" + ",".join(map(str, range(1, 80))) + "}"]
     assert repr(BetaFamily(3, [])) == "BetaFamily(step=3, members=[])"
+    assert member_cells([]).size == 0 and member_cells([0]).tolist() == [b"{}"]
 
 
 def test_contains_full_set():

@@ -248,6 +248,16 @@ def test_capacity_error_is_usage_error(capsys, tmp_path):
     assert "capacity" in err
 
 
+def test_convert_rejects_a_step_below_one(capsys, tmp_path):
+    code, _, err = run(
+        ["convert", "--rule", "builtin:levy", "--step", "-1", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 1
+    assert err == "error: step must be >= 1\n"
+    assert not os.path.exists(tmp_path / "beta_members.csv")
+
+
 def test_selftest_passes(capsys, tmp_path):
     code, out, _ = run(["selftest", "--seed", "3", "--out", str(tmp_path)], capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,6 +245,13 @@ VIEW_RULES = [*ALL_BUILTINS,
 @pytest.mark.parametrize("rule", VIEW_RULES, ids=lambda r: r.name)
 def test_step_one_table_is_the_psi0_constant(rule):
     assert rule.step_table(1) == TruthTable.constant(0, rule.psi0)
+
+
+@pytest.mark.parametrize("rule", VIEW_RULES, ids=lambda r: r.name)
+def test_step_table_rejects_steps_below_one(rule):
+    for step in (0, -1):
+        with pytest.raises(ValueError, match="^step must be >= 1$"):
+            rule.step_table(step)
 
 
 @pytest.mark.parametrize("rule", VIEW_RULES, ids=lambda r: r.name)
@@ -499,6 +507,39 @@ def test_prefix_bounds_match_scalar_lengths(seq, length):
     lo, hi = seq.bounds(horizon)
     assert np.all(lo == 1)  # the empty M_1 included
     assert np.array_equal(hi, lengths)
+
+
+@pytest.mark.parametrize("seq", [seq for seq, _ in SCALAR_LENGTHS] + [
+    setseq.sliding_window(m) for m in (1, 5, 10 ** 30)], ids=lambda s: s.name)
+def test_bounds_are_int32_with_the_int64_sets(seq):
+    lo, hi = seq.bounds(5000)
+    assert lo.dtype == hi.dtype == np.int32
+    # the bound functions keep int64 steps, as bounds past 2**31 steps take
+    k = np.arange(1, 5001, dtype=np.int64)
+    lo64, hi64 = seq.lo(k), seq.hi(k)
+    assert lo64.dtype == hi64.dtype == np.int64
+    empty = hi64 < lo64
+    assert np.array_equal(np.where(empty, 1, lo64), lo)
+    assert np.array_equal(np.where(empty, 0, hi64), hi)
+
+
+def test_extended_brw_apply_peak_memory():
+    # int32 bounds: a peak of 20.0 bytes per step at n = 1e6 (numpy 2.4,
+    # x86-64), of which the float64 prefix lengths take 8; int64 bounds and
+    # temporaries took 40.0
+    n = 10 ** 6
+    xi = np.where(np.random.default_rng(5).random(n) < 0.5, -1, 1).astype(np.int8)
+    rule = ExtendedBrwRule(setseq.prefix_fraction(0.5))
+    tracemalloc.start()
+    try:
+        out = rule.apply(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n
+    odd = np.concatenate(([0], np.cumsum(xi < 0) & 1))
+    half = np.arange(1, n + 1) // 2
+    assert np.array_equal(out, xi * np.where(odd[np.minimum(half, np.arange(n))], -1, 1))
 
 
 @pytest.mark.parametrize("m", [1, 5, 10 ** 30])
