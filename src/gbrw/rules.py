@@ -5,27 +5,26 @@ A rule is a constant psi0 in {-1,+1} together with a sign function psi_n on
 eta_n = psi_{n-1}(xi_1, ..., xi_{n-1}) * xi_n, which replicates the law of
 xi and so defines a second simple random walk on the same filtration.
 
-Each rule states its whole-path behaviour once, in ``multipliers``: the
-int8 array psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}), which
-``apply`` multiplies by the increments.  A kernel takes a ``(..., n)``
-array with time on the last axis, so a block of replicate paths is one
-call; a single path is the case with no leading axes.  Builtins compute it
-in vectorized int8/bool passes.  The two prefix scans of the paper's Monte
-Carlo limits, the running -1 parity (running product, extended-brw) and
-the sign of the walk (the sign rule and its ergodic modifications), work
-on each path packed 64 steps to a word once it has ``PACKED_MIN_LENGTH``
-steps: a shift-XOR prefix inside each word with a carry across words, and
-a table that maps a byte and the walk at its start to the byte's eight
-signs.  Shorter paths take the plain accumulates, whose fixed cost is
-lower and which are the packed scans' oracle.  Table-backed rules
-(explicit, random, repaired) start from an inner rule's kernel or a
-running prefix mask and look up only the steps they tabulate, row by row,
-so no rule re-reads its prefix at every step.  ``psi`` evaluates one
-multiplier and is the pointwise oracle of the kernels.  ``step_table``
-gives one step's truth table, the psi0 constant at step 1 and otherwise a
-rule's ``table_signs`` once the arity is checked against the enumeration
-cap; ``step_family`` gives the beta coefficient family, in closed form
-where one is known.
+A rule's whole-path kernel has two views.  ``multipliers`` gives the int8
+array psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}), which ``apply``
+multiplies by the increments; ``minus_words`` takes paths packed 64 steps
+to a uint64 word (a set bit is a -1 increment) and sets bit k-1 where the
+multiplier of step k is -1, which Monte Carlo counts by popcount.  Both
+take a block of paths with time on the last axis.  A rule implements one
+view and inherits the other (unpack, run, pack), or both where each has
+its own fast form: the word kernels of the running product, the sign of
+the walk, the window and prefix maxima and the prefix-max wrapper shift,
+XOR and AND whole words, and ``multipliers`` of the two prefix scans
+(running -1 parity, sign of the walk) unpack them once a path has
+``PACKED_MIN_LENGTH`` steps; shorter paths take the plain int8
+accumulates, which are the word kernels' oracle.  Table-backed rules
+(explicit, random) start from a fallback kernel or a running prefix mask
+and look up only the steps they tabulate, row by row.  ``psi`` evaluates
+one multiplier and is the pointwise oracle of the kernels.
+``step_table`` gives one step's truth table, the psi0 constant at step 1
+and otherwise a rule's ``table_signs`` once the arity is checked against
+the enumeration cap; ``step_family`` gives the beta coefficient family,
+in closed form where one is known.
 """
 
 from __future__ import annotations
@@ -71,11 +70,85 @@ def _signs(minus: np.ndarray) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Paths packed 64 steps to a word: bit j of word i is step 64 i + j + 1, and
+# a set bit marks a -1 increment (or a -1 multiplier)
+
 #: Paths of at least this many steps take the bit-packed prefix scans.  Their
 #: fixed cost per path is higher than the plain accumulates' (about 15 us
 #: against 5 us on a 2-CPU x86-64 machine with numpy 2.4), and both packed
 #: scans overtake the accumulates at about 5,000 steps.
 PACKED_MIN_LENGTH = 6000
+
+_ALL_ONES = np.uint64(2**64 - 1)
+#: Entry k is a word with its lowest k bits set, k = 0..64.
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+
+
+def pack_minus(arr: np.ndarray, words: int | None = None) -> np.ndarray:
+    """uint64 words of shape (..., words) with the bits of ``arr < 0`` for
+    int8 increments of shape (..., n), zero past n; ``words`` defaults to
+    ceil(n / 64)."""
+    n = arr.shape[-1]
+    minus = np.zeros(arr.shape[:-1] + (64 * (-(-n // 64) if words is None else words),),
+                     dtype=bool)
+    np.less(arr, 0, out=minus[..., :n])
+    return np.packbits(minus, axis=-1, bitorder="little").view("<u8")
+
+
+def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
+    """uint8 0/1 array of shape (..., n): the first n bits of the words."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                         count=n, bitorder="little")
+
+
+def unpack_signs(words: np.ndarray, n: int) -> np.ndarray:
+    """int8 signs of shape (..., n), -1 where the bit is set."""
+    return _signs(unpack_bits(words, n))
+
+
+def clear_tail(words: np.ndarray, n: int) -> np.ndarray:
+    """Clears, in place, the bits past n of words of shape (..., ceil(n/64))."""
+    if n % 64:
+        words[..., -1] &= _LOW_BITS[n % 64]
+    return words
+
+
+def _low_bits(count: np.ndarray, words: int) -> np.ndarray:
+    """Words of shape (..., words) with the lowest ``count[...]`` bits set."""
+    return _LOW_BITS[np.clip(count[..., None] - 64 * np.arange(words), 0, 64)]
+
+
+def _shifted(words: np.ndarray, d: int) -> np.ndarray:
+    """Bit i of the result is bit i - d of the words: the path moved d steps
+    later, with set bits (-1 steps before the path) moved in."""
+    q, r = divmod(d, 64)
+    out = np.full(words.shape, _ALL_ONES)
+    if q >= words.shape[-1]:
+        return out
+    src, dst = words[..., :words.shape[-1] - q], out[..., q:]
+    if r == 0:
+        dst[...] = src
+    else:
+        np.left_shift(src, r, out=dst)
+        dst[..., 0] |= _LOW_BITS[r]
+        dst[..., 1:] |= src[..., :-1] >> (64 - r)
+    return out
+
+
+def _leading_ones(words: np.ndarray, n: int) -> np.ndarray:
+    """Index of the first clear bit of each row, at most n, as int64: the
+    index of the first +1 increment along the last axis.
+
+    The prefix max max(u_1..u_n) is -1 exactly for arities n = 1..this.
+    """
+    if words.shape[-1] == 0:
+        return np.zeros(words.shape[:-1], dtype=np.int64)
+    full = words == _ALL_ONES
+    first = full.argmin(axis=-1)  # the first word with a clear bit
+    x = np.take_along_axis(words, first[..., None], axis=-1)[..., 0]
+    ones = 64 * first + np.bitwise_count(x & ~(x + 1))  # x's trailing ones
+    return np.where(full.all(axis=-1), n, np.minimum(ones, n))
 
 
 def running_sums(steps: np.ndarray) -> np.ndarray:
@@ -107,22 +180,23 @@ def _accumulated_parity(arr: np.ndarray) -> np.ndarray:
 
 
 def _packed_parity(arr: np.ndarray) -> np.ndarray:
-    # bit j of the little-endian words is 1 where arr[j - 1] < 0 (bit 0 is
-    # the empty prefix), so the inclusive prefix XOR at bit j is the parity
-    # of arr[:j]; n + 1 bits, padded with zeros to whole words
     n = arr.shape[-1]
-    minus = np.zeros(arr.shape[:-1] + (n // 64 * 64 + 64,), dtype=bool)
-    np.less(arr, 0, out=minus[..., 1:n + 1])
-    words = np.packbits(minus, axis=-1, bitorder="little").view("<u8")
-    for shift in (1, 2, 4, 8, 16, 32):  # the prefix XOR inside each word
-        words ^= words << shift
+    return unpack_bits(_parity_words(pack_minus(arr, n // 64 + 1)), n + 1)
+
+
+def _parity_words(words: np.ndarray) -> np.ndarray:
+    """Bit j set where bits 0..j-1 of the words hold an odd count: the prefix
+    XOR inside each word, then the parity of every word before it."""
+    out = words.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        out ^= out << shift
     # each word's parity (its top bit), then that of every word before it,
-    # XORed in as all ones or all zeros
-    carry = words >> 63
+    # XORed in as all ones or all zeros; then the bit itself out again
+    carry = out >> 63
     np.bitwise_xor.accumulate(carry, axis=-1, out=carry)
-    words[..., 1:] ^= np.negative(carry[..., :-1])
-    return np.unpackbits(words.view(np.uint8), axis=-1, count=n + 1,
-                         bitorder="little")
+    out[..., 1:] ^= np.negative(carry[..., :-1])
+    out ^= words
+    return out
 
 
 def walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
@@ -136,6 +210,11 @@ def walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
 
 def _summed_walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
     return op(running_sums(arr), 0)
+
+
+def _packed_walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
+    n = arr.shape[-1]
+    return unpack_bits(_walk_words(pack_minus(arr), op), n).view(bool)
 
 
 @functools.cache
@@ -159,57 +238,38 @@ _BYTE_ONES = np.uint64(0x0101010101010101)
 _BYTE_OFFSETS = np.uint64(0x3830282018100800)
 
 
-def _packed_walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
-    # The walk at each byte's start, in bytes of 64-bit words.  Multiplying
-    # a word of byte counts of -1 steps by the ones puts the counts of bytes
-    # 0..j in byte j (at most 64: no carries), so its top byte is the word's
-    # count, which the walk at word starts sums in int64 over the n/64 words
-    # (exact at any length).  A byte moves the walk by at most 8, so a word
-    # start clipped to [-64, 64] leaves every flag as it is; then byte j of
-    # 128 + start + 8 j - 2 (the counts of bytes 0..j-1) lies in [8, 248],
-    # and no byte carries into or borrows from the next.
-    n = arr.shape[-1]
-    words = -(-n // 64)
-    minus = np.zeros(arr.shape[:-1] + (64 * words,), dtype=bool)
-    np.less(arr, 0, out=minus[..., :n])
-    packed = np.packbits(minus, axis=-1, bitorder="little")
-    counts = np.bitwise_count(packed).view("<u8") * _BYTE_ONES
-    steps = (counts >> 56).view(np.int64)
+def _walk_words(words: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Words of the flags ``op(X_{k-1}, 0)``, bit k-1 for step k, of the walk
+    whose -1 steps are the bits of the words."""
+    # The walk at word starts sums the words' steps 64 - 2 popcount in int64
+    # (exact at any length).  A word that starts 64 or more away from 0 does
+    # not reach it, so its flags are all op(start, 0).  For each other word,
+    # multiplying its byte popcounts by the ones puts the counts of bytes
+    # 0..j in byte j (at most 64: no carries); byte j of 128 + start + 8 j -
+    # 2 (the counts of bytes 0..j-1) is then the walk at byte j's start plus
+    # 128, in [9, 247], so no byte carries into or borrows from the next.
+    words = words.astype("<u8", copy=False)
+    steps = np.bitwise_count(words).astype(np.int64)
     steps *= -2
     steps += 64
     start = np.zeros(steps.shape, dtype=np.int64)
     np.cumsum(steps[..., :-1], axis=-1, out=start[..., 1:])
-    np.minimum(start, 64, out=start)  # np.clip costs more at these sizes
-    np.maximum(start, -64, out=start)
-    start += 128
-    walk = start.view(np.uint64) * _BYTE_ONES
+    out = np.negative(op(start, 0).astype(np.uint64))
+    near = np.flatnonzero(np.abs(start) < 64)
+    packed = words.reshape(-1)[near].view(np.uint8)
+    walk = (start.reshape(-1)[near] + 128).view(np.uint64) * _BYTE_ONES
     walk += _BYTE_OFFSETS
-    counts <<= 9  # twice the counts of bytes 0..j-1 in byte j
-    walk -= counts
+    walk -= (np.bitwise_count(packed).view("<u8") * _BYTE_ONES) << 9
     index = walk.astype("<u8", copy=False).view(np.uint8).astype(np.uint16)
     index <<= 8
     index |= packed
-    flags = np.take(_walk_table(op), index)
-    return np.unpackbits(flags, axis=-1, count=n, bitorder="little").view(bool)
+    out.reshape(-1)[near] = np.take(_walk_table(op), index).view("<u8")
+    return out
 
 
 def parity_signs(n: int) -> np.ndarray:
     """int8 table over the masks of n bits: -1 where the popcount is odd."""
     return _signs(mask_levels(n) & 1)
-
-
-def first_plus(arr: np.ndarray) -> np.ndarray:
-    """Index of the first +1 increment along the last axis, or the length
-    where there is none, as an int64 array of the leading shape.
-
-    The prefix max max(u_1..u_n) is -1 exactly for arities n = 1..first_plus.
-    """
-    n = arr.shape[-1]
-    if n == 0:
-        return np.zeros(arr.shape[:-1], dtype=np.int64)
-    first = arr.argmax(axis=-1)  # the first maximum
-    # a maximum past index 0 exceeds entry 0, so it is +1
-    return np.where((first > 0) | (arr[..., 0] > 0), first, n)
 
 
 def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
@@ -252,8 +312,24 @@ class RecyclingRule:
 
     def multipliers(self, xi: Sequence[int]) -> np.ndarray:
         """psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}) as a fresh int8
-        array, for increments of shape (..., n): one row per path."""
-        raise NotImplementedError
+        array, for increments of shape (..., n): one row per path.
+
+        The default unpacks ``minus_words`` of the packed paths.
+        """
+        arr = _as_signs(xi)
+        n = arr.shape[-1]
+        return unpack_signs(self.minus_words(pack_minus(arr), n), n)
+
+    def minus_words(self, words: np.ndarray, n: int) -> np.ndarray:
+        """The -1 multipliers of packed paths of n steps: for uint64 words of
+        shape (..., ceil(n/64)) with bit k-1 set where increment k is -1 (bits
+        past n are not read), fresh words of that shape with bit k-1 set where
+        the multiplier of step k is -1, and every bit past n clear.
+
+        The default packs ``multipliers`` of the unpacked paths; a rule
+        overrides this, ``multipliers`` or both.
+        """
+        return pack_minus(self.multipliers(unpack_signs(words, n)))
 
     def apply(self, xi: Sequence[int]) -> np.ndarray:
         """Transform one increment path; invertible on {-1,+1}^n."""
@@ -343,6 +419,9 @@ class ProductRule(RecyclingRule):
     def multipliers(self, xi):
         return _signs(minus_parity(_as_signs(xi))[..., :-1])
 
+    def minus_words(self, words, n):
+        return clear_tail(_parity_words(words), n)
+
     def table_signs(self, step):
         return parity_signs(step - 1)
 
@@ -412,31 +491,24 @@ class WindowMaxRule(RecyclingRule):
         lo = 0 if self.width is None else max(0, n - self.width)
         return max(int(v) for v in u[lo:n])
 
-    def multipliers(self, xi):
-        # the multiplier at index i is -1 iff xi[max(0, i - w):i] is all -1
-        # (the empty window included)
-        arr = _as_signs(xi)
-        n, w = arr.shape[-1], self.width
-        if w is None or w >= n:  # the window is the whole prefix
-            out = np.ones(arr.shape, dtype=np.int8)
-            last = first_plus(arr)  # -1 up to each row's first +1
-            head = out[..., :int(last.max(initial=-1)) + 1]
-            np.negative(head, out=head,
-                        where=np.arange(head.shape[-1]) <= last[..., None])
-            return out
+    def minus_words(self, words, n):
+        # bit i is set iff bits max(0, i - w)..i-1 are all set (the empty
+        # window included); the whole prefix is the run of leading ones
+        w = self.width
+        if w is None or w >= n:
+            return _low_bits(np.minimum(_leading_ones(words, n) + 1, n), words.shape[-1])
         # AND the window together from blocks of power-of-two length, as in
-        # a sparse table: O(n log w); entries before the path count as -1
-        block = np.ones(arr.shape, dtype=bool)  # block[i]: xi[i - size:i] all -1
-        block[..., 1:] = arr[..., :-1] < 0
-        all_minus = np.ones(arr.shape, dtype=bool)  # same for xi[i - done:i]
+        # a sparse table: O(n log w); bits before the path count as set
+        block = _shifted(words, 1)  # block bit i: bits i - size..i-1 all set
+        all_minus = np.full(words.shape, _ALL_ONES)  # the same for bits i - done..i-1
         size, done = 1, 0
         while True:
             if w & size:
-                all_minus[..., done:] &= block[..., :n - done]
+                all_minus &= _shifted(block, done)
                 done += size
             if 2 * size > w:
-                return _signs(all_minus)
-            block[..., size:] &= block[..., :-size]
+                return clear_tail(all_minus, n)
+            block &= _shifted(block, size)
             size *= 2
 
     def table_signs(self, step):
@@ -516,17 +588,20 @@ class SymmetricRule(RecyclingRule):
         s = int(sum(int(v) for v in u[:n]))
         return self.f(s / self._scale(n))
 
-    def multipliers(self, xi):
+    def _comparisons(self) -> tuple[np.ufunc, np.ufunc]:
         # f alternates sign at each break: it is -1 where the first break is
         # not passed when values[0] = -1 (passed when +1), flipped by every
         # later break passed; a break at 0 is passed exactly when the sum is
+        passed, below = ((np.greater_equal, np.less) if self.f.jump_side == "right"
+                         else (np.greater, np.less_equal))
+        return (below if self.f.values[0] == -1 else passed), passed
+
+    def multipliers(self, xi):
         arr = _as_signs(xi)
         breaks = self.f.breaks
         if not breaks:
             return np.full(arr.shape, self.f.values[0], dtype=np.int8)
-        passed, below = ((np.greater_equal, np.less) if self.f.jump_side == "right"
-                         else (np.greater, np.less_equal))
-        first = below if self.f.values[0] == -1 else passed
+        first, passed = self._comparisons()
         if breaks == (0,):  # the sign of the walk
             return _signs(walk_flags(arr, first))
         sums = running_sums(arr)
@@ -541,6 +616,11 @@ class SymmetricRule(RecyclingRule):
         for b in breaks[1:]:
             minus ^= compare(passed, b)
         return _signs(minus)
+
+    def minus_words(self, words, n):
+        if self.f.breaks != (0,):
+            return super().minus_words(words, n)
+        return clear_tail(_walk_words(words, self._comparisons()[0]), n)
 
     def profile(self, step: int) -> np.ndarray:
         """Multiplier value per count of -1 coordinates in the prefix."""
@@ -584,7 +664,8 @@ class PrefixMaxRule(RecyclingRule):
 
     The prefix max is -1 only on the all-minus input, so the factor negates
     the last entry of a table and, on a path, only the multipliers of the
-    arities 1..first_plus, whose prefixes are all -1.
+    arities up to the index of the first +1 increment, whose prefixes are
+    all -1.
     """
 
     def __init__(self, inner: RecyclingRule, name: str):
@@ -602,18 +683,19 @@ class PrefixMaxRule(RecyclingRule):
             return -value
         return value
 
-    def multipliers(self, xi):
-        # each row's arities 1..last, flipped where ``flips`` holds; flips
-        # is asked only up to the longest run
-        out = self.inner.multipliers(xi)
-        out[..., :1] = -1
-        last = np.minimum(first_plus(np.asarray(xi)), out.shape[-1] - 1)
+    def minus_words(self, words, n):
+        # psi0, then each row's arities 1..last, flipped where ``flips``
+        # holds; flips is asked only up to the longest run
+        out = self.inner.minus_words(words, n)
+        out[..., :1] |= np.uint64(1)
+        last = np.minimum(_leading_ones(words, n), n - 1)
         longest = int(last.max(initial=0))
         if longest > 0:
-            arities = np.arange(1, longest + 1)
-            head = out[..., 1:longest + 1]
-            np.negative(head, out=head,
-                        where=self.flips(arities) & (arities <= last[..., None]))
+            span = longest // 64 + 1
+            flips = np.zeros(64 * span, dtype=bool)
+            flips[1:longest + 1] = self.flips(np.arange(1, longest + 1))
+            flips = np.packbits(flips, bitorder="little").view("<u8")
+            out[..., :span] ^= flips & _low_bits(last + 1, span)
         return out
 
     def table_signs(self, step):
@@ -656,12 +738,11 @@ class _OneStepLate(RecyclingRule):
     def psi(self, n, u):
         return self.inner.multiplier(n, u)
 
-    def multipliers(self, xi):
-        inner = self.inner.multipliers(xi)
-        out = np.empty_like(inner)
-        out[..., 1:] = inner[..., :-1]
-        out[..., :1] = self.psi0
-        return out
+    def minus_words(self, words, n):
+        out = _shifted(self.inner.minus_words(words, n), 1)
+        if self.psi0 == 1:
+            out[..., :1] ^= np.uint64(1)
+        return clear_tail(out, n)
 
     def table_signs(self, step):
         # the last coordinate is not read: the inner table twice over

@@ -58,11 +58,17 @@ def _prefix(kind: str, length: Bound, params: str = "") -> SetSequence:
 def _floor_power(k: np.ndarray, alpha: float) -> np.ndarray:
     """int(k ** alpha) as the scalar pow rounds it.  numpy's pow can differ in
     the last place, which moves the floor only next to an integer (k = 27,
-    alpha = 1/3), so the scalar pow recomputes the steps there."""
-    power = k ** alpha
-    near = np.flatnonzero(np.abs(power - np.rint(power)) <= 1e-12 * power)
-    power[near] = [int(j) ** alpha for j in k[near]]
-    return power.astype(k.dtype)
+    alpha = 1/3), so the scalar pow recomputes the steps there.  One float64
+    array of the steps is the only temporary wider than the result."""
+    power = np.power(k, alpha, dtype=np.float64)
+    tol = 1e-12 * power.max(initial=0.0)
+    out = power.astype(k.dtype)
+    power -= out  # the fractional part; then its distance from 1/2
+    power -= 0.5
+    np.abs(power, out=power)
+    near = np.flatnonzero(power >= 0.5 - tol)
+    out[near] = [int(int(j) ** alpha) for j in k[near]]
+    return out
 
 
 def prefix_fraction(lam: float) -> SetSequence:

@@ -7,11 +7,11 @@ correlation rho in the Gaussian regime and follows the arcsine-derived law
 under the sign rule.
 
 Monte Carlo runs its replicates in blocks of ``BLOCK_STEPS`` steps (one
-replicate when a path is longer): each block is one draw of a (rows, n)
-int8 array from ``SeedSpec.increment_block`` and one call of the rule's
-kernel, which takes increments of shape (..., n) with time on the last
-axis.  Replicate r always reads its own stream, so the results do not
-depend on the blocking.
+replicate when a path is longer) and stays in 64-bit words from draw to
+count: each block is one draw of (rows, ceil(n/64)) raw Philox words from
+``SeedSpec.increment_words``, one call of the rule's ``minus_words`` and
+one popcount per row.  Replicate r always reads its own stream, so the
+results do not depend on the blocking.
 """
 
 from __future__ import annotations
@@ -25,16 +25,11 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .philox import philox, raw_words, stream_key
-from .rules import LevyRule, RecyclingRule
+from .rules import LevyRule, RecyclingRule, clear_tail, unpack_signs
 
-#: Steps per block of Monte Carlo replicates.  A path of more steps is a
-#: block of its own, so long paths (1e5 steps) cost what they did one at a
-#: time, in memory and in work per kernel call.
-BLOCK_STEPS = 1 << 16
-#: Blocks of more rows count their -1 multipliers along the time axis in one
-#: call; smaller blocks, of paths of about 2,000 steps and more, count row by
-#: row, where numpy's flat count is some five times faster per step.
-_AXIS_COUNT_MIN_ROWS = 32
+#: Steps (bits) per block of Monte Carlo replicates; a path of more steps is
+#: a block of its own.
+BLOCK_STEPS = 1 << 20
 
 #: Default evaluation grid for covariation series: 101 equispaced times.
 DEFAULT_GRID_POINTS = 101
@@ -73,15 +68,15 @@ class SeedSpec:
     def increment_block(self, rows: int, n: int) -> np.ndarray:
         """(rows, n) int8: row r holds ``increments(n)`` of replicate
         ``replicate + r``."""
+        return unpack_signs(self.increment_words(rows, n), n)
+
+    def increment_words(self, rows: int, n: int) -> np.ndarray:
+        """(rows, ceil(n/64)) uint64: row r holds the raw words of replicate
+        ``replicate + r`` with the bits past n cleared, bit k-1 set where
+        increment k is -1."""
         if n < 0:
             raise ValueError("number of increments must be >= 0")
-        words = raw_words(self.master, self.replicate, rows, -(-n // 64))
-        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                             axis=-1, count=n, bitorder="little")
-        xi = bits.view(np.int8)
-        xi *= -2
-        xi += 1
-        return xi
+        return clear_tail(raw_words(self.master, self.replicate, rows, -(-n // 64)), n)
 
 
 @dataclass
@@ -199,7 +194,7 @@ def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
     Since xi_k eta_k = psi_{k-1} xi_k**2 = psi_{k-1}, each replicate's sum is
     the sum of the rule's multipliers, n minus twice the number of -1s; eta
     is never formed.  Replicates run in blocks of ``BLOCK_STEPS`` steps, one
-    draw and one kernel call each.
+    draw of packed words, one ``minus_words`` call and one popcount each.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")
@@ -208,13 +203,10 @@ def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
     rows = max(1, BLOCK_STEPS // n)
     sums = np.empty(reps, dtype=np.int64)
     for first in range(0, reps, rows):
-        block = seed.with_replicate(seed.replicate + first)
-        minus = rule.multipliers(block.increment_block(min(rows, reps - first), n)) < 0
-        if len(minus) > _AXIS_COUNT_MIN_ROWS:
-            counts = np.count_nonzero(minus, axis=-1)
-        else:
-            counts = [np.count_nonzero(row) for row in minus]
-        sums[first:first + len(minus)] = n - 2 * np.asarray(counts)
+        words = seed.with_replicate(seed.replicate + first).increment_words(
+            min(rows, reps - first), n)
+        minus = np.bitwise_count(rule.minus_words(words, n)).sum(axis=-1, dtype=np.int64)
+        sums[first:first + len(minus)] = n - 2 * minus
     return _summarize(sums, n, reference_cdf=reference_cdf)
 
 

@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import os
+
+import pytest
 
 from gbrw.cli import main
 
@@ -262,3 +265,37 @@ def test_selftest_passes(capsys, tmp_path):
     code, out, _ = run(["selftest", "--seed", "3", "--out", str(tmp_path)], capsys)
     assert code == 0
     assert "all 7 suites passed" in out
+
+
+# SHA-256 of the Monte Carlo reports at n = 1e5, seed 11, recorded before
+# Monte Carlo moved to packed words: the draws, blocks and kernels may
+# change, the replicates' covariations may not
+SIMULATE_DIGESTS = {
+    "window-max:2": "8c285c9680a9fc37ae4b1df1030f5822a01ee42924b3dd38314f25242ea39197",
+    "brw": "f8b7bc799dacf6ecc071167e0ad1e7fd04489271aa6d53fb5b82913793f0fd25",
+    "max": "19c5edc184c6ef308d1e00909e2e06f99bc7b6d6cf9d6f3616ae4946fed54ef7",
+    "levy": "0324f3a757f489623816d4260638e1cba958618d2d80150ca5adfd869d02d469",
+    "modified-levy": "3c67c01b398d4dd57f9bc2adf45a65914bc61e60e071c544ced6c9afc7c87e1e",
+    "modified-levy-max": "5d2df5cd65c5d7f99bb888e00df1ba3cbdc3cadf3396b589913d161ab94a0004",
+    "symmetric:-1:0:1": "f7c1d2f628d4025148736ca4720647ac5e8f6e0048d78c8f18393b1730278907",
+}
+ARCSINE_DIGEST = "0df7d8851fdc1f09c79614099a64bc726741dee49f12e80ef27283b8164d5a54"
+
+
+def digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("rule", SIMULATE_DIGESTS)
+def test_simulate_reports_are_pinned(rule, capsys, tmp_path):
+    code, _, _ = run(["simulate", "--rule", f"builtin:{rule}", "--length", "100000",
+                      "--reps", "7", "--seed", "11", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert digest(tmp_path / "cov_summary.csv") == SIMULATE_DIGESTS[rule]
+
+
+def test_arcsine_report_is_pinned(capsys, tmp_path):
+    code, _, _ = run(["arcsine", "--length", "100000", "--reps", "100", "--seed", "11",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert digest(tmp_path / "ks_report.csv") == ARCSINE_DIGEST

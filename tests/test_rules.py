@@ -21,6 +21,7 @@ from gbrw.rules import (
     LevyRule,
     ModifiedLevyMaxRule,
     ModifiedLevyRule,
+    PrefixMaxRule,
     ProductRule,
     RandomRule,
     SignFlipRule,
@@ -542,6 +543,33 @@ def test_extended_brw_apply_peak_memory():
     assert np.array_equal(out, xi * np.where(odd[np.minimum(half, np.arange(n))], -1, 1))
 
 
+def test_prefix_power_bounds_peak_memory():
+    # a peak of 21.0 bytes per step at n = 1e6 (numpy 2.4, x86-64): the int32
+    # steps and bounds and one float64 array of powers; the float64
+    # temporaries of the rounding check took 33.0
+    n = 10 ** 6
+    seq = setseq.prefix_power(1 / 3)
+    tracemalloc.start()
+    try:
+        lo, hi = seq.bounds(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * n
+    assert np.all(lo == 1) and hi[26] == 3 and hi[63] == 3
+
+
+@pytest.mark.parametrize("alpha", [1 / 3, 0.5, 0.25, 0.2, 0.75])
+def test_floor_power_is_the_scalar_pow_next_to_integers(alpha):
+    # the steps around every exact power, where the last place decides the
+    # floor: scalar pow gives 27 ** (1/3) = 3.0 and 64 ** (1/3) =
+    # 3.9999999999999996, numpy's pow over an array 3.0 and 4.0
+    roots = np.arange(1, 400, dtype=np.float64) ** (1 / alpha)
+    k = np.unique(np.rint(roots).astype(np.int64)[:, None] + np.arange(-2, 3))
+    k = k[(k >= 1) & (k < 2 ** 31)].astype(np.int32)
+    assert setseq._floor_power(k, alpha).tolist() == [int(int(j) ** alpha) for j in k]
+
+
 @pytest.mark.parametrize("m", [1, 5, 10 ** 30])
 def test_window_bounds_match_scalar_formula(m):
     lo, hi = setseq.sliding_window(m).bounds(1000)
@@ -737,13 +765,15 @@ PACKED_RULES = [
 
 @pytest.mark.parametrize("rule", PACKED_RULES, ids=_rule_id)
 def test_packed_rules_scan_packed_bits_from_the_cutoff(rule, monkeypatch):
+    # the int8 accumulates serve the paths below the cutoff; the prefix-max
+    # rules have only their word kernel, which scans packed bits at any length
     calls = []
-    for name in ("_packed_parity", "_packed_walk_flags"):
-        monkeypatch.setattr(rules, name, lambda xi, *args, f=getattr(rules, name):
-                            calls.append(xi.size) or f(xi, *args))
+    for name in ("_parity_words", "_walk_words"):
+        monkeypatch.setattr(rules, name, lambda words, *args, f=getattr(rules, name):
+                            calls.append(words.shape) or f(words, *args))
     for n in (CUTOFF - 1, CUTOFF):
         rule.multipliers(np.ones(n, dtype=np.int8))
-    assert calls == [CUTOFF]
+    assert calls == [(-(-CUTOFF // 64),)] * (2 if isinstance(rule, PrefixMaxRule) else 1)
 
 
 @pytest.mark.parametrize("rule", PACKED_RULES, ids=_rule_id)
@@ -782,6 +812,122 @@ def test_scans_of_a_block_are_the_scans_of_its_rows(n):
             assert got.shape == block.shape
             for row, xi in zip(got, block):
                 assert np.array_equal(row, flags(xi, op))
+
+
+# ---------------------------------------------------------------------------
+# Word kernels against pointwise psi and the definitions
+
+WORD_LENGTHS = (1, 2, 63, 64, 65, 127, 128, 129, 6001)
+WORD_ROWS = (1, 3, 70)
+#: Paths up to this length are checked against pointwise psi as well.
+POINTWISE_MAX = 129
+WORD_RULES = [
+    ProductRule(), LevyRule(), LevyRule(1),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "left"), name="symmetric:1:0:-1 left"),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "right"), name="symmetric:1:0:-1"),
+    *(WindowMaxRule(w) for w in (1, 2, 3, 64, 65)), WindowMaxRule(None),
+    ModifiedLevyRule(), ModifiedLevyRule(1), ModifiedLevyMaxRule(), ModifiedLevyMaxRule(1),
+    rules._OneStepLate(LevyRule(1)), ergodic_repair(LevyRule()),
+]
+
+
+def word_paths(n, repaired):
+    """70 random paths of n steps, packed; all but the first and the last
+    lead with a run of -1 steps (at most 16 long for a repaired rule, whose
+    tables grow as 2^run) and carry a run of 60 to 69 -1 steps inside, the
+    last is all -1 (all +1 for a repaired rule), and every bit past n is
+    random.  Returns the int8 paths and the words."""
+    rng = np.random.default_rng(n)
+    xi = 2 * rng.integers(0, 2, (70, n), dtype=np.int8) - 1
+    for i, row in enumerate(xi[1:-1], start=1):
+        run = i % 17 if repaired else 7 * i % 140
+        inside = 60 + i % 10
+        row[100 + i:100 + i + inside] = -1
+        row[:run] = -1
+        row[run:run + 1] = 1
+    xi[-1] = 1 if repaired else -1
+    width = -(-n // 64)
+    packed = np.zeros((70, 64 * width), dtype=bool)
+    packed[:, :n] = xi < 0
+    packed[:, n:] = rng.integers(0, 2, (70, 64 * width - n), dtype=bool)
+    words = np.packbits(packed, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
+    return xi, words
+
+
+def definition_multipliers(rule, xi):
+    """int8 multipliers of a block from each rule's definition: the int8
+    accumulates, the step function of the walk, counts of -1 steps in a
+    window, and the prefix-max factor where the prefix is all -1."""
+    n = xi.shape[-1]
+    arity = np.arange(n)
+    minus_before = np.zeros(xi.shape[:-1] + (n + 1,), dtype=np.int64)
+    np.cumsum(xi < 0, axis=-1, out=minus_before[..., 1:])
+    if isinstance(rule, ProductRule):
+        return 1 - 2 * rules._accumulated_parity(xi)[..., :-1].astype(np.int8)
+    if isinstance(rule, SymmetricRule):
+        walk = arity - 2 * minus_before[..., :-1]
+        return rule.f.vectorized(walk / np.sqrt(arity + 1.0))
+    if isinstance(rule, WindowMaxRule):
+        lo = np.maximum(arity - (n if rule.width is None else rule.width), 0)
+        all_minus = minus_before[..., :-1] - minus_before[..., lo] == arity - lo
+        return np.where(all_minus, -1, 1).astype(np.int8)
+    inner = definition_multipliers(rule.inner, xi)
+    if isinstance(rule, rules._OneStepLate):
+        out = np.roll(inner, 1, axis=-1)
+        out[..., 0] = rule.psi0
+        return out
+    out = inner.copy()
+    out[..., 0] = -1
+    all_minus = minus_before[..., :-1] == arity
+    longest = int(np.max(np.where(all_minus, arity, 0)))
+    flips = np.zeros(n, dtype=bool)
+    flips[1:longest + 1] = rule.flips(np.arange(1, longest + 1))
+    return np.where(all_minus & flips, -out, out)
+
+
+def pointwise_multipliers(rule, xi):
+    return np.array([[rule.multiplier(k, row.tolist()) for k in range(1, xi.shape[-1] + 1)]
+                     for row in xi], dtype=np.int8)
+
+
+def minus_bits(words, n):
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1,
+                         bitorder="little")[..., :n]
+
+
+@pytest.mark.parametrize("rule", WORD_RULES, ids=_rule_id)
+def test_word_kernels_match_pointwise_psi_and_the_definitions(rule):
+    repaired = isinstance(rule, RepairedRule)
+    for n in WORD_LENGTHS:
+        xi, words = word_paths(n, repaired)
+        expected = definition_multipliers(rule, xi)
+        if n <= POINTWISE_MAX:
+            assert np.array_equal(expected, pointwise_multipliers(rule, xi))
+        for rows in WORD_ROWS:
+            block = words[:rows].copy()
+            got = rule.minus_words(block, n)
+            assert np.array_equal(block, words[:rows])  # the input is not written
+            assert got.dtype == np.uint64 and got.shape == block.shape
+            assert np.array_equal(minus_bits(got, n), expected[:rows] < 0)
+            # every bit past n is clear, so a popcount counts the -1s
+            assert np.array_equal(np.bitwise_count(got).sum(axis=-1),
+                                  np.count_nonzero(expected[:rows] < 0, axis=-1))
+        assert np.array_equal(rule.multipliers(xi), expected)
+
+
+@pytest.mark.parametrize("rule", [SignFlipRule(0.25), ExtendedBrwRule(setseq.sliding_window(3)),
+                                  SymmetricRule(StepFunction((-1.0, 0.0, 1.0), (1, -1, 1, -1))),
+                                  explicit_rule(4, ProductRule()), RandomRule(5)],
+                         ids=_rule_id)
+def test_default_word_kernel_packs_the_multipliers(rule):
+    for n in (1, 63, 64, 65, 129, 6001):
+        n = min(n, max_length(rule) or n)
+        xi, words = word_paths(n, repaired=True)
+        got = rule.minus_words(words, n)
+        assert got.shape == words.shape
+        assert np.array_equal(minus_bits(got, n), rule.multipliers(xi) < 0)
+        assert np.array_equal(np.bitwise_count(got).sum(axis=-1),
+                              np.count_nonzero(rule.multipliers(xi) < 0, axis=-1))
 
 
 # ---------------------------------------------------------------------------

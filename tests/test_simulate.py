@@ -235,15 +235,17 @@ def test_mc_draws_from_the_seed_replicate_onward(block_steps, monkeypatch):
 
 
 def test_mc_blocks_keep_long_paths_one_per_call(monkeypatch):
-    # a path longer than a block is a block of its own
-    shapes = []
+    # a path longer than a block is a block of its own; each block is one
+    # call of the packed kernel on its (rows, ceil(n/64)) words
+    calls = []
     rule = LevyRule()
-    monkeypatch.setattr(rule, "multipliers",
-                        lambda xi, f=rule.multipliers: shapes.append(xi.shape) or f(xi))
+    monkeypatch.setattr(rule, "minus_words", lambda words, n, f=rule.minus_words:
+                        calls.append((words.shape, n)) or f(words, n))
     mc_covariation(rule, simulate.BLOCK_STEPS + 1, 3, SeedSpec(1))
     mc_covariation(rule, simulate.BLOCK_STEPS // 2, 5, SeedSpec(1))
     half = simulate.BLOCK_STEPS // 2
-    assert shapes == [(1, half * 2 + 1)] * 3 + [(2, half), (2, half), (1, half)]
+    assert calls == ([((1, -(-(2 * half + 1) // 64)), 2 * half + 1)] * 3
+                     + [((2, half // 64), half)] * 2 + [((1, half // 64), half)])
 
 
 def test_mc_window_two_close_to_half():
