@@ -278,7 +278,8 @@ def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
 
 
 class RecyclingRule:
-    """Base class; subclasses provide psi, multipliers and table_signs."""
+    """Base class; subclasses provide psi, multipliers or minus_words (or
+    both), and table_signs."""
 
     name = "rule"
 
