@@ -74,10 +74,11 @@ def _signs(minus: np.ndarray) -> np.ndarray:
 # Paths packed 64 steps to a word: bit j of word i is step 64 i + j + 1, and
 # a set bit marks a -1 increment (or a -1 multiplier)
 
-#: Paths of at least this many steps take the bit-packed prefix scans.  Their
-#: fixed cost per path is higher than the plain accumulates' (about 15 us
-#: against 5 us on a 2-CPU x86-64 machine with numpy 2.4), and both packed
-#: scans overtake the accumulates at about 5,000 steps.
+#: ``multipliers`` of the two prefix scans (running -1 parity, sign of the
+#: walk) unpack their word kernels on paths of at least this many steps, and
+#: take the plain accumulates below.  The packed scans' fixed cost per path
+#: is higher (about 15 us against 5 us on a 2-CPU x86-64 machine with numpy
+#: 2.4), and both overtake the accumulates at about 5,000 steps.
 PACKED_MIN_LENGTH = 6000
 
 _ALL_ONES = np.uint64(2**64 - 1)
