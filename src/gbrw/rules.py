@@ -5,22 +5,21 @@ A rule is a constant psi0 in {-1,+1} together with a sign function psi_n on
 eta_n = psi_{n-1}(xi_1, ..., xi_{n-1}) * xi_n, which replicates the law of
 xi and so defines a second simple random walk on the same filtration.
 
-A rule's whole-path kernel has two views.  ``multipliers`` gives the int8
-array psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}), which ``apply``
-multiplies by the increments; ``minus_words`` takes paths packed 64 steps
-to a uint64 word (a set bit is a -1 increment) and sets bit k-1 where the
-multiplier of step k is -1, which Monte Carlo counts by popcount.  Both
-take a block of paths with time on the last axis.  A rule implements one
-view and inherits the other (unpack, run, pack), or both where each has
-its own fast form: the word kernels of the running product, the sign of
-the walk, the window and prefix maxima and the prefix-max wrapper shift,
-XOR and AND whole words, and ``multipliers`` of the two prefix scans
-(running -1 parity, sign of the walk) unpack them once a path has
-``PACKED_MIN_LENGTH`` steps; shorter paths take the plain int8
-accumulates, which are the word kernels' oracle.  Table-backed rules
-(explicit, random) start from a fallback kernel or a running prefix mask
-and look up only the steps they tabulate, row by row.  ``psi`` evaluates
-one multiplier and is the pointwise oracle of the kernels.
+A rule's whole-path kernel has two views, each one kernel per rule.
+``multipliers`` checks the increments once and runs ``_multipliers``, the
+rule's int8 kernel: psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}),
+which ``apply`` multiplies by the increments.  ``minus_words`` takes paths
+packed 64 steps to a uint64 word (a set bit is a -1 increment) and sets
+bit k-1 where the multiplier of step k is -1, which Monte Carlo counts by
+popcount.  Both take a block of paths with time on the last axis.  A rule
+implements one view and inherits the other (unpack, run, pack), or both
+where each has its own fast form: the int8 accumulates of the running
+product and the sign of the walk (a running -1 parity, int32 walk sums)
+are the oracle of their word kernels, which, like those of the window and
+prefix maxima and the prefix-max wrapper, shift, XOR and AND whole words.
+Table-backed rules (explicit, random) start from a fallback kernel or a
+running prefix mask and look up only the steps they tabulate, row by row.
+``psi`` evaluates one multiplier and is the pointwise oracle of the kernels.
 ``step_table`` gives one step's truth table, the psi0 constant at step 1
 and otherwise a rule's ``table_signs`` once the arity is checked against
 the enumeration cap; ``step_family`` gives the beta coefficient family,
@@ -74,12 +73,10 @@ def _signs(minus: np.ndarray) -> np.ndarray:
 # Paths packed 64 steps to a word: bit j of word i is step 64 i + j + 1, and
 # a set bit marks a -1 increment (or a -1 multiplier)
 
-#: ``multipliers`` of the two prefix scans (running -1 parity, sign of the
-#: walk) unpack their word kernels on paths of at least this many steps, and
-#: take the plain accumulates below.  The packed scans' fixed cost per path
-#: is higher (about 15 us against 5 us on a 2-CPU x86-64 machine with numpy
-#: 2.4), and both overtake the accumulates at about 5,000 steps.
-PACKED_MIN_LENGTH = 6000
+#: Steps the default ``minus_words`` unpacks at a time (at least one path).
+#: Unpacked whole, a 2^20-step Monte Carlo block of ``symmetric:-1:0.5:1``
+#: (n = 1000) peaked at 14 MB under tracemalloc; in chunks, at 1.2 MB.
+UNPACKED_STEPS = 1 << 16
 
 _ALL_ONES = np.uint64(2**64 - 1)
 #: Entry k is a word with its lowest k bits set, k = 0..64.
@@ -169,20 +166,9 @@ def running_sums(steps: np.ndarray) -> np.ndarray:
 def minus_parity(arr: np.ndarray) -> np.ndarray:
     """uint8 parity of the count of -1 entries in arr[..., :j], at every
     j = 0..n of the last axis."""
-    if arr.shape[-1] < PACKED_MIN_LENGTH:
-        return _accumulated_parity(arr)
-    return _packed_parity(arr)
-
-
-def _accumulated_parity(arr: np.ndarray) -> np.ndarray:
     out = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 1,), dtype=np.uint8)
     np.bitwise_xor.accumulate((arr < 0).view(np.uint8), axis=-1, out=out[..., 1:])
     return out
-
-
-def _packed_parity(arr: np.ndarray) -> np.ndarray:
-    n = arr.shape[-1]
-    return unpack_bits(_parity_words(pack_minus(arr, n // 64 + 1)), n + 1)
 
 
 def _parity_words(words: np.ndarray) -> np.ndarray:
@@ -198,24 +184,6 @@ def _parity_words(words: np.ndarray) -> np.ndarray:
     out[..., 1:] ^= np.negative(carry[..., :-1])
     out ^= words
     return out
-
-
-def walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """bool ``op(X_{k-1}, 0)`` at every step k = 1..n of the last axis, for a
-    comparison ufunc ``op`` and the walk X_{k-1} = arr[..., 0] + ... +
-    arr[..., k-2]."""
-    if arr.shape[-1] < PACKED_MIN_LENGTH:
-        return _summed_walk_flags(arr, op)
-    return _packed_walk_flags(arr, op)
-
-
-def _summed_walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
-    return op(running_sums(arr), 0)
-
-
-def _packed_walk_flags(arr: np.ndarray, op: np.ufunc) -> np.ndarray:
-    n = arr.shape[-1]
-    return unpack_bits(_walk_words(pack_minus(arr), op), n).view(bool)
 
 
 @functools.cache
@@ -279,7 +247,7 @@ def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
 
 
 class RecyclingRule:
-    """Base class; subclasses provide psi, multipliers or minus_words (or
+    """Base class; subclasses provide psi, _multipliers or minus_words (or
     both), and table_signs."""
 
     name = "rule"
@@ -315,10 +283,12 @@ class RecyclingRule:
     def multipliers(self, xi: Sequence[int]) -> np.ndarray:
         """psi_0, psi_1(xi_1), ..., psi_{n-1}(xi_1..xi_{n-1}) as a fresh int8
         array, for increments of shape (..., n): one row per path.
-
-        The default unpacks ``minus_words`` of the packed paths.
         """
-        arr = _as_signs(xi)
+        return self._multipliers(_as_signs(xi))
+
+    def _multipliers(self, arr: np.ndarray) -> np.ndarray:
+        """``multipliers`` of increments checked to be int8 signs; the default
+        unpacks ``minus_words`` of the packed paths."""
         n = arr.shape[-1]
         return unpack_signs(self.minus_words(pack_minus(arr), n), n)
 
@@ -328,10 +298,17 @@ class RecyclingRule:
         past n are not read), fresh words of that shape with bit k-1 set where
         the multiplier of step k is -1, and every bit past n clear.
 
-        The default packs ``multipliers`` of the unpacked paths; a rule
-        overrides this, ``multipliers`` or both.
+        The default packs ``_multipliers`` of the unpacked paths, at most
+        ``UNPACKED_STEPS`` steps (and at least one path) at a time; a rule
+        overrides this, ``_multipliers`` or both.
         """
-        return pack_minus(self.multipliers(unpack_signs(words, n)))
+        rows = words.reshape(math.prod(words.shape[:-1]), words.shape[-1])
+        out = np.empty(rows.shape, dtype=np.uint64)
+        chunk = max(1, UNPACKED_STEPS // max(n, 1))
+        for first in range(0, len(rows), chunk):
+            part = unpack_signs(rows[first:first + chunk], n)
+            out[first:first + chunk] = pack_minus(self._multipliers(part))
+        return out.reshape(words.shape)
 
     def apply(self, xi: Sequence[int]) -> np.ndarray:
         """Transform one increment path; invertible on {-1,+1}^n."""
@@ -382,8 +359,8 @@ class ConstantRule(RecyclingRule):
     def psi(self, n, u):
         return self.value
 
-    def multipliers(self, xi):
-        out = np.full(_as_signs(xi).shape, self.value, dtype=np.int8)
+    def _multipliers(self, arr):
+        out = np.full(arr.shape, self.value, dtype=np.int8)
         out[..., :1] = self.psi0
         return out
 
@@ -418,8 +395,8 @@ class ProductRule(RecyclingRule):
     def psi(self, n, u):
         return math.prod(map(int, u[:n]))
 
-    def multipliers(self, xi):
-        return _signs(minus_parity(_as_signs(xi))[..., :-1])
+    def _multipliers(self, arr):
+        return _signs(minus_parity(arr)[..., :-1])
 
     def minus_words(self, words, n):
         return clear_tail(_parity_words(words), n)
@@ -450,8 +427,7 @@ class ExtendedBrwRule(RecyclingRule):
         lo, hi = self._interval(n + 1)
         return math.prod(map(int, u[lo - 1:hi]))
 
-    def multipliers(self, xi):
-        arr = _as_signs(xi)
+    def _multipliers(self, arr):
         lo, hi = self.seq.bounds(arr.shape[-1])
         odd = minus_parity(arr)
         return _signs(odd[..., hi] ^ odd[..., lo - 1])
@@ -598,14 +574,11 @@ class SymmetricRule(RecyclingRule):
                          else (np.greater, np.less_equal))
         return (below if self.f.values[0] == -1 else passed), passed
 
-    def multipliers(self, xi):
-        arr = _as_signs(xi)
+    def _multipliers(self, arr):
         breaks = self.f.breaks
         if not breaks:
             return np.full(arr.shape, self.f.values[0], dtype=np.int8)
         first, passed = self._comparisons()
-        if breaks == (0,):  # the sign of the walk
-            return _signs(walk_flags(arr, first))
         sums = running_sums(arr)
         if any(breaks):
             # the same float64 s/sqrt(k) as psi, so breaks compare exactly
@@ -809,11 +782,10 @@ class SignFlipRule(RecyclingRule):
     def psi(self, n, u):
         return self.epsilon(n + 1)
 
-    def multipliers(self, xi):
-        shape = _as_signs(xi).shape
-        n = shape[-1]
+    def _multipliers(self, arr):
+        n = arr.shape[-1]
         if self.density is None:
-            out = np.ones(shape, dtype=np.int8)
+            out = np.ones(arr.shape, dtype=np.int8)
             out[..., [k - 1 for k in self.steps if k <= n]] = -1
             return out
         a, b = self.density.numerator, self.density.denominator
@@ -821,7 +793,7 @@ class SignFlipRule(RecyclingRule):
             floors = np.arange(n + 1, dtype=np.int64) * a // b
         else:  # products beyond int64: exact python integers
             floors = np.array([k * a // b for k in range(n + 1)], dtype=object)
-        out = np.empty(shape, dtype=np.int8)  # every row's signs are the same
+        out = np.empty(arr.shape, dtype=np.int8)  # every row's signs are the same
         out[...] = _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
         return out
 
@@ -868,16 +840,15 @@ class ExplicitRule(RecyclingRule):
             return self.families[step].evaluate(u)
         return self._fallback_at(step).psi(n, u)
 
-    def multipliers(self, xi):
+    def _multipliers(self, arr):
         # the fallback's kernel with psi0 and one psi per listed step; with
         # no fallback every step is evaluated, and psi raises at the first
         # step without a definition
-        arr = _as_signs(xi)
         n = arr.shape[-1]
         if self.fallback is None:
             out, steps = np.empty_like(arr), range(2, n + 1)
         else:
-            out = self.fallback.multipliers(arr)
+            out = self.fallback._multipliers(arr)
             steps = sorted(s for s in {*self.tables, *self.families} if s <= n)
         out[..., :1] = self.psi0
         if steps:
@@ -941,8 +912,7 @@ class RandomRule(RecyclingRule):
     def psi(self, n, u):
         return self.step_table(n + 1).sign(u[:n])
 
-    def multipliers(self, xi):
-        arr = _as_signs(xi)
+    def _multipliers(self, arr):
         out = np.empty_like(arr)
         out[..., :1] = self.psi0
         for row in np.ndindex(arr.shape[:-1]):

@@ -32,8 +32,8 @@ from .rules import LevyRule, RecyclingRule, clear_tail, unpack_signs
 #: the kernels' fixed cost over them.  On a 2-CPU x86-64 machine with numpy
 #: 2.4, blocks of 2^18, 2^19, 2^20 and 2^21 steps ran the benchmark's
 #: 1e5-step Monte Carlo tasks in median 65, 44, 41 and 49 ms.  Rules with
-#: no word kernel unpack the block, so their temporaries take 1 MB for each
-#: byte they hold per step.
+#: no word kernel unpack at most ``UNPACKED_STEPS`` steps of it at a time
+#: (``RecyclingRule.minus_words``), so their temporaries do not grow with it.
 BLOCK_STEPS = 1 << 20
 
 #: Default evaluation grid for covariation series: 101 equispaced times.
@@ -199,7 +199,8 @@ def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
     Since xi_k eta_k = psi_{k-1} xi_k**2 = psi_{k-1}, each replicate's sum is
     the sum of the rule's multipliers, n minus twice the number of -1s; eta
     is never formed.  Replicates run in blocks of ``BLOCK_STEPS`` steps, one
-    draw of packed words, one ``minus_words`` call and one popcount each.
+    draw of packed words, one ``minus_words`` call and one popcount each; a
+    rule without a word kernel unpacks ``UNPACKED_STEPS`` steps at a time.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")

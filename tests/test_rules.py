@@ -21,7 +21,6 @@ from gbrw.rules import (
     LevyRule,
     ModifiedLevyMaxRule,
     ModifiedLevyRule,
-    PrefixMaxRule,
     ProductRule,
     RandomRule,
     SignFlipRule,
@@ -689,11 +688,24 @@ def test_modified_levy_rules_reject_bad_sgn0(cls, sgn0):
 
 
 # ---------------------------------------------------------------------------
-# Bit-packed prefix scans against the plain accumulates
+# Word kernels of the prefix scans against the int8 accumulates
 
-CUTOFF = rules.PACKED_MIN_LENGTH
-SCAN_LENGTHS = (0, 1, 7, 8, 9, 63, 64, 65, CUTOFF - 1, CUTOFF, CUTOFF + 1, 100_000)
-COMPARISONS = (np.less_equal, np.less, np.greater, np.greater_equal)
+#: Lengths at and around byte and word boundaries, and long paths.
+SCAN_LENGTHS = (0, 1, 7, 8, 9, 63, 64, 65, 5999, 6000, 6001, 100_000)
+
+# the rules whose word kernels scan prefixes (the running -1 parity, the
+# sign of the walk), both sign conventions of the sign rule and both first
+# values of the sign-of-the-walk step function, so that all four
+# comparisons of the walk with 0 are scanned
+PACKED_RULES = [
+    ProductRule(), ExtendedBrwRule(setseq.sliding_window(3)),
+    ExtendedBrwRule(setseq.prefix_fraction(0.5)),
+    *(cls(sgn0) for cls in (LevyRule, ModifiedLevyRule, ModifiedLevyMaxRule)
+      for sgn0 in (-1, 1)),
+    SymmetricRule(StepFunction((0.0,), (-1, 1), "right"), name="symmetric:-1:0:1"),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "right"), name="symmetric:1:0:-1"),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "left")),
+]
 
 
 def scan_paths(n):
@@ -719,11 +731,13 @@ def scan_paths(n):
 
 
 def assert_scans_match(xi):
-    assert np.array_equal(rules._packed_parity(xi), rules._accumulated_parity(xi))
-    for op in COMPARISONS:
-        packed = rules._packed_walk_flags(xi, op)
-        assert packed.dtype == bool and packed.shape == xi.shape
-        assert np.array_equal(packed, rules._summed_walk_flags(xi, op))
+    # minus_words runs the word kernels (_parity_words, _walk_words) and
+    # multipliers the int8 accumulates
+    n, words = xi.shape[-1], rules.pack_minus(xi)
+    for rule in PACKED_RULES:
+        got = rule.minus_words(words, n)
+        assert got.dtype == np.uint64 and got.shape == words.shape
+        assert np.array_equal(got, rules.pack_minus(rule.multipliers(xi)))
 
 
 @pytest.mark.parametrize("n", SCAN_LENGTHS)
@@ -734,9 +748,9 @@ def test_packed_scans_match_accumulates(n):
 
 @st.composite
 def long_paths(draw):
-    """Paths past the cutoff, built from runs so that the walk returns to 0
-    and dwells near the clip at +-8."""
-    n = draw(st.integers(CUTOFF, 3 * CUTOFF))
+    """Paths of 6,000 to 18,000 steps, built from runs so that the walk
+    returns to 0 and dwells near the clip at +-8."""
+    n = draw(st.integers(6000, 18_000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     runs = rng.integers(1, draw(st.integers(2, 20)), n)
     steps = np.repeat(np.resize(signs(1, -1), n), runs)[:n]
@@ -748,44 +762,6 @@ def long_paths(draw):
 @given(long_paths())
 def test_packed_scans_match_accumulates_on_long_paths(xi):
     assert_scans_match(xi)
-
-
-# the rules whose kernels run the packed scans, both sign conventions of the
-# sign rule and both first values of the sign-of-the-walk step function
-PACKED_RULES = [
-    ProductRule(), ExtendedBrwRule(setseq.sliding_window(3)),
-    ExtendedBrwRule(setseq.prefix_fraction(0.5)),
-    *(cls(sgn0) for cls in (LevyRule, ModifiedLevyRule, ModifiedLevyMaxRule)
-      for sgn0 in (-1, 1)),
-    SymmetricRule(StepFunction((0.0,), (-1, 1), "right"), name="symmetric:-1:0:1"),
-    SymmetricRule(StepFunction((0.0,), (1, -1), "right"), name="symmetric:1:0:-1"),
-    SymmetricRule(StepFunction((0.0,), (1, -1), "left")),
-]
-
-
-@pytest.mark.parametrize("rule", PACKED_RULES, ids=_rule_id)
-def test_packed_rules_scan_packed_bits_from_the_cutoff(rule, monkeypatch):
-    # the int8 accumulates serve the paths below the cutoff; the prefix-max
-    # rules have only their word kernel, which scans packed bits at any length
-    calls = []
-    for name in ("_parity_words", "_walk_words"):
-        monkeypatch.setattr(rules, name, lambda words, *args, f=getattr(rules, name):
-                            calls.append(words.shape) or f(words, *args))
-    for n in (CUTOFF - 1, CUTOFF):
-        rule.multipliers(np.ones(n, dtype=np.int8))
-    assert calls == [(-(-CUTOFF // 64),)] * (2 if isinstance(rule, PrefixMaxRule) else 1)
-
-
-@pytest.mark.parametrize("rule", PACKED_RULES, ids=_rule_id)
-def test_packed_kernels_match_plain_kernels(rule, monkeypatch):
-    for n in (CUTOFF, CUTOFF + 1, 100_000):
-        paths = scan_paths(n)
-        packed = [rule.multipliers(xi) for xi in paths]
-        with monkeypatch.context() as m:
-            m.setattr(rules, "PACKED_MIN_LENGTH", 1 << 62)
-            plain = [rule.multipliers(xi) for xi in paths]
-        for a, b in zip(packed, plain):
-            assert a.dtype == np.int8 and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("rule", [r for r in PACKED_RULES if isinstance(r, SymmetricRule)],
@@ -801,17 +777,14 @@ def test_sign_of_walk_kernels_match_the_step_function(rule):
 @pytest.mark.parametrize("n", SCAN_LENGTHS)
 def test_scans_of_a_block_are_the_scans_of_its_rows(n):
     block = np.stack(scan_paths(n))
-    for parity in (rules._packed_parity, rules._accumulated_parity):
-        got = parity(block)
-        assert got.shape == (len(block), n + 1)
-        for row, xi in zip(got, block):
-            assert np.array_equal(row, parity(xi))
-    for flags in (rules._packed_walk_flags, rules._summed_walk_flags):
-        for op in COMPARISONS:
-            got = flags(block, op)
-            assert got.shape == block.shape
-            for row, xi in zip(got, block):
-                assert np.array_equal(row, flags(xi, op))
+    assert_scans_match(block)
+    words = rules.pack_minus(block)
+    for rule in PACKED_RULES:
+        got, got_words = rule.multipliers(block), rule.minus_words(words, n)
+        assert got.shape == block.shape and got_words.shape == words.shape
+        for xi, row, row_words in zip(block, got, got_words):
+            assert np.array_equal(row, rule.multipliers(xi))
+            assert np.array_equal(row_words, rule.minus_words(rules.pack_minus(xi), n))
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +836,7 @@ def definition_multipliers(rule, xi):
     minus_before = np.zeros(xi.shape[:-1] + (n + 1,), dtype=np.int64)
     np.cumsum(xi < 0, axis=-1, out=minus_before[..., 1:])
     if isinstance(rule, ProductRule):
-        return 1 - 2 * rules._accumulated_parity(xi)[..., :-1].astype(np.int8)
+        return 1 - 2 * rules.minus_parity(xi)[..., :-1].astype(np.int8)
     if isinstance(rule, SymmetricRule):
         walk = arity - 2 * minus_before[..., :-1]
         return rule.f.vectorized(walk / np.sqrt(arity + 1.0))
@@ -933,10 +906,10 @@ def test_default_word_kernel_packs_the_multipliers(rule):
 # ---------------------------------------------------------------------------
 # A block of paths, shape (..., n), is one kernel call
 
-BLOCK_RULES = [*ALL_BUILTINS, SignFlipRule([1, 2, 5, 64, CUTOFF]),
+BLOCK_RULES = [*ALL_BUILTINS, SignFlipRule([1, 2, 5, 64, 6000]),
                explicit_rule(4, ProductRule()), explicit_rule(5, WindowMaxRule(None)),
                explicit_rule(6, None), *TABLE_RULES]
-BLOCK_LENGTHS = (1, 2, 63, 64, 65, CUTOFF - 1, CUTOFF + 1)
+BLOCK_LENGTHS = (1, 2, 63, 64, 65, 5999, 6001)
 
 
 def block_paths(shape, n):

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gbrw import rules, setseq, simulate
+from gbrw import setseq, simulate
 from gbrw.algebra import BetaFamily
 from gbrw.dyadic import Dyadic
 from gbrw.ergodic import ergodic_repair
@@ -23,6 +24,7 @@ from gbrw.rules import (
     identity_rule,
     negation_rule,
 )
+from gbrw.rulespec import load_rule
 from gbrw.simulate import (
     SeedSpec,
     arcsine_test,
@@ -172,20 +174,6 @@ def test_mc_sums_match_applied_paths(rule):
         assert summary.finals[r] == int((xi * rule.apply(xi)).sum()) / n
 
 
-@pytest.mark.parametrize("rule", [
-    ProductRule(), ExtendedBrwRule(setseq.sliding_window(3)), LevyRule(), LevyRule(1),
-    ModifiedLevyRule(), ModifiedLevyMaxRule(),
-    SymmetricRule(StepFunction((0.0,), (-1, 1), "right")),
-    SymmetricRule(StepFunction((0.0,), (1, -1), "right")),
-], ids=lambda r: r.describe())
-def test_mc_sums_match_the_plain_scans(rule, monkeypatch):
-    # past the cutoff the kernels scan packed bits; the sums must not move
-    n, reps, seed = rules.PACKED_MIN_LENGTH + 100, 6, SeedSpec(2024)
-    packed = mc_covariation(rule, n, reps, seed).finals
-    monkeypatch.setattr(rules, "PACKED_MIN_LENGTH", 1 << 62)
-    assert np.array_equal(packed, mc_covariation(rule, n, reps, seed).finals)
-
-
 def per_replicate_sums(rule, n, reps, seed):
     """The Monte Carlo loop one replicate at a time: the blocks' oracle."""
     sums = np.empty(reps, dtype=np.int64)
@@ -197,7 +185,10 @@ def per_replicate_sums(rule, n, reps, seed):
 
 BLOCK_ORACLE_RULES = [
     ProductRule(), LevyRule(), LevyRule(1), ModifiedLevyRule(), ModifiedLevyMaxRule(),
+    SymmetricRule(StepFunction((0.0,), (-1, 1), "right")),
+    SymmetricRule(StepFunction((0.0,), (1, -1), "right")),
     WindowMaxRule(None), WindowMaxRule(3), ExtendedBrwRule(setseq.prefix_fraction(0.5)),
+    ExtendedBrwRule(setseq.sliding_window(3)),
     ExplicitRule(-1, families={2: BetaFamily(2, [0, 0b1]), 4: BetaFamily(4, [0b101])},
                  fallback=ProductRule()),
     RandomRule(5), ergodic_repair(LevyRule()),
@@ -208,8 +199,9 @@ BLOCK_ORACLE_RULES = [
 @pytest.mark.parametrize("n, reps, block_steps", [
     (20, 23, 100),        # blocks of 5 rows, the last of 3
     (20, 550, None),      # one block; the vectorized draw
-    (1000, 150, None),    # blocks of 65, 65 and 20 rows
-    (5000, 30, None),     # blocks of 13 rows, counted row by row
+    (1000, 150, None),    # one block, unpacked 65, 65 and 20 rows at a time
+    (5000, 30, None),     # one block, unpacked 13 rows at a time
+    (10_000, 15, None),   # word kernels against the int8 accumulates at length
 ])
 def test_mc_blocks_match_the_per_replicate_loop(rule, n, reps, block_steps, monkeypatch):
     if isinstance(rule, RandomRule) or rule.name.startswith("repair"):
@@ -246,6 +238,22 @@ def test_mc_blocks_keep_long_paths_one_per_call(monkeypatch):
     half = simulate.BLOCK_STEPS // 2
     assert calls == ([((1, -(-(2 * half + 1) // 64)), 2 * half + 1)] * 3
                      + [((2, half // 64), half)] * 2 + [((1, half // 64), half)])
+
+
+def test_default_word_route_bounds_its_block_peak():
+    # a rule without a word kernel unpacks at most UNPACKED_STEPS steps of a
+    # block at a time: a peak of 1.21 MB here (numpy 2.4, x86-64), where the
+    # whole 2^20-step block unpacked at once took 14.1 MB
+    rule = load_rule("builtin:symmetric:-1:0.5:1")
+    tracemalloc.start()
+    try:
+        summary = mc_covariation(rule, 1000, 2000, SeedSpec(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert np.array_equal(summary.finals[:20],
+                          per_replicate_sums(rule, 1000, 20, SeedSpec(3)) / 1000)
 
 
 def test_mc_window_two_close_to_half():
