@@ -42,7 +42,7 @@ from .rulespec import RuleSpecError, load_rule
 from .simulate import (
     SeedSpec,
     arcsine_test,
-    covariation,
+    final_covariation,
     mc_covariation,
     reference_arcsine_cdf,
     sample_path,
@@ -209,9 +209,7 @@ def cmd_simulate(args) -> int:
             ("k", "x", "y"),
             (np.arange(path.n + 1), path.x, path.y),
         )
-        series = covariation(path, grid=None if args.grid is None
-                             else [i / (args.grid - 1) for i in range(args.grid)])
-        final = float(series.values[-1])
+        final = float(final_covariation(path))
         print(f"single path of length {path.n}: final covariation {final:.6g}")
         print(f"wrote {_out_path(args, 'paths.csv')}")
         return EXIT_OK
@@ -231,11 +229,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_arcsine(args) -> int:
-    seed = SeedSpec(args.seed)
-    report = arcsine_test(
-        args.length, args.reps, seed, sgn0=args.sgn0,
-        threshold=args.tolerance if args.tolerance_set else None,
-    )
+    report = arcsine_test(args.length, args.reps, SeedSpec(args.seed), sgn0=args.sgn0,
+                          threshold=args.tolerance)
     finals = np.sort(report.summary.finals)
     grid = np.linspace(-1.0, 1.0, args.grid or 201)
     empirical = np.searchsorted(finals, grid, side="right") / finals.size
@@ -307,91 +302,94 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1: its own 2 is the failing verdict's."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subparser per command, declaring only the options its handler reads."""
+    parser = _Parser(
         prog="gbrw",
         description="Bootstrap random walks: rules, moments, simulation, ergodicity",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rule=False, rule_required=True):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--out", default=".", help="output directory for reports")
-        p.add_argument("--seed", type=int, default=20260809,
-                       help="master seed for any randomized work")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="verdict tolerance (command-specific default)")
+        return p
+
+    def sgn0(p):
         p.add_argument("--sgn0", type=int, choices=(-1, 1), default=-1,
                        help="value assigned to sgn(0) in sign-based rules")
-        if rule:
-            p.add_argument("--rule", required=rule_required,
-                           help="builtin:NAME[:params] or a rule document path")
 
-    p = sub.add_parser("rules", help="list builtin rules or describe one")
-    add_common(p, rule=True, rule_required=False)
+    def rule(p, required=True):
+        p.add_argument("--rule", required=required,
+                       help="builtin:NAME[:params] or a rule document path")
+        sgn0(p)
+
+    def seed(p):
+        p.add_argument("--seed", type=int, default=20260809,
+                       help="master seed of the Philox streams")
+
+    p = command("rules", cmd_rules, "list builtin rules or describe one")
+    rule(p, required=False)
     p.add_argument("--horizon", type=int, default=4)
-    p.set_defaults(func=cmd_rules)
 
-    p = sub.add_parser("convert", help="dump truth table and beta family at a step")
-    add_common(p, rule=True)
+    p = command("convert", cmd_convert, "dump truth table and beta family at a step")
+    rule(p)
     p.add_argument("--step", type=int, required=True,
-                   help="multiplier index n (the sign function of the first "
-                        "n increments)")
-    p.set_defaults(func=cmd_convert)
+                   help="multiplier index n (the sign function of n increments)")
 
-    p = sub.add_parser("moments", help="condition (A)/(B) reports with CSV output")
-    add_common(p, rule=True)
-    p.add_argument("--horizon", type=int, default=256)
-    p.set_defaults(func=cmd_moments)
+    for name, func, horizon, help in (
+        ("moments", cmd_moments, 256, "condition (A)/(B) reports with CSV output"),
+        ("gaussian-check", cmd_gaussian_check, DEFAULT_B_HORIZON,
+         "combined condition (A)/(B) verdict and closed forms"),
+    ):
+        p = command(name, func, help)
+        rule(p)
+        p.add_argument("--horizon", type=int, default=horizon)
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                       help="convergence tolerance of the verdict")
 
-    p = sub.add_parser("gaussian-check",
-                       help="combined condition (A)/(B) verdict and closed forms")
-    add_common(p, rule=True)
-    p.add_argument("--horizon", type=int, default=DEFAULT_B_HORIZON)
-    p.set_defaults(func=cmd_gaussian_check)
-
-    p = sub.add_parser("simulate", help="Monte Carlo covariation (or one path dump)")
-    add_common(p, rule=True)
+    p = command("simulate", cmd_simulate, "Monte Carlo covariation (or one path dump)")
+    rule(p)
+    seed(p)
     p.add_argument("--length", type=int, default=100000)
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--grid", type=int, default=None,
-                   help="grid points for series output")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("arcsine", help="KS test of the sign rule against its limit law")
-    add_common(p)
+    p = command("arcsine", cmd_arcsine, "KS test of the sign rule against its limit law")
+    sgn0(p)
+    seed(p)
     p.add_argument("--length", type=int, default=100000)
     p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--grid", type=int, default=201)
-    p.set_defaults(func=cmd_arcsine)
+    p.add_argument("--grid", type=int, default=201,
+                   help="points of the CDF grid in ks_report.csv")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="KS distance threshold (default: level-0.05 critical value)")
 
-    p = sub.add_parser("ergodic-check", help="single-orbit criterion scan and orbits")
-    add_common(p, rule=True)
+    p = command("ergodic-check", cmd_ergodic_check, "single-orbit criterion scan and orbits")
+    rule(p)
     p.add_argument("--horizon", type=int, default=12)
     p.add_argument("--repair", action="store_true",
                    help="also report the minimally repaired rule")
-    p.set_defaults(func=cmd_ergodic_check)
 
-    p = sub.add_parser("beta-array", help="sign-rule coefficient array CSV and pixmap")
-    add_common(p)
+    p = command("beta-array", cmd_beta_array, "sign-rule coefficient array CSV and pixmap")
     p.add_argument("--horizon", type=int, default=800)
-    p.set_defaults(func=cmd_beta_array)
 
-    p = sub.add_parser("selftest", help="run all oracle-equality suites")
-    add_common(p)
-    p.set_defaults(func=cmd_selftest)
+    p = command("selftest", cmd_selftest, "run all oracle-equality suites")
+    seed(p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.tolerance is None:
-        args.tolerance_set = False
-        args.tolerance = DEFAULT_TOLERANCE
-    else:
-        args.tolerance_set = True
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except RuleSpecError as exc:

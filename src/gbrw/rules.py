@@ -428,7 +428,10 @@ class ExtendedBrwRule(RecyclingRule):
         return math.prod(map(int, u[lo - 1:hi]))
 
     def _multipliers(self, arr):
-        lo, hi = self.seq.bounds(arr.shape[-1])
+        n = arr.shape[-1]
+        if n > self._bounds[0].size:  # exactly n: apply's peak holds one pair of bounds
+            self._bounds = self.seq.bounds(n)
+        lo, hi = self._bounds[0][:n], self._bounds[1][:n]
         odd = minus_parity(arr)
         return _signs(odd[..., hi] ^ odd[..., lo - 1])
 

@@ -119,11 +119,7 @@ class MonteCarloSummary:
     mean: float
     variance: float
     stderr: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
     finals: np.ndarray
-    ks_stat: float | None = None
-    ks_pvalue: float | None = None
 
 
 def sample_path(rule: RecyclingRule, n: int, seed: SeedSpec) -> PathPair:
@@ -163,36 +159,8 @@ def final_covariation(path: PathPair) -> Fraction:
     return Fraction(int(zeta.sum(dtype=np.int64)), path.n)
 
 
-def _summarize(final_sums: np.ndarray, n: int, bins: int = 41,
-               reference_cdf: Callable[[np.ndarray], np.ndarray] | None = None
-               ) -> MonteCarloSummary:
-    finals = final_sums / n
-    reps = finals.size
-    mean = float(finals.mean())
-    variance = float(finals.var(ddof=1)) if reps > 1 else 0.0
-    stderr = math.sqrt(variance / reps) if reps > 1 else 0.0
-    counts, edges = np.histogram(finals, bins=bins, range=(-1.0, 1.0))
-    ks = pval = None
-    if reference_cdf is not None:
-        ks = ks_statistic(finals, reference_cdf)
-        pval = kolmogorov_pvalue(ks, reps)
-    return MonteCarloSummary(
-        replicates=reps,
-        n=n,
-        mean=mean,
-        variance=variance,
-        stderr=stderr,
-        hist_counts=counts,
-        hist_edges=edges,
-        finals=finals,
-        ks_stat=ks,
-        ks_pvalue=pval,
-    )
-
-
-def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
-                   reference_cdf: Callable[[np.ndarray], np.ndarray] | None = None
-                   ) -> MonteCarloSummary:
+def mc_covariation(rule: RecyclingRule, n: int, reps: int,
+                   seed: SeedSpec) -> MonteCarloSummary:
     """Terminal covariation over the replicates ``seed.replicate`` + 0 ..
     reps - 1 of the seed's master, one independent stream each.
 
@@ -213,7 +181,16 @@ def mc_covariation(rule: RecyclingRule, n: int, reps: int, seed: SeedSpec,
             min(rows, reps - first), n)
         minus = np.bitwise_count(rule.minus_words(words, n)).sum(axis=-1, dtype=np.int64)
         sums[first:first + len(minus)] = n - 2 * minus
-    return _summarize(sums, n, reference_cdf=reference_cdf)
+    finals = sums / n
+    variance = float(finals.var(ddof=1))
+    return MonteCarloSummary(
+        replicates=reps,
+        n=n,
+        mean=float(finals.mean()),
+        variance=variance,
+        stderr=math.sqrt(variance / reps),
+        finals=finals,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +298,14 @@ def arcsine_test(n: int, reps: int, seed: SeedSpec, sgn0: int = -1,
     """
     if reps < 100:
         raise ValueError("need at least 100 replicates")
-    summary = mc_covariation(LevyRule(sgn0), n, reps, seed,
-                             reference_cdf=reference_arcsine_cdf)
+    summary = mc_covariation(LevyRule(sgn0), n, reps, seed)
+    ks = ks_statistic(summary.finals, reference_arcsine_cdf)
     limit = threshold if threshold is not None else ks_critical_value(alpha, reps)
     return ArcsineReport(
         summary=summary,
-        ks_stat=summary.ks_stat,
-        ks_pvalue=summary.ks_pvalue,
+        ks_stat=ks,
+        ks_pvalue=kolmogorov_pvalue(ks, reps),
         threshold=limit,
-        passed=summary.ks_stat < limit,
+        passed=ks < limit,
     )
 

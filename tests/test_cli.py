@@ -1,10 +1,16 @@
+import argparse
 import csv
 import hashlib
+import importlib.util
 import os
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from gbrw.cli import main
+from gbrw import __version__
+from gbrw.cli import build_parser, main
 
 
 def run(args, capsys):
@@ -299,3 +305,88 @@ def test_arcsine_report_is_pinned(capsys, tmp_path):
                       "--out", str(tmp_path)], capsys)
     assert code == 0
     assert digest(tmp_path / "ks_report.csv") == ARCSINE_DIGEST
+
+
+# every option of every command, each read by the command's handler
+OPTIONS = {
+    "rules": {"--out", "--rule", "--sgn0", "--horizon"},
+    "convert": {"--out", "--rule", "--sgn0", "--step"},
+    "moments": {"--out", "--rule", "--sgn0", "--horizon", "--tolerance"},
+    "gaussian-check": {"--out", "--rule", "--sgn0", "--horizon", "--tolerance"},
+    "simulate": {"--out", "--rule", "--sgn0", "--seed", "--length", "--reps"},
+    "arcsine": {"--out", "--sgn0", "--seed", "--length", "--reps", "--grid",
+                "--tolerance"},
+    "ergodic-check": {"--out", "--rule", "--sgn0", "--horizon", "--repair"},
+    "beta-array": {"--out", "--horizon"},
+    "selftest": {"--out", "--seed"},
+}
+# the arguments each command needs to get past its required options
+REQUIRED = {"convert": ["--rule", "builtin:levy", "--step", "2"],
+            **{c: ["--rule", "builtin:levy"]
+               for c in ("moments", "gaussian-check", "simulate", "ergodic-check")}}
+REMOVED = [("rules", "--seed"), ("rules", "--tolerance"), ("convert", "--seed"),
+           ("convert", "--tolerance"), ("moments", "--seed"), ("gaussian-check", "--seed"),
+           ("simulate", "--tolerance"), ("simulate", "--grid"),
+           ("ergodic-check", "--seed"), ("ergodic-check", "--tolerance"),
+           ("beta-array", "--seed"), ("beta-array", "--tolerance"),
+           ("beta-array", "--sgn0"), ("selftest", "--tolerance"), ("selftest", "--sgn0")]
+
+
+def subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    declared = {name: {opt for action in p._actions for opt in action.option_strings}
+                - {"-h", "--help"} for name, p in subparsers().items()}
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 40
+
+
+@pytest.mark.parametrize("command, option", REMOVED, ids="{0[0]} {0[1]}".format)
+def test_removed_options_are_usage_errors(command, option, capsys, tmp_path):
+    assert option not in OPTIONS[command]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, *REQUIRED.get(command, []), option, "1", "--out", str(tmp_path)])
+    assert exit_.value.code == 1
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--rule", "builtin:brw", "--reps", "x"],
+                                  ["beta-array", "--horizon"], ["bogus"], []])
+def test_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["arcsine", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: gbrw") or out == f"{__version__}\n"
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # one pass of every workload of bench/workloads.py, and its warm-up task
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    parser = build_parser()
+    argvs = []
+    for workload in workloads.WORKLOADS.values():
+        tasks = workload.make_pass(random.Random(1), str(tmp_path))
+        argvs += [task.argv for task in tasks if task.argv is not None]
+        argvs.append(workload.warmup(str(tmp_path)))
+    assert len(argvs) == 33  # 29 command-line tasks and four warm-ups
+    for argv in argvs:
+        args = parser.parse_args(argv + ["--out", str(tmp_path)])
+        assert args.command == argv[0]

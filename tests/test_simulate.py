@@ -149,11 +149,10 @@ def test_mc_identity_degenerate():
     assert summary.variance == 0.0
 
 
-def test_mc_determinism_and_histogram_mass():
+def test_mc_determinism():
     a = mc_covariation(WindowMaxRule(2), 2000, 50, SeedSpec(21))
     b = mc_covariation(WindowMaxRule(2), 2000, 50, SeedSpec(21))
     assert np.array_equal(a.finals, b.finals)
-    assert a.hist_counts.sum() == a.replicates
 
 
 @pytest.mark.parametrize("rule", [
@@ -252,6 +251,23 @@ def test_default_word_route_bounds_its_block_peak():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+    assert np.array_equal(summary.finals[:20],
+                          per_replicate_sums(rule, 1000, 20, SeedSpec(3)) / 1000)
+
+
+def test_extended_brw_computes_its_bounds_once_per_length(monkeypatch):
+    # the default word route runs the int8 kernel once per chunk of rows (32
+    # chunks here); every chunk reads the bounds the first one computed
+    rule = load_rule("builtin:extended-brw:prefix:0.5")
+    calls, bounds = [], rule.seq.bounds
+
+    def spy(horizon):
+        calls.append(horizon)
+        return bounds(horizon)
+
+    monkeypatch.setattr(rule.seq, "bounds", spy)
+    summary = mc_covariation(rule, 1000, 2000, SeedSpec(3))
+    assert calls == [1000]
     assert np.array_equal(summary.finals[:20],
                           per_replicate_sums(rule, 1000, 20, SeedSpec(3)) / 1000)
 
