@@ -110,9 +110,20 @@ class TruthTable:
         if (signs.min() < -1 or signs.max() > 1
                 or np.count_nonzero(signs) < signs.size):
             raise ValueError("table values must be -1 or +1")
+        self._own(arity, signs)
+
+    def _own(self, arity: int, signs: np.ndarray) -> None:
         signs.setflags(write=False)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "signs", signs)
+
+    @classmethod
+    def adopt(cls, arity: int, signs: np.ndarray) -> "TruthTable":
+        """A table over ``signs``, int8 signs of 2**arity masks that nothing
+        else writes: made read-only, neither copied nor checked."""
+        table = cls.__new__(cls)
+        table._own(arity, signs)
+        return table
 
     def __setattr__(self, name, value):
         raise AttributeError("TruthTable is immutable")
@@ -478,10 +489,8 @@ class PartialOrderBasis:
 
     def topological_masks(self) -> list[int]:
         """Subset labels ordered so that predecessors come first."""
-        size = 1 << self.arity
         order = []
-        placed = np.zeros(size, dtype=bool)
-        remaining = set(range(size))
+        remaining = set(range(1 << self.arity))
         while remaining:
             layer = [
                 k for k in remaining
@@ -489,9 +498,7 @@ class PartialOrderBasis:
             ]
             if not layer:
                 raise ValueError("order admits no topological enumeration (cycle)")
-            for k in sorted(layer):
-                order.append(k)
-                placed[k] = True
+            order.extend(sorted(layer))
             remaining.difference_update(layer)
         return order
 

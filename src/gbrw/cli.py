@@ -7,6 +7,7 @@ Exit codes: 0 on success, 2 when an analysis reaches a failing verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -32,13 +33,8 @@ from .moments import (
     window_rho,
 )
 from .reports import format_value, write_beta_pixmap, write_csv
-from .rules import (
-    BUILTIN_DOC,
-    ExtendedBrwRule,
-    SignFlipRule,
-    WindowMaxRule,
-)
-from .rulespec import RuleSpecError, load_rule
+from .rules import ExtendedBrwRule, SignFlipRule, WindowMaxRule
+from .rulespec import BUILTINS, RuleSpecError, load_rule
 from .simulate import (
     SeedSpec,
     arcsine_test,
@@ -84,8 +80,8 @@ def cmd_rules(args) -> int:
             print(f"  multiplier {n}: beta members {body}")
         return EXIT_OK
     print("builtin rules (use as builtin:NAME, parameters colon-separated):")
-    for name, doc in BUILTIN_DOC.items():
-        print(f"  {name:32s} {doc}")
+    for name, (spelling, doc, _) in BUILTINS.items():
+        print(f"  {name + spelling:32s} {doc}")
     return EXIT_OK
 
 
@@ -309,8 +305,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, declaring only the options its handler reads."""
+    """One subparser per command, declaring only the options its handler reads.
+
+    Built once; each command names its handler, which ``main`` looks up in
+    this module when it runs, so a handler replaced later is the one called.
+    """
     parser = _Parser(
         prog="gbrw",
         description="Bootstrap random walks: rules, moments, simulation, ergodicity",
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         p.add_argument("--out", default=".", help="output directory for reports")
         return p
 
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except RuleSpecError as exc:
         print(f"rule specification error: {exc}", file=sys.stderr)
         return EXIT_USAGE

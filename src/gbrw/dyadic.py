@@ -7,9 +7,11 @@ floating-point tolerances.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
+@functools.total_ordering
 class Dyadic:
     """A signed dyadic rational ``numerator / 2**exponent`` in reduced form.
 
@@ -124,27 +126,6 @@ class Dyadic:
         left, right = self._cmp_key(coerced)
         return left < right
 
-    def __le__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        left, right = self._cmp_key(coerced)
-        return left <= right
-
-    def __gt__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        left, right = self._cmp_key(coerced)
-        return left > right
-
-    def __ge__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        left, right = self._cmp_key(coerced)
-        return left >= right
-
     def __hash__(self):
         return hash(self.as_fraction())
 
@@ -160,7 +141,3 @@ class Dyadic:
     def __repr__(self):
         return f"Dyadic({self.numerator}, {self.exponent})"
 
-
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-MINUS_ONE = Dyadic(-1)

@@ -326,11 +326,12 @@ class RecyclingRule:
         if step == 1:
             return TruthTable.constant(0, self.psi0)
         check_enum_cap(step - 1, f"step {step}: rule table arity")
-        return TruthTable(step - 1, self.table_signs(step))
+        return TruthTable.adopt(step - 1, self.table_signs(step))
 
     def table_signs(self, step: int) -> np.ndarray:
         """int8 signs of the multiplier at ``step`` >= 2 over the 2**(step-1)
-        input masks, for a step whose arity is within the cap."""
+        input masks, for a step whose arity is within the cap: a fresh array,
+        or one that only read-only tables hold, which ``step_table`` adopts."""
         raise NotImplementedError
 
     def step_family(self, step: int) -> BetaFamily:
@@ -785,19 +786,28 @@ class SignFlipRule(RecyclingRule):
     def psi(self, n, u):
         return self.epsilon(n + 1)
 
-    def _multipliers(self, arr):
-        n = arr.shape[-1]
+    def _epsilons(self, n: int) -> np.ndarray:
+        """int8 epsilon_1, ..., epsilon_n, the multipliers of every path."""
         if self.density is None:
-            out = np.ones(arr.shape, dtype=np.int8)
-            out[..., [k - 1 for k in self.steps if k <= n]] = -1
+            out = np.ones(n, dtype=np.int8)
+            out[[k - 1 for k in self.steps if k <= n]] = -1
             return out
         a, b = self.density.numerator, self.density.denominator
         if n * a < 1 << 62:
             floors = np.arange(n + 1, dtype=np.int64) * a // b
         else:  # products beyond int64: exact python integers
             floors = np.array([k * a // b for k in range(n + 1)], dtype=object)
-        out = np.empty(arr.shape, dtype=np.int8)  # every row's signs are the same
-        out[...] = _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
+        return _signs(np.greater(floors[1:], floors[:-1], dtype=bool))
+
+    def _multipliers(self, arr):
+        out = np.empty(arr.shape, dtype=np.int8)
+        out[...] = self._epsilons(arr.shape[-1])
+        return out
+
+    def minus_words(self, words, n):
+        # one row of flips, packed once and copied to every path; no draw is read
+        out = np.empty(words.shape, dtype=np.uint64)
+        out[...] = pack_minus(self._epsilons(n))
         return out
 
     def table_signs(self, step):
@@ -927,17 +937,3 @@ class RandomRule(RecyclingRule):
                 psi[step - 1] = self.step_table(step).signs[mask]
         return out
 
-
-BUILTIN_DOC = {
-    "identity": "eta = xi (psi identically +1)",
-    "negation": "eta = -xi (psi identically -1)",
-    "brw": "running product: eta_k = xi_1 ... xi_k",
-    "max": "prefix maximum multiplier, psi0 = -1",
-    "window-max:M": "maximum of the last M increments",
-    "levy": "eta_k = sgn(X_{k-1}) xi_k, sgn(0) configurable",
-    "modified-levy": "levy with a prefix-max factor except at power-of-two arities",
-    "modified-levy-max": "prefix max times sgn of the sum excluding the last entry",
-    "extended-brw:KIND[:PARAM]": "eta_k = xi_k prod_{j in M_k} xi_j over a set sequence",
-    "sign-flips:P": "eta_k = eps_k xi_k with flip density P (or explicit steps)",
-    "symmetric:V0[:Z1:V1...]": "eta_k = f(X_{k-1}/sqrt(k)) xi_k for a step function f",
-}

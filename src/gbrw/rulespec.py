@@ -96,17 +96,38 @@ def _parse_symmetric(parts: list[str]) -> SymmetricRule:
     return SymmetricRule(f, name="symmetric:" + ":".join(parts))
 
 
-#: Builtins without parameters: factories of sgn0, which only the sign
-#: rules read.
-_PARAMETERLESS = {
-    "identity": lambda sgn0: identity_rule(),
-    "negation": lambda sgn0: negation_rule(),
-    "brw": lambda sgn0: ProductRule(),
-    "product": lambda sgn0: ProductRule(),
-    "max": lambda sgn0: WindowMaxRule(None),
-    "levy": LevyRule,
-    "modified-levy": ModifiedLevyRule,
-    "modified-levy-max": ModifiedLevyMaxRule,
+def _window_max(args: list[str]) -> WindowMaxRule:
+    if len(args) != 1:
+        raise RuleSpecError("window-max takes one length parameter")
+    return WindowMaxRule(int(args[0]))
+
+
+def _sign_flips(args: list[str]) -> SignFlipRule:
+    if len(args) != 1:
+        raise RuleSpecError("sign-flips takes one density parameter")
+    return SignFlipRule(Fraction(args[0]))
+
+
+#: Builtin rules: name -> (parameter spelling, description, factory).  A name
+#: without a spelling takes no parameter and its factory takes sgn0, which
+#: only the sign rules read; the others' factories take the parameters.
+BUILTINS = {
+    "identity": ("", "eta = xi (psi identically +1)", lambda sgn0: identity_rule()),
+    "negation": ("", "eta = -xi (psi identically -1)", lambda sgn0: negation_rule()),
+    "brw": ("", "running product: eta_k = xi_1 ... xi_k", lambda sgn0: ProductRule()),
+    "product": ("", "the same rule as brw", lambda sgn0: ProductRule()),
+    "max": ("", "prefix maximum multiplier, psi0 = -1", lambda sgn0: WindowMaxRule(None)),
+    "window-max": (":M", "maximum of the last M increments", _window_max),
+    "levy": ("", "eta_k = sgn(X_{k-1}) xi_k, sgn(0) configurable", LevyRule),
+    "modified-levy": ("", "levy with a prefix-max factor except at power-of-two arities",
+                      ModifiedLevyRule),
+    "modified-levy-max": ("", "prefix max times sgn of the sum excluding the last entry",
+                          ModifiedLevyMaxRule),
+    "extended-brw": (":KIND[:PARAM]", "eta_k = xi_k prod_{j in M_k} xi_j over a set sequence",
+                     lambda args: ExtendedBrwRule(_parse_set_sequence(args))),
+    "sign-flips": (":P", "eta_k = eps_k xi_k with flip density P", _sign_flips),
+    "symmetric": (":V0[:Z1:V1...]", "eta_k = f(X_{k-1}/sqrt(k)) xi_k for a step function f",
+                  _parse_symmetric),
 }
 
 
@@ -114,28 +135,17 @@ def make_builtin(spec: str, sgn0: int = -1) -> RecyclingRule:
     """Instantiate a builtin rule from its colon-separated name."""
     parts = spec.split(":")
     name, args = parts[0], parts[1:]
+    if name not in BUILTINS:
+        raise RuleSpecError(f"unknown builtin rule {name!r}")
+    spelling, _, factory = BUILTINS[name]
+    if not spelling and args:
+        raise RuleSpecError(f"{name} takes no parameter")
     try:
-        if name in _PARAMETERLESS:
-            if args:
-                raise RuleSpecError(f"{name} takes no parameter")
-            return _PARAMETERLESS[name](sgn0)
-        if name == "window-max":
-            if len(args) != 1:
-                raise RuleSpecError("window-max takes one length parameter")
-            return WindowMaxRule(int(args[0]))
-        if name == "extended-brw":
-            return ExtendedBrwRule(_parse_set_sequence(args))
-        if name == "sign-flips":
-            if len(args) != 1:
-                raise RuleSpecError("sign-flips takes one density parameter")
-            return SignFlipRule(Fraction(args[0]))
-        if name == "symmetric":
-            return _parse_symmetric(args)
+        return factory(args if spelling else sgn0)
+    except RuleSpecError:
+        raise
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        if isinstance(exc, RuleSpecError):
-            raise
         raise RuleSpecError(f"bad parameters for builtin {spec!r}: {exc}") from exc
-    raise RuleSpecError(f"unknown builtin rule {name!r}")
 
 
 _SET_RE = re.compile(r"\{([0-9,\s]*)\}")

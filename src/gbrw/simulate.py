@@ -211,30 +211,28 @@ def exact_sign_sum_distribution(n: int, sgn0: int = -1
                                 ) -> list[tuple[Fraction, Fraction]]:
     """Exact law of (1/n) sum sgn(X_{k-1}) over all 2**n equally likely paths.
 
-    Returns (atom, probability) pairs with exact rational values.  Paths are
-    enumerated in chunks of 2**20 and walked one step at a time, so memory
-    stays at a few arrays of one chunk; time grows as 2**n (n = 24 takes
-    seconds).
+    Returns (atom, probability) pairs with exact rational values, atoms in
+    increasing order.  Path counts keyed by the walk value and the running
+    total are pushed forward one step at a time: O(n**2) big-integer
+    operations, n = 200 in a fraction of a second.
     """
-    if not 1 <= n <= 24:
-        raise ValueError("exact enumeration supported for 1 <= n <= 24")
-    counts = np.zeros(2 * n + 1, dtype=np.int64)
-    chunk = 1 << min(n, 20)
-    for start in range(0, 1 << n, chunk):
-        paths = np.arange(start, start + chunk, dtype=np.uint32)
-        walk = np.zeros(chunk, dtype=np.int8)  # X_{k-1}, |X| <= n
-        totals = np.zeros(chunk, dtype=np.int8)
-        for j in range(n):
-            totals += np.sign(walk)
-            if sgn0:
-                totals += (walk == 0).astype(np.int8) * np.int8(sgn0)
-            walk += 1 - 2 * ((paths >> j) & 1).astype(np.int8)
-        counts += np.bincount(totals.astype(np.int64) + n, minlength=2 * n + 1)
-    atoms = []
-    for i, cnt in enumerate(counts):
-        if cnt:
-            atoms.append((Fraction(i - n, n), Fraction(int(cnt), 1 << n)))
-    return atoms
+    if n < 1:
+        raise ValueError("path length must be >= 1")
+    if sgn0 not in (-1, 0, 1):
+        raise ValueError("sgn0 must be -1, 0 or +1")
+    # counts[x + n] holds the paths with X_k = x, the count of running total
+    # t in bits width*(t + k) on; no count reaches 2**width, so adding the
+    # sign s to the total is a shift by (s + 1)*width bits
+    width = n + 1
+    signs = [-1] * n + [sgn0] + [1] * n
+    counts = [0] * n + [1] + [0] * n
+    for _ in range(n):
+        moved = [c << width * (s + 1) for c, s in zip(counts, signs)]
+        counts = [a + b for a, b in zip([0] + moved[:-1], moved[1:] + [0])]
+    law = sum(counts)
+    mask = (1 << width) - 1
+    cells = ((t, law >> width * (t + n) & mask) for t in range(-n, n + 1))
+    return [(Fraction(t, n), Fraction(c, 1 << n)) for t, c in cells if c]
 
 
 def sup_distance_discrete(atoms: Sequence[tuple[Fraction, Fraction]],

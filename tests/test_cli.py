@@ -11,6 +11,7 @@ import pytest
 
 from gbrw import __version__
 from gbrw.cli import build_parser, main
+from gbrw.rulespec import BUILTINS
 
 
 def run(args, capsys):
@@ -29,6 +30,15 @@ def test_rules_listing(capsys):
     assert code == 0
     assert "window-max" in out
     assert "modified-levy" in out
+
+
+def test_rules_listing_names_every_builtin(capsys):
+    _, out, _ = run(["rules"], capsys)
+    listed = [line.split()[0].split(":")[0] for line in out.splitlines()[1:]]
+    assert listed == list(BUILTINS) and "product" in listed
+    assert "explicit steps" not in out  # sign-flips takes a density only
+    code, _, err = run(["simulate", "--rule", "builtin:sign-flips:3,5"], capsys)
+    assert code == 1 and "Invalid literal for Fraction" in err
 
 
 def test_rules_describe(capsys, tmp_path):
@@ -390,3 +400,12 @@ def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
     for argv in argvs:
         args = parser.parse_args(argv + ["--out", str(tmp_path)])
         assert args.command == argv[0]
+
+
+def test_parser_is_built_once_and_finds_handlers_when_main_runs(monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    assert run(["rules"], capsys)[0] == 0
+    calls = []
+    monkeypatch.setattr("gbrw.cli.cmd_rules", lambda args: calls.append(args) or 7)
+    assert run(["rules", "--horizon", "3"], capsys)[0] == 7
+    assert [args.horizon for args in calls] == [3]

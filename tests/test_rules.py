@@ -23,6 +23,7 @@ from gbrw.rules import (
     ModifiedLevyRule,
     ProductRule,
     RandomRule,
+    RecyclingRule,
     SignFlipRule,
     StepFunction,
     SymmetricRule,
@@ -260,6 +261,17 @@ def test_step_table_checks_the_cap_before_any_table(rule, monkeypatch):
     with pytest.raises(CapacityError,
                        match="^step 26: rule table arity 25 exceeds enumeration cap 24$"):
         rule.step_table(26)
+
+
+@pytest.mark.parametrize("rule", ALL_BUILTINS, ids=lambda r: r.name)
+def test_step_table_adopts_the_array_its_rule_built(rule, monkeypatch):
+    built = np.array([1, -1, -1, 1, -1, 1, 1, -1], dtype=np.int8)
+    monkeypatch.setattr(rule, "table_signs", lambda step: built)
+    table = rule.step_table(4)
+    assert table.arity == 3 and np.shares_memory(table.signs, built)
+    with pytest.raises(ValueError, match="read-only"):
+        table.signs[0] = -1
+    assert table.signs.tolist() == [1, -1, -1, 1, -1, 1, 1, -1]
 
 
 def test_builtin_table_families_known():
@@ -901,6 +913,21 @@ def test_default_word_kernel_packs_the_multipliers(rule):
         assert np.array_equal(minus_bits(got, n), rule.multipliers(xi) < 0)
         assert np.array_equal(np.bitwise_count(got).sum(axis=-1),
                               np.count_nonzero(rule.multipliers(xi) < 0, axis=-1))
+
+
+@pytest.mark.parametrize("rule", [SignFlipRule(0.25), SignFlipRule(Fraction(1, 3)),
+                                  SignFlipRule([1, 2, 5, 64, 6000])], ids=_rule_id)
+def test_sign_flip_word_kernel_matches_the_default_route(rule):
+    rng = np.random.default_rng(3)
+    for n in (1, 63, 64, 65, 1000, 115000):
+        for rows in (1, 3, 70):
+            words = rng.integers(0, 2**64, (rows, -(-n // 64)), dtype=np.uint64)
+            given = words.copy()  # random bits past n included
+            got = rule.minus_words(words, n)
+            assert np.array_equal(words, given)
+            assert got.dtype == np.uint64 and got.shape == words.shape
+            assert np.array_equal(got, RecyclingRule.minus_words(rule, words, n))
+            assert not (got[:, -1] & ~rules._LOW_BITS[(n - 1) % 64 + 1]).any()
 
 
 # ---------------------------------------------------------------------------

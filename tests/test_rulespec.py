@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbrw.rules import LevyRule, WindowMaxRule
+from gbrw.rules import LevyRule, RecyclingRule, WindowMaxRule
 from gbrw.rulespec import (
+    BUILTINS,
     RuleSpecError,
     load_rule,
     make_builtin,
@@ -52,6 +53,18 @@ def test_parameterless_builtins_reject_parameters(name):
     for spec in (f"builtin:{name}:3", f"builtin:{name}:x"):
         with pytest.raises(RuleSpecError, match=f"^{name} takes no parameter$"):
             load_rule(spec)
+
+
+# one sample parameter per parameter spelling of the catalogue
+SAMPLE_PARAMETERS = {"": "", ":M": ":3", ":P": ":0.25", ":KIND[:PARAM]": ":prefix:0.5",
+                     ":V0[:Z1:V1...]": ":-1:0:1"}
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_every_listed_builtin_parses_with_a_sample_parameter(name):
+    spelling, description, _ = BUILTINS[name]
+    rule = load_rule(f"builtin:{name}{SAMPLE_PARAMETERS[spelling]}", sgn0=1)
+    assert isinstance(rule, RecyclingRule) and description
 
 
 def test_symmetric_builtin():

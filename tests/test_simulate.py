@@ -333,32 +333,46 @@ def test_exact_distribution_probabilities_sum_to_one():
     assert all(Fraction(-1) <= v <= 1 for v, _ in atoms)
 
 
-def _sign_sum_law_dp(n, sgn0):
-    # independent oracle: path counts by (walk value, running sign sum)
-    counts = {(0, 0): 1}
-    for _ in range(n):
-        nxt = {}
-        for (x, total), c in counts.items():
-            total += 1 if x > 0 else -1 if x < 0 else sgn0
-            for step in (-1, 1):
-                key = (x + step, total)
-                nxt[key] = nxt.get(key, 0) + c
-        counts = nxt
-    law = {}
-    for (_, total), c in counts.items():
-        law[total] = law.get(total, 0) + c
-    return [(Fraction(t, n), Fraction(c, 1 << n)) for t, c in sorted(law.items())]
+def _sign_sum_law_walk(n, sgn0):
+    # independent oracle: every one of the 2**n paths walked one step at a
+    # time, in chunks of 2**20 paths
+    counts = np.zeros(2 * n + 1, dtype=np.int64)
+    chunk = 1 << min(n, 20)
+    for start in range(0, 1 << n, chunk):
+        paths = np.arange(start, start + chunk, dtype=np.uint32)
+        walk = np.zeros(chunk, dtype=np.int8)  # X_{k-1}, |X| <= n
+        totals = np.zeros(chunk, dtype=np.int8)
+        for j in range(n):
+            totals += np.sign(walk)
+            totals += (walk == 0).astype(np.int8) * np.int8(sgn0)
+            walk += 1 - 2 * ((paths >> j) & 1).astype(np.int8)
+        counts += np.bincount(totals.astype(np.int64) + n, minlength=2 * n + 1)
+    return [(Fraction(i - n, n), Fraction(int(c), 1 << n))
+            for i, c in enumerate(counts) if c]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 13, 21])
 @pytest.mark.parametrize("sgn0", [-1, 0, 1])
 def test_exact_law_matches_path_count_recursion(n, sgn0):
-    # n = 21 enumerates its paths in two chunks
-    assert exact_sign_sum_distribution(n, sgn0) == _sign_sum_law_dp(n, sgn0)
+    # the count recursion against the 2**n walk; n = 21 walks two chunks
+    assert exact_sign_sum_distribution(n, sgn0) == _sign_sum_law_walk(n, sgn0)
+
+
+@pytest.mark.parametrize("n", [25, 200])
+def test_exact_law_runs_past_the_enumeration_cap(n):
+    atoms = exact_sign_sum_distribution(n, 1)
+    assert sum(p for _, p in atoms) == 1
+    # the total is n when X_1, ..., X_{n-1} >= 0, as likely as X_1, ...,
+    # X_{2m} >= 0 for m = n // 2: C(2m, m) / 2**(2m) (Feller, Vol. I, ch. III)
+    m = n // 2
+    assert atoms[-1] == (1, Fraction(math.comb(2 * m, m), 1 << 2 * m))
+    for bad in ((0, -1), (-3, 1), (5, 2)):
+        with pytest.raises(ValueError):
+            exact_sign_sum_distribution(*bad)
 
 
 def test_exact_law_validates_reference_cdf():
-    # sup distance to the limiting CDF decreases along the enumerable sizes
+    # sup distance to the limiting CDF decreases along n = 4, 8, ..., 20
     distances = []
     for n in (4, 8, 12, 16, 20):
         atoms = exact_sign_sum_distribution(n)
@@ -368,6 +382,18 @@ def test_exact_law_validates_reference_cdf():
     assert all(a > b for a, b in zip(distances, distances[1:]))
     assert distances[0] == pytest.approx(0.375, abs=1e-12)
     assert distances[-1] == pytest.approx(0.17619705200195312, abs=1e-9)
+
+
+def test_exact_law_approaches_reference_cdf_at_large_n():
+    # the count recursion reaches n = 200; the sup distance to the arcsine
+    # limit keeps falling, at about n ** -0.5
+    sizes = (16, 20, 32, 64, 128, 200)
+    cdf = lambda x: float(reference_arcsine_cdf(x))
+    distances = [sup_distance_discrete(exact_sign_sum_distribution(n), cdf)
+                 for n in sizes]
+    assert all(a > b for a, b in zip(distances, distances[1:]))
+    assert distances == pytest.approx([0.1964, 0.1762, 0.1399, 0.0993, 0.0704, 0.0563],
+                                      abs=1e-4)
 
 
 def test_ks_statistic_hand_case():
