@@ -147,11 +147,12 @@ def cmd_moments(args) -> int:
     )
     path_a = _emit_rho_csv(args, report)
     path_b = _out_path(args, "theta_grid.csv")
-    ks, ls, thetas = zip(*report.theta_rows)
+    ks, ls, nums, exps = report.theta_grid
     write_csv(
         path_b,
         ("k", "l", "theta_exact", "theta"),
-        (np.array(ks), np.array(ls), thetas, np.array([float(v) for v in thetas])),
+        (np.array(ks), np.array(ls), [f"{n}/2^{e}" for n, e in zip(nums, exps)],
+         np.array([n / (1 << e) for n, e in zip(nums, exps)])),
     )
     _emit_set_diag(args, rule)
     print(f"first-moment cesaro -> {float(report.cesaro[-1]):.6g}")

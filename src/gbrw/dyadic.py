@@ -11,6 +11,12 @@ import functools
 from fractions import Fraction
 
 
+def reduced(numerator: int, exponent: int) -> tuple[int, int]:
+    """``numerator / 2**exponent`` (exponent >= 0) in reduced form, as a pair."""
+    t = min((numerator & -numerator).bit_length() - 1, exponent) if numerator else exponent
+    return numerator >> t, exponent - t
+
+
 @functools.total_ordering
 class Dyadic:
     """A signed dyadic rational ``numerator / 2**exponent`` in reduced form.
@@ -27,12 +33,7 @@ class Dyadic:
         exponent = int(exponent)
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        if numerator == 0:
-            exponent = 0
-        else:
-            while exponent > 0 and numerator % 2 == 0:
-                numerator //= 2
-                exponent -= 1
+        numerator, exponent = reduced(numerator, exponent)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "exponent", exponent)
 

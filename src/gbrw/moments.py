@@ -33,7 +33,7 @@ from .algebra import (
     mask_levels,
     union_table,
 )
-from .dyadic import Dyadic
+from .dyadic import Dyadic, reduced
 from .rules import RecyclingRule
 from .setseq import SetSequence
 
@@ -102,15 +102,12 @@ def _component_terms(union: int, members: list[int]) -> tuple[int, int]:
 def _product_terms(masks: Sequence[int]) -> tuple[int, int]:
     """E[prod_K u_[K]] over member masks (bit k-1 for index k), as
     (numerator, exponent); the value is numerator / 2**exponent."""
-    nonempty = [m for m in masks if m]
+    nonempty = list(filter(None, masks))
     sign = -1 if (len(masks) - len(nonempty)) & 1 else 1
-    if all(m & (m - 1) == 0 for m in nonempty):
+    if sum(map(int.bit_count, nonempty)) == len(nonempty):
         # a plain product of signs: zero unless every index occurs an even
         # number of times
-        parity = 0
-        for m in nonempty:
-            parity ^= m
-        return (0 if parity else sign), 0
+        return (0 if functools.reduce(operator.xor, nonempty, 0) else sign), 0
     components = _components(nonempty)
     for _, members in components:
         check_expansion_cap(len(members), "overlap component of size")
@@ -190,10 +187,17 @@ class MomentReport:
     stabilized: Dyadic | None = None
     double_cesaro: list[Fraction] | None = None
     rho_estimate: float | None = None
-    theta_rows: list[tuple[int, int, Dyadic]] | None = None
+    theta_grid: tuple[list[int], ...] | None = None  # k, l, numerator, exponent
 
     def final_cesaro(self) -> Fraction:
         return self.cesaro[-1]
+
+
+def _add(total: int, total_exp: int, num: int, exp: int) -> tuple[int, int]:
+    """total / 2**total_exp + num / 2**exp, over the larger power of two."""
+    if exp > total_exp:
+        return (total << (exp - total_exp)) + num, exp
+    return total + (num << (total_exp - exp)), total_exp
 
 
 def _tail_range(values: list[Fraction]) -> float:
@@ -232,10 +236,7 @@ def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float
             raise CapacityError(f"step {k}: {exc}") from exc
         step_masks.append(masks)
         rho.append(Dyadic(num, exp))
-        if exp > total_exp:
-            total <<= exp - total_exp
-            total_exp = exp
-        total += num << (total_exp - exp)
+        total, total_exp = _add(total, total_exp, num, exp)
         cesaro.append(Fraction(total, k << total_exp))
     stabilized = _stabilized_tail(rho)
     # an eventually constant per-step sequence has that constant as its
@@ -272,75 +273,92 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
                         keep_grid: bool = False) -> MomentReport:
     """Second-moment scan: double Cesaro means of theta_{k,l} versus rho**2.
 
-    Visits all O(horizon**2) pairs, but evaluates few of them in full.  The
-    step families are built once, by the first-moment scan, and each pair
-    takes the first path that applies:
-
-    - disjoint supports: the two products are independent, so
-      theta_{k,l} = rho_k rho_l from the first-moment scan;
-    - both families plain products of signs (members of size <= 1):
-      +-1 when the two index sets agree, else 0;
-    - otherwise the product over overlap components: closed forms for
-      components of one or two members, the subset sum for larger ones.
+    Each row sum over k < l of theta_{k,l} comes from exact running sums, and
+    only the pairs they cannot give are evaluated.  Disjoint supports give
+    theta_{k,l} = rho_k rho_l (independent products), from the running sum
+    of rho; two plain families (members of size <= 1) give s_k s_l when
+    their parities agree and 0 otherwise, from the plain steps' signs summed
+    per parity.  Overlapping pairs with a family that is not plain are found
+    from the support spans and evaluated over their overlap components.
 
     The double sums are held as one integer numerator over a power of two.
     The verdict is converged when the tail of the double means is stable and
     lands within the tolerance of the squared first-moment estimate,
-    diverged when stable but away from it.
+    diverged when stable but away from it.  ``keep_grid`` keeps every
+    theta_{k,l}, k <= l, as reduced (k, l, numerator, exponent) columns.
     """
     report_a, step_masks = _first_moment_scan(rule, horizon, tolerance)
-    supports, parities, signs, plain = [], [], [], []
-    for masks in step_masks:
-        support = parity = 0
-        for m in masks:
-            support |= m
-            parity ^= m
-        supports.append(support)
-        parities.append(parity)
-        signs.append(-1 if masks and masks[0] == 0 else 1)
-        plain.append(all(m & (m - 1) == 0 for m in masks))
+    # members are sorted and distinct, so a plain family's parity is its support
+    supports = [functools.reduce(operator.or_, m, 0) for m in step_masks]
+    signs = [-1 if m and not m[0] else 1 for m in step_masks]
+    sizes = [len(m) - (s < 0) for m, s in zip(step_masks, signs)]  # non-empty members
+    plain = [sum(map(int.bit_count, m)) == n for m, n in zip(step_masks, sizes)]
+    lo = np.array([(s & -s).bit_length() - 1 for s in supports])
+    hi = np.array([s.bit_length() - 1 for s in supports])
+    not_plain = ~np.array(plain)
     rho_num = [r.numerator for r in report_a.rho]
     rho_exp = [r.exponent for r in report_a.rho]
-    rows: list[tuple[int, int, Dyadic]] | None = [] if keep_grid else None
+    grid: tuple[list[int], ...] | None = ([], [], [], []) if keep_grid else None
     double: list[Fraction] = []
     total, total_exp = 0, 0  # running double sum total / 2**total_exp
-    # exact stabilization scan: if rho settles at r and every computed theta
-    # with both indices in the tail half and separation beyond a fixed band
-    # equals r**2 exactly, the double Cesaro limit is r**2 (the band and the
-    # head contribute O(1/horizon))
+    rho_sums = [(0, 0), (0, 0)]  # rho summed over the steps not plain, plain
+    plain_signs: dict[int, int] = {}  # parity -> sum of the plain steps' signs
+    # exact stabilization: if rho settles at r and theta = r**2 for all tail
+    # pairs at least a band apart, the double Cesaro limit is r**2 (band and
+    # head add O(1/horizon)).  Disjoint and plain tail pairs give r**2 by
+    # construction, except plain ones of equal parity when r = 0.
     r_stab = report_a.stabilized
     r_sq = r_stab * r_stab if r_stab is not None else Dyadic(0)
     band = max(1, horizon // 8)
-    tail_start = horizon // 2 + 1
+    half = horizon // 2  # index of the first tail step
     theta_stable = r_stab is not None
-    for l in range(1, horizon + 1):
-        j = l - 1
-        supp_l, parity_l, sign_l, plain_l = supports[j], parities[j], signs[j], plain[j]
-        for k in range(1, l):
-            i = k - 1
+    first_plain = {}  # parity -> first plain tail step, checked when r = 0
+    for j in range(horizon):
+        l = j + 1
+        supp_l, sign_l, plain_l = supports[j], signs[j], plain[j]
+        num_l, exp_l = rho_num[j], rho_exp[j]
+        row, row_exp = num_l * rho_sums[0][0], exp_l + rho_sums[0][1]
+        if plain_l:
+            row, row_exp = _add(row, row_exp, sign_l * plain_signs.get(supp_l, 0), 0)
+        else:
+            row, row_exp = _add(row, row_exp, num_l * rho_sums[1][0], exp_l + rho_sums[1][1])
+        near = (lo[:j] <= hi[j]) & (hi[:j] >= lo[j])
+        if plain_l:
+            near &= not_plain[:j]
+        evaluated = {}
+        for i in np.flatnonzero(near).tolist():
             if not supports[i] & supp_l:
-                num, exp = rho_num[i] * rho_num[j], rho_exp[i] + rho_exp[j]
-            elif plain[i] and plain_l:
-                num = signs[i] * sign_l if parities[i] == parity_l else 0
-                exp = 0
+                continue
+            if sizes[i] == sizes[j] == 1:
+                num, exp = _component_terms(supports[i] | supp_l, [supports[i], supp_l])
+                num *= signs[i] * sign_l
             else:
                 try:
                     num, exp = _product_terms(step_masks[i] + step_masks[j])
                 except CapacityError as exc:
-                    raise CapacityError(f"pair ({k},{l}): {exc}") from exc
-            if exp > total_exp:
-                total <<= exp - total_exp
-                total_exp = exp
-            total += num << (total_exp - exp + 1)  # symmetric off-diagonal pair
-            if (theta_stable and k >= tail_start and l - k >= band
+                    raise CapacityError(f"pair ({i + 1},{l}): {exc}") from exc
+            row, row_exp = _add(row, row_exp, num, exp)
+            row, row_exp = _add(row, row_exp, -rho_num[i] * num_l, rho_exp[i] + exp_l)
+            if (theta_stable and i >= half and j - i >= band
                     and num << r_sq.exponent != r_sq.numerator << exp):
                 theta_stable = False
-            if rows is not None:
-                rows.append((k, l, Dyadic(num, exp)))
-        total += 1 << total_exp  # theta_{l,l} = E[zeta**2] = 1
-        if rows is not None:
-            rows.append((l, l, Dyadic(1)))
+            evaluated[i] = num, exp
+        # the off-diagonal pairs count twice; theta_{l,l} = E[zeta**2] = 1
+        total, total_exp = _add(total, total_exp, 2 * row + (1 << row_exp), row_exp)
         double.append(Fraction(total, (l * l) << total_exp))
+        rho_sums[plain_l] = _add(*rho_sums[plain_l], num_l, exp_l)
+        if plain_l:
+            plain_signs[supp_l] = plain_signs.get(supp_l, 0) + sign_l
+            if theta_stable and not r_sq and j >= half:
+                theta_stable = j - first_plain.setdefault(supp_l, j) < band
+        if grid is not None:
+            cells = [reduced(*evaluated[i]) if i in evaluated
+                     else (signs[i] * sign_l * (supports[i] == supp_l), 0)
+                     if plain[i] and plain_l
+                     else reduced(rho_num[i] * num_l, rho_exp[i] + exp_l)
+                     for i in range(j)] + [(1, 0)]
+            for column, values in zip(grid, (range(1, l + 1), [l] * l, *zip(*cells))):
+                column.extend(values)
     rho_sq = Fraction(report_a.final_cesaro()) ** 2
     stable = _tail_range(double) < tolerance
     close = abs(float(double[-1] - rho_sq)) < tolerance
@@ -361,7 +379,7 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
         stabilized=report_a.stabilized,
         double_cesaro=double,
         rho_estimate=report_a.rho_estimate,
-        theta_rows=rows,
+        theta_grid=grid,
     )
 
 

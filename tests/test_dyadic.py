@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gbrw.dyadic import Dyadic
+from gbrw.dyadic import Dyadic, reduced
 
 dyadics = st.builds(
     Dyadic,
@@ -24,6 +24,32 @@ def test_reduced_form():
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         Dyadic(1, -1)
+
+
+@pytest.mark.parametrize("numerator, exponent, expected", [
+    (3 << 100, 200, (3, 100)),
+    (1 << 400, 400, (1, 0)),
+    (-(3 << 100), 200, (-3, 100)),
+    (-(1 << 400), 390, (-(1 << 10), 0)),
+    (-12, 1, (-6, 0)),
+    (-5, 3, (-5, 3)),
+    (0, 0, (0, 0)),
+    (0, 500, (0, 0)),
+])
+def test_reduction_strips_every_trailing_zero_at_once(numerator, exponent, expected):
+    assert reduced(numerator, exponent) == expected
+    d = Dyadic(numerator, exponent)
+    assert (d.numerator, d.exponent) == expected
+    assert d.as_fraction() == Fraction(numerator, 1 << exponent)
+    with pytest.raises(ValueError, match="exponent must be non-negative"):
+        Dyadic(numerator, -1)
+
+
+@given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(min_value=0, max_value=90))
+def test_reduction_matches_fractions(numerator, exponent):
+    num, exp = reduced(numerator, exponent)
+    assert Fraction(num, 1 << exp) == Fraction(numerator, 1 << exponent)
+    assert exp == 0 or num % 2 == 1
 
 
 def test_half_power():

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbrw.algebra import BetaFamily, CapacityError
+from gbrw.dyadic import Dyadic
 from gbrw.moments import (
+    DEFAULT_TOLERANCE,
+    _first_moment_scan,
+    _product_terms,
+    _tail_range,
     analyze_set_sequence,
     brute_force_expect,
     closed_form_disjoint,
@@ -29,6 +34,7 @@ from gbrw.rules import (
     WindowMaxRule,
     identity_rule,
 )
+from gbrw.rulespec import make_builtin
 from gbrw import algebra, setseq
 
 def S(*indices):
@@ -264,9 +270,19 @@ def test_condition_b_extended_brw_prefix():
     assert float(report.cesaro[-1]) == pytest.approx(0.0, abs=1e-2)
 
 
+def _grid(report):
+    """(k, l, theta) per grid row; asserts the columns are reduced."""
+    rows = []
+    for k, l, num, exp in zip(*report.theta_grid):
+        theta = Dyadic(num, exp)
+        assert (theta.numerator, theta.exponent) == (num, exp), (k, l)
+        rows.append((k, l, theta))
+    return rows
+
+
 def test_condition_b_grid_rows():
     report = condition_B_partial(WindowMaxRule(2), horizon=6, keep_grid=True)
-    grid = {(k, l): v for k, l, v in report.theta_rows}
+    grid = {(k, l): v for k, l, v in _grid(report)}
     assert grid[(3, 3)] == 1
     # windows {1,2} and {2,3} overlap on one component
     assert grid[(3, 4)] == brute_force_expect(
@@ -278,7 +294,7 @@ def test_condition_b_grid_rows():
 def test_condition_b_theta_matches_oracle_window():
     rule = WindowMaxRule(2)
     report = condition_B_partial(rule, horizon=8, keep_grid=True)
-    for k, l, theta in report.theta_rows:
+    for k, l, theta in _grid(report):
         oracle = brute_force_expect([rule.step_family(k), rule.step_family(l)])
         assert theta == oracle
 
@@ -365,12 +381,12 @@ def _assert_grid_matches_pairs(rule, horizon, oracle_horizon=0):
     fams = [rule.step_family(k) for k in range(1, horizon + 1)]
     assert report.rho == [expected_zeta(f) for f in fams]
     total = Fraction(0)
-    for k, l, theta in report.theta_rows:
+    for k, l, theta in _grid(report):
         assert theta == expected_zeta_pair(fams[k - 1], fams[l - 1]), (k, l)
         if l <= oracle_horizon:
             assert theta == brute_force_expect([fams[k - 1], fams[l - 1]])
         total += theta.as_fraction() * (1 if k == l else 2)
-    assert len(report.theta_rows) == horizon * (horizon + 1) // 2
+    assert all(len(column) == horizon * (horizon + 1) // 2 for column in report.theta_grid)
     assert report.double_cesaro[-1] == total / horizon**2
 
 
@@ -456,6 +472,170 @@ def test_condition_b_pair_capacity_names_the_pair(monkeypatch):
     assert str(err.value) == (
         "pair (5,8): overlap component of size 6 exceeds expansion cap 4"
     )
+
+
+# ---------------------------------------------------------------------------
+# The second-moment scan against the per-pair loop
+
+
+def _condition_b_loop(rule, horizon, tolerance=DEFAULT_TOLERANCE):
+    """Oracle: the scan visiting every pair k < l, as (double Cesaro means,
+    verdict, stabilized value, reduced (k, l, numerator, exponent) rows)."""
+    report_a, step_masks = _first_moment_scan(rule, horizon, tolerance)
+    supports, parities, signs, plain = [], [], [], []
+    for masks in step_masks:
+        support = parity = 0
+        for m in masks:
+            support |= m
+            parity ^= m
+        supports.append(support)
+        parities.append(parity)
+        signs.append(-1 if masks and masks[0] == 0 else 1)
+        plain.append(all(m & (m - 1) == 0 for m in masks))
+    rho_num = [r.numerator for r in report_a.rho]
+    rho_exp = [r.exponent for r in report_a.rho]
+    rows, double = [], []
+    total, total_exp = 0, 0
+    r_stab = report_a.stabilized
+    r_sq = r_stab * r_stab if r_stab is not None else Dyadic(0)
+    band = max(1, horizon // 8)
+    tail_start = horizon // 2 + 1
+    theta_stable = r_stab is not None
+    for l in range(1, horizon + 1):
+        j = l - 1
+        for k in range(1, l):
+            i = k - 1
+            if not supports[i] & supports[j]:
+                num, exp = rho_num[i] * rho_num[j], rho_exp[i] + rho_exp[j]
+            elif plain[i] and plain[j]:
+                num = signs[i] * signs[j] if parities[i] == parities[j] else 0
+                exp = 0
+            else:
+                try:
+                    num, exp = _product_terms(step_masks[i] + step_masks[j])
+                except CapacityError as exc:
+                    raise CapacityError(f"pair ({k},{l}): {exc}") from exc
+            if exp > total_exp:
+                total <<= exp - total_exp
+                total_exp = exp
+            total += num << (total_exp - exp + 1)
+            if (theta_stable and k >= tail_start and l - k >= band
+                    and num << r_sq.exponent != r_sq.numerator << exp):
+                theta_stable = False
+            theta = Dyadic(num, exp)
+            rows.append((k, l, theta.numerator, theta.exponent))
+        total += 1 << total_exp
+        rows.append((l, l, 1, 0))
+        double.append(Fraction(total, (l * l) << total_exp))
+    rho_sq = Fraction(report_a.final_cesaro()) ** 2
+    stable = _tail_range(double) < tolerance
+    close = abs(float(double[-1] - rho_sq)) < tolerance
+    if r_stab is not None and theta_stable:
+        verdict = "converged"
+    elif stable and close:
+        verdict = "converged"
+    elif stable:
+        verdict = "diverged"
+    else:
+        verdict = "undetermined"
+    return double, verdict, r_stab, rows
+
+
+def _assert_scan_matches_loop(rule, horizon):
+    try:
+        expected = _condition_b_loop(rule, horizon)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as err:
+            condition_B_partial(rule, horizon, keep_grid=True)
+        assert str(err.value) == str(exc)
+        return
+    double, verdict, stabilized, rows = expected
+    report = condition_B_partial(rule, horizon, keep_grid=True)
+    assert report.double_cesaro == double
+    assert report.verdict == verdict
+    assert report.stabilized == stabilized
+    assert list(zip(*report.theta_grid)) == rows
+    plain_report = condition_B_partial(rule, horizon)
+    assert plain_report.theta_grid is None
+    assert (plain_report.double_cesaro, plain_report.verdict) == (double, verdict)
+
+
+SCAN_BUILTINS = [
+    "identity", "negation", "brw", "max", "window-max:1", "window-max:2",
+    "window-max:3", "window-max:7", "levy", "modified-levy", "modified-levy-max",
+    "extended-brw:window:3", "extended-brw:prefix:0.5", "extended-brw:prefix-log",
+    "extended-brw:prefix-pow:0.5", "extended-brw:capped:4", "sign-flips:0.25",
+    "sign-flips:0.5", "symmetric:-1:0:1", "symmetric:1", "symmetric:-1",
+]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 64])
+@pytest.mark.parametrize("spec", SCAN_BUILTINS)
+def test_condition_b_matches_the_pair_loop_on_builtins(spec, horizon):
+    _assert_scan_matches_loop(make_builtin(spec), horizon)
+
+
+def _explicit(families, fallback=None):
+    fams = {step: BetaFamily(step, sets) for step, sets in families.items()}
+    return ExplicitRule(+1, families=fams, fallback=fallback or identity_rule())
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 30])
+@pytest.mark.parametrize("rule", [
+    # plain and non-plain members mixed, with sign flips (the empty set)
+    _explicit({s: ([0] if s % 3 else []) + [S(s - 1)] + ([S(s - 2, s - 1)] if s % 2 else [])
+               for s in range(3, 31)}),
+    _explicit({s: [0, S(s - 1)] if s % 2 else [S(s - 2), S(s - 1)] for s in range(3, 31)},
+              fallback=WindowMaxRule(2)),
+    # one-member families against plain ones of equal parity
+    _explicit({s: [S(1)] if s % 4 == 0 else [0, S(1, 2)] if s % 4 == 1 else [S(s - 1)]
+               for s in range(3, 31)}),
+    # the constant sets of test_bounded_rule_constant_sets_fails_condition_b
+    _explicit({s: [0, S(1, 2), S(3, 4, 5)] for s in range(6, 31)}),
+    # plain steps with rho = 0 whose parities repeat far apart, or only next door
+    _explicit({s: [S(1)] for s in range(3, 31)}),
+    _explicit({s: [S(s - 1 - s % 2)] for s in range(3, 31)}),
+], ids=["mixed", "mixed-window", "one-member", "constant-sets", "repeated-parity",
+        "adjacent-parity"])
+def test_condition_b_matches_the_pair_loop_on_explicit_families(rule, horizon):
+    _assert_scan_matches_loop(rule, horizon)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([-1, 1]), st.lists(
+    st.lists(st.sets(st.integers(min_value=0, max_value=7), max_size=2), max_size=4),
+    min_size=20, max_size=20))
+def test_condition_b_matches_the_pair_loop_on_random_families(psi0, per_step):
+    # small members, many of them singletons or empty, near each step
+    fams = {}
+    for step, members in enumerate(per_step, start=2):
+        fams[step] = BetaFamily(step, [S(*(step - 1 - j for j in m if step - 1 - j >= 1))
+                                       for m in members])
+    rule = ExplicitRule(psi0, families=fams, fallback=identity_rule())
+    _assert_scan_matches_loop(rule, 24)
+
+
+def test_condition_b_pair_capacity_matches_the_pair_loop(monkeypatch):
+    monkeypatch.setattr(algebra, "DEFAULT_EXPANSION_CAP", 4)
+    rule = _explicit({5: [S(1, 2), S(2, 3), S(3, 4)], 8: [S(4, 5), S(5, 6), S(6, 7)]})
+    with pytest.raises(CapacityError) as err:
+        _condition_b_loop(rule, 8)
+    assert str(err.value) == "pair (5,8): overlap component of size 6 exceeds expansion cap 4"
+    _assert_scan_matches_loop(rule, 8)
+
+
+def test_condition_b_memory_is_linear_in_the_horizon():
+    # candidate pairs are streamed row by row, never held as an h x h matrix
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = condition_B_partial(WindowMaxRule(3), 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "converged"
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

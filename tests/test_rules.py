@@ -900,15 +900,26 @@ def test_word_kernels_match_pointwise_psi_and_the_definitions(rule):
         assert np.array_equal(rule.multipliers(xi), expected)
 
 
-@pytest.mark.parametrize("rule", [SignFlipRule(0.25), ExtendedBrwRule(setseq.sliding_window(3)),
+@pytest.mark.parametrize("rule", [ExtendedBrwRule(setseq.sliding_window(3)),
                                   SymmetricRule(StepFunction((-1.0, 0.0, 1.0), (1, -1, 1, -1))),
                                   explicit_rule(4, ProductRule()), RandomRule(5)],
                          ids=_rule_id)
-def test_default_word_kernel_packs_the_multipliers(rule):
+def test_default_word_kernel_packs_the_multipliers(rule, monkeypatch):
+    default = RecyclingRule.minus_words
+    calls = []
+
+    def spy(self, words, n):
+        calls.append(n)
+        return default(self, words, n)
+
+    # a rule with its own word kernel would bypass the route under test
+    monkeypatch.setattr(RecyclingRule, "minus_words", spy)
     for n in (1, 63, 64, 65, 129, 6001):
         n = min(n, max_length(rule) or n)
         xi, words = word_paths(n, repaired=True)
+        calls.clear()
         got = rule.minus_words(words, n)
+        assert calls == [n]
         assert got.shape == words.shape
         assert np.array_equal(minus_bits(got, n), rule.multipliers(xi) < 0)
         assert np.array_equal(np.bitwise_count(got).sum(axis=-1),
