@@ -230,6 +230,15 @@ class BetaFamily:
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "masks", masks)
 
+    @classmethod
+    def adopt(cls, step: int, masks: tuple[int, ...]) -> "BetaFamily":
+        """A family over ``masks``, a tuple already sorted, distinct and inside
+        {1,...,step-1}: neither sorted nor checked."""
+        family = cls.__new__(cls)
+        object.__setattr__(family, "step", step)
+        object.__setattr__(family, "masks", masks)
+        return family
+
     def __setattr__(self, name, value):
         raise AttributeError("BetaFamily is immutable")
 
@@ -341,7 +350,7 @@ def subset_xor_transform(bits: np.ndarray) -> np.ndarray:
 def truth_to_beta(table: TruthTable) -> BetaFamily:
     """The unique beta family reproducing the table (steps the arity up by one)."""
     coeffs = subset_xor_transform(table.neg_bits())
-    return BetaFamily(table.arity + 1, np.flatnonzero(coeffs).tolist())
+    return BetaFamily.adopt(table.arity + 1, tuple(np.flatnonzero(coeffs).tolist()))
 
 
 def beta_to_truth(family: BetaFamily) -> TruthTable:
@@ -583,7 +592,7 @@ def level_family(step: int, levels: Sequence[int]) -> BetaFamily:
     if any(j > n for j in active):
         raise ValueError("level index exceeds arity")
     keep = np.isin(mask_levels(n), active)
-    return BetaFamily(step, np.flatnonzero(keep).tolist())
+    return BetaFamily.adopt(step, tuple(np.flatnonzero(keep).tolist()))
 
 
 def family_levels(family: BetaFamily) -> np.ndarray | None:

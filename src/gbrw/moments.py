@@ -214,27 +214,34 @@ def _stabilized_tail(rho: list[Dyadic]) -> Dyadic | None:
 
 
 def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float
-                       ) -> tuple[MomentReport, list[tuple[int, ...]]]:
-    """condition_A_partial, also returning the member masks of each step.
+                       ) -> tuple[MomentReport, list[tuple]]:
+    """condition_A_partial, also returning each step's (member masks,
+    support, sign, non-empty members, plain).
 
     Each step's family is built and evaluated before the next is built, so
     the first step past a cap fails at once.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    step_masks: list[tuple[int, ...]] = []
+    steps: list[tuple] = []
     rho: list[Dyadic] = []
     cesaro: list[Fraction] = []
     total, total_exp = 0, 0  # running sum total / 2**total_exp
     for k in range(1, horizon + 1):
         try:
             masks = rule.step_family(k).masks
-            num, exp = _product_terms(masks)
+            # members are sorted and distinct: the empty set comes first, and
+            # distinct singletons sum, and XOR, to their support
+            sign = -1 if masks and not masks[0] else 1
+            size = len(masks) - (sign < 0)
+            plain = sum(map(int.bit_count, masks)) == size
+            support = sum(masks) if plain else functools.reduce(operator.or_, masks, 0)
+            num, exp = ((0 if support else sign), 0) if plain else _product_terms(masks)
         except CapacityError as exc:
             if str(exc).startswith(f"step {k}:"):
                 raise
             raise CapacityError(f"step {k}: {exc}") from exc
-        step_masks.append(masks)
+        steps.append((masks, support, sign, size, plain))
         rho.append(Dyadic(num, exp))
         total, total_exp = _add(total, total_exp, num, exp)
         cesaro.append(Fraction(total, k << total_exp))
@@ -255,7 +262,7 @@ def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float
         stabilized=stabilized,
         rho_estimate=estimate,
     )
-    return report, step_masks
+    return report, steps
 
 
 def condition_A_partial(rule: RecyclingRule, horizon: int,
@@ -278,8 +285,13 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
     theta_{k,l} = rho_k rho_l (independent products), from the running sum
     of rho; two plain families (members of size <= 1) give s_k s_l when
     their parities agree and 0 otherwise, from the plain steps' signs summed
-    per parity.  Overlapping pairs with a family that is not plain are found
-    from the support spans and evaluated over their overlap components.
+    per parity.  Prefix members (one-member families {1,...,a}) are nested:
+    for a_k <= b = a_l, theta_{k,l} - rho_k rho_l = s_k s_l 2**(2-b)
+    (1 - 2**-a_k), from running sums of s_k and s_k 2**-a_k over the earlier
+    prefix members.  Other overlapping pairs with a family that is not plain
+    are found from the support spans and evaluated over their overlap
+    components.  The first-moment scan summarizes each family once (support,
+    sign, non-empty members, plain), and the pair scan reads only that.
 
     The double sums are held as one integer numerator over a power of two.
     The verdict is converged when the tail of the double means is stable and
@@ -287,15 +299,17 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
     diverged when stable but away from it.  ``keep_grid`` keeps every
     theta_{k,l}, k <= l, as reduced (k, l, numerator, exponent) columns.
     """
-    report_a, step_masks = _first_moment_scan(rule, horizon, tolerance)
+    report_a, steps = _first_moment_scan(rule, horizon, tolerance)
     # members are sorted and distinct, so a plain family's parity is its support
-    supports = [functools.reduce(operator.or_, m, 0) for m in step_masks]
-    signs = [-1 if m and not m[0] else 1 for m in step_masks]
-    sizes = [len(m) - (s < 0) for m, s in zip(step_masks, signs)]  # non-empty members
-    plain = [sum(map(int.bit_count, m)) == n for m, n in zip(step_masks, sizes)]
+    step_masks, supports, signs, sizes, plain = zip(*steps)
     lo = np.array([(s & -s).bit_length() - 1 for s in supports])
     hi = np.array([s.bit_length() - 1 for s in supports])
     not_plain = ~np.array(plain)
+    # a of the prefix members {1,...,a}, 0 for the other families
+    plens = [s.bit_length() if n == 1 and s & 1 and not s & (s + 1) else 0
+             for s, n in zip(supports, sizes)]
+    plen = np.array(plens)
+    prefix_sums = 0, 0, 0  # sum of the prefix members' s_k, and of s_k 2**-a_k
     rho_num = [r.numerator for r in report_a.rho]
     rho_exp = [r.exponent for r in report_a.rho]
     grid: tuple[list[int], ...] | None = ([], [], [], []) if keep_grid else None
@@ -323,9 +337,28 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
         else:
             row, row_exp = _add(row, row_exp, num_l * rho_sums[1][0], exp_l + rho_sums[1][1])
         near = (lo[:j] <= hi[j]) & (hi[:j] >= lo[j])
+        evaluated = {}
         if plain_l:
             near &= not_plain[:j]
-        evaluated = {}
+        elif b := plens[j]:
+            # earlier prefix members up to {1,...,b} from the running sums; the
+            # longer ones are left to the pair loop
+            longer = plen[:j] > b
+            count, frac, frac_exp = prefix_sums
+            for i in np.flatnonzero(longer).tolist():
+                count -= signs[i]
+                frac, frac_exp = _add(frac, frac_exp, -signs[i], plens[i])
+            row, row_exp = _add(row, row_exp, sign_l * ((count << frac_exp) - frac),
+                                frac_exp + b - 2)
+            nested = (plen[:j] > 0) & ~longer
+            near &= ~nested
+            # tail rho all equal r, and theta_{k,l} - r**2 above is never 0
+            if theta_stable and nested[half:max(half, j - band + 1)].any():
+                theta_stable = False
+            if grid is not None:
+                for i in np.flatnonzero(nested).tolist():
+                    evaluated[i] = (signs[i] * sign_l
+                                    * ((1 << b) - (1 << (b + 1 - plens[i])) + 2), b)
         for i in np.flatnonzero(near).tolist():
             if not supports[i] & supp_l:
                 continue
@@ -347,6 +380,9 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
         total, total_exp = _add(total, total_exp, 2 * row + (1 << row_exp), row_exp)
         double.append(Fraction(total, (l * l) << total_exp))
         rho_sums[plain_l] = _add(*rho_sums[plain_l], num_l, exp_l)
+        if plens[j]:
+            prefix_sums = (prefix_sums[0] + sign_l,
+                           *_add(*prefix_sums[1:], sign_l, plens[j]))
         if plain_l:
             plain_signs[supp_l] = plain_signs.get(supp_l, 0) + sign_l
             if theta_stable and not r_sq and j >= half:

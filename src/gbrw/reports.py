@@ -71,8 +71,11 @@ def _cells(column) -> list[str]:
             return list(map(str, column.tolist()))
         if column.dtype == np.float64:
             return list(map("{:.17g}".format, column.tolist()))
+    texts = [v if type(v) is str else format_value(v) for v in column]
+    if not _MUST_QUOTE.search("".join(texts)):  # one search decides most columns
+        return texts
     return ['"' + t.replace('"', '""') + '"' if _MUST_QUOTE.search(t) else t
-            for t in (v if type(v) is str else format_value(v) for v in column)]
+            for t in texts]
 
 
 def _lines(cells: list[list[str]]) -> bytes:

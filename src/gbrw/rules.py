@@ -384,6 +384,19 @@ def negation_rule() -> ConstantRule:
 # ---------------------------------------------------------------------------
 # Running-product rules
 
+_SINGLETONS: tuple[int, ...] = ()  # the masks 1 << j, grown by doubling
+
+
+def _singleton_family(step: int, lo: int, hi: int) -> BetaFamily:
+    """The family of the singletons {lo}, ..., {hi} at ``step``, adopting a
+    slice of one shared tuple of masks."""
+    global _SINGLETONS
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    if hi > len(_SINGLETONS):
+        _SINGLETONS = tuple(1 << j for j in range(2 * hi))
+    return BetaFamily.adopt(step, _SINGLETONS[lo - 1:hi])
+
 
 class ProductRule(RecyclingRule):
     """psi_n = u_1 * ... * u_n, so eta_n is the running product of increments."""
@@ -406,7 +419,7 @@ class ProductRule(RecyclingRule):
         return parity_signs(step - 1)
 
     def step_family(self, step):
-        return BetaFamily(step, [1 << j for j in range(step - 1)])
+        return _singleton_family(step, 1, step - 1)
 
 
 class ExtendedBrwRule(RecyclingRule):
@@ -437,8 +450,7 @@ class ExtendedBrwRule(RecyclingRule):
         return _signs(odd[..., hi] ^ odd[..., lo - 1])
 
     def step_family(self, step):
-        lo, hi = self._interval(step)
-        return BetaFamily(step, [1 << (j - 1) for j in range(lo, hi + 1)])
+        return _singleton_family(step, *self._interval(step))
 
     def table_signs(self, step):
         # the parity table of M_k's bits, repeated below lo and tiled above hi

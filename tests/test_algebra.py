@@ -100,6 +100,35 @@ def test_family_membership_validation():
         BetaFamily(3, [S(3)])
 
 
+def test_public_family_constructor_sorts_and_checks():
+    assert BetaFamily(4, [0b100, 0b001, 0b100, 0, 0b001]).masks == (0, 0b001, 0b100)
+    assert BetaFamily(130, [1 << 128, 1 << 70, 1 << 128]).masks == (1 << 70, 1 << 128)
+    with pytest.raises(ValueError, match="^member mask -2 is negative$"):
+        BetaFamily(4, [1, -2])
+    with pytest.raises(ValueError, match="not a subset"):
+        BetaFamily(4, [0b1000])
+    with pytest.raises(ValueError, match="not a subset"):
+        BetaFamily(130, [1, 1 << 129])
+    with pytest.raises(ValueError, match="^step must be >= 1$"):
+        BetaFamily(0)
+
+
+def test_adopted_table_families_equal_the_checked_constructor():
+    rng = np.random.default_rng(5)
+    for arity in range(12):
+        tables = [TruthTable(arity, rng.choice(np.array([-1, 1], np.int8), 1 << arity)),
+                  TruthTable.constant(arity, -1), sgn_table(arity)]
+        for table in tables:
+            fam = truth_to_beta(table)
+            assert fam == BetaFamily(arity + 1, fam.masks[::-1])
+            assert all(type(m) is int for m in fam.masks)
+            assert beta_to_truth(fam) == table
+        for levels in ([1] * (arity + 1), [0, 1][:arity + 1], [1, 0, 0, 1][:arity + 1]):
+            fam = level_family(arity + 1, levels)
+            assert fam == BetaFamily(arity + 1, fam.masks[::-1])
+            assert all(type(m) is int for m in fam.masks)
+
+
 # ---------------------------------------------------------------------------
 # Truth <-> beta conversion
 

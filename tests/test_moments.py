@@ -9,7 +9,6 @@ from gbrw.algebra import BetaFamily, CapacityError
 from gbrw.dyadic import Dyadic
 from gbrw.moments import (
     DEFAULT_TOLERANCE,
-    _first_moment_scan,
     _product_terms,
     _tail_range,
     analyze_set_sequence,
@@ -35,7 +34,7 @@ from gbrw.rules import (
     identity_rule,
 )
 from gbrw.rulespec import make_builtin
-from gbrw import algebra, setseq
+from gbrw import algebra, moments, setseq
 
 def S(*indices):
     """The mask of the index set {indices} (bit k-1 for index k)."""
@@ -481,7 +480,8 @@ def test_condition_b_pair_capacity_names_the_pair(monkeypatch):
 def _condition_b_loop(rule, horizon, tolerance=DEFAULT_TOLERANCE):
     """Oracle: the scan visiting every pair k < l, as (double Cesaro means,
     verdict, stabilized value, reduced (k, l, numerator, exponent) rows)."""
-    report_a, step_masks = _first_moment_scan(rule, horizon, tolerance)
+    report_a = condition_A_partial(rule, horizon, tolerance)
+    step_masks = [rule.step_family(k).masks for k in range(1, horizon + 1)]
     supports, parities, signs, plain = [], [], [], []
     for masks in step_masks:
         support = parity = 0
@@ -575,9 +575,29 @@ def test_condition_b_matches_the_pair_loop_on_builtins(spec, horizon):
     _assert_scan_matches_loop(make_builtin(spec), horizon)
 
 
+def test_condition_b_matches_the_pair_loop_on_max_at_136():
+    _assert_scan_matches_loop(make_builtin("max"), 136)
+
+
 def _explicit(families, fallback=None):
     fams = {step: BetaFamily(step, sets) for step, sets in families.items()}
     return ExplicitRule(+1, families=fams, fallback=fallback or identity_rule())
+
+
+def P(a):
+    """The prefix {1,...,a}."""
+    return S(*range(1, a + 1))
+
+
+def _prefix_length(s):
+    # growing, repeated, shrinking and growing again
+    return s - 1 if s < 8 else 7 if s < 14 else 20 - s if s < 19 else s - 17
+
+
+def _tail_prefixes(steps):
+    # rho = 3/4 from step 4 on: windows of three, prefixes {1,2,3} at the steps
+    return _explicit({s: [P(3)] if s in steps else [S(s - 3, s - 2, s - 1)]
+                      for s in range(4, 31)})
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 5, 30])
@@ -595,8 +615,19 @@ def _explicit(families, fallback=None):
     # plain steps with rho = 0 whose parities repeat far apart, or only next door
     _explicit({s: [S(1)] for s in range(3, 31)}),
     _explicit({s: [S(s - 1 - s % 2)] for s in range(3, 31)}),
+    # nested prefix members, with and without the empty set (sign -1)
+    _explicit({s: [P(_prefix_length(s))] for s in range(3, 31)}),
+    _explicit({s: ([0] if s % 3 else []) + [P(_prefix_length(s))] for s in range(3, 31)}),
+    # prefix members among other one-member families and plain steps
+    _explicit({s: [[S(2, 3)], [S(s - 2, s - 1)], [S(s - 1)], [0, S(1), S(3)], [S(1)],
+                   [0, P(s - 1)], [P(s // 2)]][s % 7] for s in range(4, 31)},
+              fallback=WindowMaxRule(None)),
+    # rho stabilizes: tail prefix pairs closer than the band, then at the band
+    _tail_prefixes({16, 18}),
+    _tail_prefixes({16, 19}),
 ], ids=["mixed", "mixed-window", "one-member", "constant-sets", "repeated-parity",
-        "adjacent-parity"])
+        "adjacent-parity", "prefix-nested", "prefix-signs", "prefix-mixed",
+        "prefix-tail-near", "prefix-tail-band"])
 def test_condition_b_matches_the_pair_loop_on_explicit_families(rule, horizon):
     _assert_scan_matches_loop(rule, horizon)
 
@@ -622,6 +653,28 @@ def test_condition_b_pair_capacity_matches_the_pair_loop(monkeypatch):
         _condition_b_loop(rule, 8)
     assert str(err.value) == "pair (5,8): overlap component of size 6 exceeds expansion cap 4"
     _assert_scan_matches_loop(rule, 8)
+
+
+def test_max_scan_evaluates_no_pair(monkeypatch):
+    # nested prefix members: every row comes from the running sums
+    calls = []
+    for name in ("_component_terms", "_product_terms"):
+        real = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *args, real=real: calls.append(args)
+                            or real(*args))
+    report = condition_B_partial(make_builtin("max"), 512)
+    assert calls  # the first moments of single families
+    assert all(len(list(filter(None, args[-1]))) <= 1 for args in calls)
+    assert report.verdict == "undetermined"
+
+
+def test_brw_scan_adopts_its_families(monkeypatch):
+    def init(*args):
+        raise AssertionError("BetaFamily.__init__ entered")
+
+    monkeypatch.setattr(BetaFamily, "__init__", init)
+    report = condition_B_partial(make_builtin("brw"), 256)
+    assert report.stabilized == 0 and report.verdict == "converged"
 
 
 def test_condition_b_memory_is_linear_in_the_horizon():

@@ -33,6 +33,7 @@ from gbrw.rules import (
     sign_step,
 )
 from gbrw import rules, setseq
+from gbrw.rulespec import make_builtin
 from gbrw.simulate import SeedSpec
 
 ALL_BUILTINS = [
@@ -279,6 +280,21 @@ def test_builtin_table_families_known():
     assert set(WindowMaxRule(2).step_family(5).masks) == {0b1100}
     assert set(SignFlipRule(1.0).step_family(3).masks) == {0}
     assert set(identity_rule().step_family(3).masks) == set()
+
+
+@pytest.mark.parametrize("spec", [
+    "brw", "extended-brw:window:3", "extended-brw:prefix:0.5", "extended-brw:prefix-log",
+    "extended-brw:prefix-pow:0.5", "extended-brw:capped:4"])
+def test_singleton_families_equal_the_checked_constructor(spec):
+    # adopted slices of one shared tuple of masks, across the 64-bit width
+    rule = make_builtin(spec)
+    lo, hi = (np.ones(130, int), np.arange(130)) if spec == "brw" else rule.seq.bounds(130)
+    for step in range(1, 131):
+        fam = rule.step_family(step)
+        members = [1 << (j - 1) for j in range(lo[step - 1], hi[step - 1] + 1)]
+        assert fam == BetaFamily(step, members[::-1]) == BetaFamily(step, fam.masks)
+        assert type(fam.masks) is tuple and all(type(m) is int for m in fam.masks)
+    assert max(ProductRule().step_family(130).masks) == 1 << 128
 
 
 def test_levy_family_is_level_constant():
