@@ -291,10 +291,14 @@ def _member_order(masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     index where they differ is first: the order of the bit-reversed bytes, negated."""
     width = max(masks, default=0).bit_length()
     size = (width + 7) // 8
-    flat = np.unpackbits(np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
-                                       np.uint8), bitorder="little")
-    bits = flat.reshape(len(masks), 8 * size)[:, :width]
-    keys = ~np.packbits(flat).reshape(len(masks), size).T[::-1].copy()
+    if width <= 64:  # the little-endian bytes of uint64 words
+        raw = np.array(masks, "<u8").view(np.uint8).reshape(len(masks), 8)[:, :size]
+    else:
+        raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
+                            np.uint8).reshape(len(masks), size)
+    flat = np.unpackbits(raw, axis=1, bitorder="little")
+    bits = flat[:, :width]
+    keys = ~np.packbits(flat, axis=1).T[::-1].copy()
     order = np.lexsort((*keys, np.count_nonzero(bits, axis=1)))
     return order, bits[order]
 

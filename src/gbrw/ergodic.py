@@ -4,7 +4,9 @@ The rule induces a bijection tau_n on {-1,+1}^n for each n; the infinite
 transformation is ergodic exactly when every tau_n is a single 2**n cycle.
 That in turn reduces to psi0 = -1 together with one sign per step: the
 product of psi_n over all 2**n inputs must be -1, equivalently the full-set
-coefficient beta_{n+1,{1..n}} must be 1.
+coefficient beta_{n+1,{1..n}} must be 1.  The product is read from the
+rule's ``negatives_parity``, so a rule that states that parity in closed
+form is checked at any horizon without a table.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import BetaFamily, binomial_parity, check_enum_cap, level_family
-from .rules import PrefixMaxRule, RecyclingRule, sgn_truth_table
+from .rules import PrefixMaxRule, RecyclingRule
 
 __all__ = [
     "rule_permutation",
@@ -70,31 +72,28 @@ class OrbitDecomposition:
 
 
 def orbit_decompose(rule: RecyclingRule, n: int) -> OrbitDecomposition:
-    """Full cycle structure of tau_n by visited-flag traversal."""
-    perm = rule_permutation(rule, n)
-    size = perm.size
-    visited = np.zeros(size, dtype=bool)
-    cycles = []
-    for start in range(size):
-        if visited[start]:
-            continue
-        length = 0
-        node = start
-        while not visited[node]:
-            visited[node] = True
-            node = int(perm[node])
-            length += 1
-        cycles.append(length)
-    cycles.sort(reverse=True)
-    return OrbitDecomposition(n=n, cycles=tuple(cycles))
+    """Full cycle structure of tau_n by pointer doubling.
+
+    After round r, ``label`` holds the least of 2**r successive inputs along
+    each cycle and ``jump`` is tau_n to the power 2**r, so n rounds label
+    every input with the least input of its cycle; the labels' counts are
+    the cycle lengths.
+    """
+    jump = rule_permutation(rule, n)
+    label = np.arange(jump.size)
+    for _ in range(n):
+        np.minimum(label, label[jump], out=label)
+        jump = jump[jump]
+    lengths = np.bincount(label)
+    lengths = np.sort(lengths[lengths > 0])[::-1]
+    return OrbitDecomposition(n=n, cycles=tuple(lengths.tolist()))
 
 
 def criterion_product(rule: RecyclingRule, n: int) -> int:
     """Product of psi_n over all 2**n inputs; -1 at every n means ergodic."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    table = rule.step_table(n + 1)
-    return -1 if table.negatives_parity() else 1
+    return -1 if rule.negatives_parity(n + 1) else 1
 
 
 def criterion_beta(rule: RecyclingRule, n: int) -> int:
@@ -226,6 +225,10 @@ class RepairedRule(PrefixMaxRule):
         super().__init__(inner, f"repair({inner.name})")
         self._needs_flip: dict[int, bool] = {}
 
+    def negatives_parity(self, step):
+        # psi0 = -1, and the factor is taken exactly where the inner parity is even
+        return 1
+
     def needs_flip(self, n: int) -> bool:
         """True when the inner rule fails the criterion at step multiplier n."""
         if n not in self._needs_flip:
@@ -243,12 +246,24 @@ class RepairedRule(PrefixMaxRule):
         return self._needs_flip[n]
 
 
+def _parity_reads_tables(rule: RecyclingRule) -> bool:
+    """Whether ``rule.negatives_parity`` counts step tables: the default hook
+    does, and a prefix-max wrapper's reads its inner rule's."""
+    hook = type(rule).negatives_parity
+    if hook is PrefixMaxRule.negatives_parity:
+        return _parity_reads_tables(rule.inner)
+    return hook is RecyclingRule.negatives_parity
+
+
 def ergodic_repair(rule: RecyclingRule, horizon: int = 0) -> RepairedRule:
     """Wrap a rule so every single-orbit criterion holds.
 
-    ``horizon`` is checked against the cap up front, so that a horizon
-    whose tables exceed it fails before any is built.  Each repair decision
-    is made on first use, from the one inner table that use builds.
+    When the rule's parities are read from tables, ``horizon`` is checked
+    against the cap up front, so that a horizon whose tables exceed it
+    fails before any is built; a rule with closed-form parities takes any
+    horizon.  Each repair decision is made on first use, from the rule's
+    parity or the one inner table that use builds.
     """
-    check_enum_cap(horizon, f"step {horizon + 1}: rule table arity")
+    if _parity_reads_tables(rule):
+        check_enum_cap(horizon, f"step {horizon + 1}: rule table arity")
     return RepairedRule(rule)

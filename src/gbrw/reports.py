@@ -62,6 +62,9 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
 _SPECIAL = ',"\n' + "\r" * (
     csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) > 2)
 _MUST_QUOTE = re.compile(f"[{re.escape(_SPECIAL)}]")
+#: The same characters as a lookup over bytes.
+_QUOTED_BYTES = np.zeros(256, dtype=bool)
+_QUOTED_BYTES[list(_SPECIAL.encode())] = True
 
 
 def _cells(column) -> list[str]:
@@ -102,7 +105,7 @@ def _int_field(column: np.ndarray) -> np.ndarray:
 def _text_field(column: np.ndarray, alone: bool) -> np.ndarray:
     """Cells of an S-dtype array without '"', csv-quoted in a zero-padded matrix."""
     cells = np.ascontiguousarray(column).view(np.uint8).reshape(column.size, -1)
-    quote = np.isin(cells, list(_SPECIAL.encode())).any(axis=1) | (alone & ~cells.any(axis=1))
+    quote = _QUOTED_BYTES[cells].any(axis=1) | (alone & ~cells.any(axis=1))
     out = np.pad(cells, ((0, 0), (1, 1)))
     out[quote, 0] = out[quote, -1] = ord('"')
     return out

@@ -23,7 +23,9 @@ running prefix mask and look up only the steps they tabulate, row by row.
 ``step_table`` gives one step's truth table, the psi0 constant at step 1
 and otherwise a rule's ``table_signs`` once the arity is checked against
 the enumeration cap; ``step_family`` gives the beta coefficient family,
-in closed form where one is known.
+in closed form where one is known, and ``negatives_parity`` the parity of
+a step's -1 count, which the single-orbit criterion reads, in closed form
+for every builtin rule.
 """
 
 from __future__ import annotations
@@ -334,6 +336,13 @@ class RecyclingRule:
         or one that only read-only tables hold, which ``step_table`` adopts."""
         raise NotImplementedError
 
+    def negatives_parity(self, step: int) -> int:
+        """Parity of the number of inputs on which the multiplier at ``step``
+        is -1, the bit the single-orbit criterion reads.  The default counts
+        the -1s of ``step_table``; a rule that knows the parity in closed
+        form overrides this and builds no table."""
+        return self.step_table(step).negatives_parity()
+
     def step_family(self, step: int) -> BetaFamily:
         """Beta family of the multiplier at ``step``."""
         return truth_to_beta(self.step_table(step))
@@ -367,6 +376,10 @@ class ConstantRule(RecyclingRule):
 
     def table_signs(self, step):
         return np.full(1 << (step - 1), self.value, dtype=np.int8)
+
+    def negatives_parity(self, step):
+        # after step 1, an even number of inputs share one value
+        return int(step == 1 and self.psi0 == -1)
 
     def step_family(self, step):
         value = self.psi0 if step == 1 else self.value
@@ -418,6 +431,10 @@ class ProductRule(RecyclingRule):
     def table_signs(self, step):
         return parity_signs(step - 1)
 
+    def negatives_parity(self, step):
+        # 2^(n-1) of the masks of n >= 1 bits have an odd popcount
+        return int(step == 2)
+
     def step_family(self, step):
         return _singleton_family(step, 1, step - 1)
 
@@ -451,6 +468,11 @@ class ExtendedBrwRule(RecyclingRule):
 
     def step_family(self, step):
         return _singleton_family(step, *self._interval(step))
+
+    def negatives_parity(self, step):
+        # the table below holds 2^(step-2) -1s when M_k is not empty: an odd
+        # count only for the one input of step 2 with M_2 = {1}
+        return int(step == 2 and self._interval(2) == (1, 1))
 
     def table_signs(self, step):
         # the parity table of M_k's bits, repeated below lo and tiled above hi
@@ -511,6 +533,10 @@ class WindowMaxRule(RecyclingRule):
         signs = np.ones(1 << (step - 1), dtype=np.int8)
         signs[self.window_mask(step):] = -1
         return signs
+
+    def negatives_parity(self, step):
+        # the masks from the window mask up number 2^(lo-1): odd for lo = 1
+        return int(self.width is None or step <= self.width + 1)
 
     def step_family(self, step):
         return BetaFamily(step, [self.window_mask(step)])
@@ -636,6 +662,13 @@ class SymmetricRule(RecyclingRule):
             minus ^= flags
         return _signs(minus)
 
+    def negatives_parity(self, step):
+        # level nu holds C(arity, nu) inputs, odd exactly when nu is a
+        # submask of the arity (Lucas' theorem)
+        nu = np.arange(step)
+        odd = (nu & ~(step - 1)) == 0
+        return int(np.count_nonzero(odd & (self.profile(step) < 0))) & 1
+
     def step_family(self, step):
         check_enum_cap(step - 1, "rule family arity")
         return level_family(step, symmetric_profile_to_levels(self.profile(step)))
@@ -697,6 +730,12 @@ class PrefixMaxRule(RecyclingRule):
         signs[-1] = -signs[-1]
         return signs
 
+    def negatives_parity(self, step):
+        # the factor negates one entry of the inner table
+        if step == 1:
+            return 1
+        return self.inner.negatives_parity(step) ^ int(self.flips(np.array([step - 1]))[0])
+
     def _flips_table(self, n: int, inner_table: TruthTable) -> bool:
         """``flips`` at arity n, given the inner table at step n + 1."""
         return bool(self.flips(np.array([n]))[0])
@@ -738,6 +777,10 @@ class _OneStepLate(RecyclingRule):
     def table_signs(self, step):
         # the last coordinate is not read: the inner table twice over
         return np.tile(self.inner.step_table(step - 1).signs, 2)
+
+    def negatives_parity(self, step):
+        # after step 1, every table holds each value an even number of times
+        return int(step == 1 and self.psi0 == -1)
 
 
 class ModifiedLevyMaxRule(PrefixMaxRule):
@@ -824,6 +867,10 @@ class SignFlipRule(RecyclingRule):
 
     def table_signs(self, step):
         return np.full(1 << (step - 1), self.epsilon(step), dtype=np.int8)
+
+    def negatives_parity(self, step):
+        # after step 1, an even number of inputs share one value
+        return int(step == 1 and self.psi0 == -1)
 
     def step_family(self, step):
         return BetaFamily(step, [0] if self.epsilon(step) == -1 else [])

@@ -23,10 +23,9 @@ from .ergodic import (
     criterion_product,
     orbit_decompose,
     sgn_beta_array,
-    sgn_truth_table,
 )
 from .moments import brute_force_expect, expected_zeta, expected_zeta_pair
-from .rules import RandomRule
+from .rules import RandomRule, sgn_truth_table
 from .simulate import SeedSpec
 
 

@@ -28,7 +28,6 @@ from gbrw.ergodic import (
     orbit_decompose,
     rule_permutation,
     sgn_beta_array,
-    sgn_truth_table,
 )
 from gbrw.moments import (
     brute_force_expect,
@@ -46,6 +45,7 @@ from gbrw.rules import (
     RandomRule,
     WindowMaxRule,
     identity_rule,
+    sgn_truth_table,
 )
 from gbrw.simulate import (
     SeedSpec,

@@ -205,6 +205,20 @@ def test_ergodic_check_modified_levy_passes(capsys, tmp_path):
     assert "closed form" in out
 
 
+@pytest.mark.parametrize("rule, code, verdict", [
+    ("levy", 2, "first failure at step 3"),
+    ("symmetric:-1:0.5:1", 2, "first failure at step 3"),
+    ("modified-levy", 0, "holds for n <= 10000 (closed form for all steps)"),
+    ("modified-levy-max", 0, "holds for n <= 10000 (closed form for all steps)"),
+])
+def test_ergodic_check_runs_past_the_table_cap(capsys, tmp_path, rule, code, verdict):
+    # these rules state the criterion's parities in closed form, so the scan
+    # builds no 2^n table and the enumeration cap does not bound the horizon
+    got, out, _ = run(["ergodic-check", "--rule", f"builtin:{rule}",
+                       "--horizon", "10000", "--out", str(tmp_path)], capsys)
+    assert got == code and verdict in out
+
+
 def test_ergodic_check_repair_flag(capsys, tmp_path):
     code, out, _ = run(
         [

@@ -15,9 +15,9 @@ from gbrw.ergodic import (
     orbit_decompose,
     rule_permutation,
     sgn_beta_array,
-    sgn_truth_table,
 )
 from gbrw.rules import (
+    ExplicitRule,
     LevyRule,
     ModifiedLevyMaxRule,
     ModifiedLevyRule,
@@ -25,6 +25,7 @@ from gbrw.rules import (
     RandomRule,
     WindowMaxRule,
     identity_rule,
+    sgn_truth_table,
 )
 from gbrw.simulate import SeedSpec
 
@@ -74,6 +75,32 @@ def test_cycle_lengths_sum():
     decomposition = orbit_decompose(LevyRule(), 6)
     assert sum(decomposition.cycles) == 64
     assert decomposition.cycles == tuple(sorted(decomposition.cycles, reverse=True))
+
+
+def _cycles_by_walk(perm):
+    """Cycle lengths of a permutation, longest first, by visited-flag traversal."""
+    visited = np.zeros(perm.size, dtype=bool)
+    cycles = []
+    for start in range(perm.size):
+        length = 0
+        node = start
+        while not visited[node]:
+            visited[node] = True
+            node = int(perm[node])
+            length += 1
+        if length:
+            cycles.append(length)
+    return tuple(sorted(cycles, reverse=True))
+
+
+@pytest.mark.parametrize("rule", [
+    LevyRule(), LevyRule(sgn0=1), ModifiedLevyRule(), ModifiedLevyMaxRule(),
+    WindowMaxRule(None), WindowMaxRule(3), ProductRule(), identity_rule(),
+    ergodic_repair(RandomRule(8, psi0=1)),
+], ids=lambda r: r.name)
+def test_orbit_decompose_matches_the_cycle_walk(rule):
+    for n in range(13):
+        assert orbit_decompose(rule, n).cycles == _cycles_by_walk(rule_permutation(rule, n))
 
 
 def test_bijectivity_at_twenty():
@@ -352,7 +379,9 @@ def test_repair_pointwise_consistency():
 
 
 def test_repair_builds_each_inner_table_once():
-    inner = LevyRule()
+    # the tables of tau_13 record the repair decisions of arities 1..12, so
+    # the decisions and the criterion scan build no inner table again
+    inner = RandomRule(5, psi0=1)
     built = collections.Counter()
     step_table = inner.step_table
 
@@ -362,12 +391,16 @@ def test_repair_builds_each_inner_table_once():
 
     inner.step_table = counted
     repaired = ergodic_repair(inner, horizon=12)
+    assert orbit_decompose(repaired, 13).single_orbit
+    assert [repaired.needs_flip(n) for n in range(1, 13)] == [
+        criterion_product(RandomRule(5, psi0=1), n) == 1 for n in range(1, 13)]
     assert is_ergodic_up_to(repaired, 12).ergodic_so_far
     assert built == {step: 1 for step in range(2, 14)}
 
 
 def test_repair_horizon_is_checked_before_any_table():
-    inner = LevyRule()
+    # a rule whose parities are counted from its tables
+    inner = RandomRule(5)
     inner.step_table = lambda step: pytest.fail("table built")
     with pytest.raises(CapacityError,
                        match="step 26: rule table arity 25 exceeds enumeration cap 24"):
@@ -375,10 +408,22 @@ def test_repair_horizon_is_checked_before_any_table():
     ergodic_repair(inner, horizon=24)
 
 
+def test_repair_of_closed_form_parities_builds_no_table():
+    # levy states its parities in closed form: any horizon is accepted, and
+    # the decisions of a leading run of 10^4 -1s need no table
+    inner = LevyRule()
+    inner.step_table = lambda step: pytest.fail("table built")
+    repaired = ergodic_repair(inner, horizon=10_000)
+    assert is_ergodic_up_to(repaired, 10_000).ergodic_so_far
+    xi = np.concatenate([np.full(10_000, -1, dtype=np.int8), SeedSpec(3).increments(100)])
+    assert np.array_equal(repaired.apply(xi), ModifiedLevyRule().apply(xi))
+
+
 def test_repair_capacity_error_names_the_step():
     # the all-minus path needs the decision at every arity, up to 25 for
-    # step 26; the identity rule's constant tables keep the lower ones cheap
-    repaired = ergodic_repair(identity_rule())
+    # step 26; identity tables read through an explicit rule keep the
+    # parities on the table route and the lower tables cheap
+    repaired = ergodic_repair(ExplicitRule(+1, fallback=identity_rule()))
     with pytest.raises(CapacityError,
                        match="step 26: rule table arity 25 exceeds enumeration cap 24"):
         repaired.apply(np.full(26, -1, dtype=np.int8))

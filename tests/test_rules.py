@@ -386,6 +386,16 @@ TABLE_RULES = [RandomRule(21), RandomRule(22, psi0=1), ergodic_repair(LevyRule()
                ergodic_repair(RandomRule(23, psi0=1))]
 
 
+@pytest.mark.parametrize("rule", [
+    *ALL_BUILTINS, SignFlipRule(1.0), ExtendedBrwRule(setseq.prefix_fraction(0.4)),
+    ergodic_repair(LevyRule()), ergodic_repair(explicit_rule(3, ProductRule())),
+    explicit_rule(4, LevyRule()), explicit_rule(5, WindowMaxRule(2)),
+], ids=lambda r: r.name)
+def test_negatives_parity_is_the_table_parity(rule):
+    for step in range(1, 20):
+        assert rule.negatives_parity(step) == rule.step_table(step).negatives_parity()
+
+
 @st.composite
 def set_sequences(draw):
     fraction = st.floats(0.001, 0.999)
