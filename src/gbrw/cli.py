@@ -43,7 +43,6 @@ from .simulate import (
     reference_arcsine_cdf,
     sample_path,
 )
-from . import selftest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -148,11 +147,16 @@ def cmd_moments(args) -> int:
     path_a = _emit_rho_csv(args, report)
     path_b = _out_path(args, "theta_grid.csv")
     ks, ls, nums, exps = report.theta_grid
+    # each distinct value is formatted once, as bytes cells indexed per pair
+    cells = list(zip(nums, exps))
+    values = {v: i for i, v in enumerate(dict.fromkeys(cells))}
+    index = np.fromiter(map(values.__getitem__, cells), np.int64, len(cells))
+    exact = np.array([f"{n}/2^{e}".encode() for n, e in values], dtype="S")
+    floats = np.array([format_value(n / (1 << e)).encode() for n, e in values], dtype="S")
     write_csv(
         path_b,
         ("k", "l", "theta_exact", "theta"),
-        (np.array(ks), np.array(ls), [f"{n}/2^{e}" for n, e in zip(nums, exps)],
-         np.array([n / (1 << e) for n, e in zip(nums, exps)])),
+        (np.array(ks), np.array(ls), exact[index], floats[index]),
     )
     _emit_set_diag(args, rule)
     print(f"first-moment cesaro -> {float(report.cesaro[-1]):.6g}")
@@ -285,6 +289,8 @@ def cmd_beta_array(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest  # imported by the one command that runs it
+
     results = selftest.run_all(seed=args.seed)
     failed = 0
     for name, ok, detail in results:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import BetaFamily, binomial_parity, check_enum_cap, level_family
-from .rules import PrefixMaxRule, RecyclingRule
+from .rules import ExplicitRule, PrefixMaxRule, RecyclingRule
 
 __all__ = [
     "rule_permutation",
@@ -248,10 +248,13 @@ class RepairedRule(PrefixMaxRule):
 
 def _parity_reads_tables(rule: RecyclingRule) -> bool:
     """Whether ``rule.negatives_parity`` counts step tables: the default hook
-    does, and a prefix-max wrapper's reads its inner rule's."""
+    does, a prefix-max wrapper's reads its inner rule's, and an explicit
+    rule's its fallback's past the steps it lists (all of them without one)."""
     hook = type(rule).negatives_parity
     if hook is PrefixMaxRule.negatives_parity:
         return _parity_reads_tables(rule.inner)
+    if hook is ExplicitRule.negatives_parity:
+        return rule.fallback is None or _parity_reads_tables(rule.fallback)
     return hook is RecyclingRule.negatives_parity
 
 

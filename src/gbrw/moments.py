@@ -9,8 +9,10 @@ sub-collections of the beta families:
 
 with q(M) = 2^-|M|.  Index sets are int masks (bit k-1 for index k), and
 the sums over sub-collections read the union popcounts of
-``algebra.union_table``, whatever the width of the masks.  Everything here
-is evaluated in exact dyadic arithmetic; floats appear only in convergence
+``algebra.union_table``, whatever the width of the masks.  The condition
+scans read these sums only for rules without a state model; for the others
+they count the 2^(k-1) paths per state instead.  Everything here is
+evaluated in exact dyadic arithmetic; floats appear only in convergence
 verdicts.
 """
 
@@ -34,7 +36,7 @@ from .algebra import (
     union_table,
 )
 from .dyadic import Dyadic, reduced
-from .rules import RecyclingRule
+from .rules import RecyclingRule, StateModel
 from .setseq import SetSequence
 
 #: Default horizon for the quadratic-cost second-moment scan.
@@ -213,20 +215,44 @@ def _stabilized_tail(rho: list[Dyadic]) -> Dyadic | None:
     return None
 
 
-def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float
-                       ) -> tuple[MomentReport, list[tuple]]:
-    """condition_A_partial, also returning each step's (member masks,
-    support, sign, non-empty members, plain).
+def _first_moment_report(terms: list[tuple[int, int]], tolerance: float) -> MomentReport:
+    """Per-step values, Cesaro means and verdict of rho_k = numerator /
+    2**exponent, given per step."""
+    rho: list[Dyadic] = []
+    cesaro: list[Fraction] = []
+    total, total_exp = 0, 0  # running sum total / 2**total_exp
+    for k, (num, exp) in enumerate(terms, start=1):
+        rho.append(Dyadic(num, exp))
+        total, total_exp = _add(total, total_exp, num, exp)
+        cesaro.append(Fraction(total, k << total_exp))
+    stabilized = _stabilized_tail(rho)
+    # an eventually constant per-step sequence has that constant as its
+    # Cesaro limit, no tolerance needed
+    if stabilized is not None or _tail_range(cesaro) < tolerance:
+        verdict = "converged"
+    else:
+        verdict = "undetermined"
+    estimate = float(stabilized) if stabilized is not None else float(cesaro[-1])
+    return MomentReport(
+        horizon=len(terms),
+        rho=rho,
+        cesaro=cesaro,
+        verdict=verdict,
+        tolerance=tolerance,
+        stabilized=stabilized,
+        rho_estimate=estimate,
+    )
+
+
+def _family_scan(rule: RecyclingRule, horizon: int) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """rho_k from the beta families as (numerator, exponent), and each step's
+    (member masks, support, sign, non-empty members, plain).
 
     Each step's family is built and evaluated before the next is built, so
     the first step past a cap fails at once.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    terms: list[tuple[int, int]] = []
     steps: list[tuple] = []
-    rho: list[Dyadic] = []
-    cesaro: list[Fraction] = []
-    total, total_exp = 0, 0  # running sum total / 2**total_exp
     for k in range(1, horizon + 1):
         try:
             masks = rule.step_family(k).masks
@@ -242,85 +268,36 @@ def _first_moment_scan(rule: RecyclingRule, horizon: int, tolerance: float
                 raise
             raise CapacityError(f"step {k}: {exc}") from exc
         steps.append((masks, support, sign, size, plain))
-        rho.append(Dyadic(num, exp))
-        total, total_exp = _add(total, total_exp, num, exp)
-        cesaro.append(Fraction(total, k << total_exp))
-    stabilized = _stabilized_tail(rho)
-    # an eventually constant per-step sequence has that constant as its
-    # Cesaro limit, no tolerance needed
-    if stabilized is not None or _tail_range(cesaro) < tolerance:
-        verdict = "converged"
-    else:
-        verdict = "undetermined"
-    estimate = float(stabilized) if stabilized is not None else float(cesaro[-1])
-    report = MomentReport(
-        horizon=horizon,
-        rho=rho,
-        cesaro=cesaro,
-        verdict=verdict,
-        tolerance=tolerance,
-        stabilized=stabilized,
-        rho_estimate=estimate,
-    )
-    return report, steps
+        terms.append((num, exp))
+    return terms, steps
 
 
-def condition_A_partial(rule: RecyclingRule, horizon: int,
-                        tolerance: float = DEFAULT_TOLERANCE) -> MomentReport:
-    """First-moment Cesaro scan: rho_k = E[zeta_{k-1}] for k <= horizon.
+def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
+               ) -> tuple[list[tuple[int, int]], bool, tuple[list[int], ...] | None]:
+    """Row sums sum_{k<l} theta_{k,l} of the beta families as (numerator,
+    exponent), the exact-stabilization flag, and the grid when kept.
 
-    Converged means the last half of the Cesaro sequence has range below the
-    tolerance.
+    Disjoint supports give theta_{k,l} = rho_k rho_l (independent products),
+    from the running sum of rho; two plain families (members of size <= 1)
+    give s_k s_l when their parities agree and 0 otherwise, from the plain
+    steps' signs summed per parity.  The other overlapping pairs are found
+    from the support spans and evaluated over their overlap components.
     """
-    return _first_moment_scan(rule, horizon, tolerance)[0]
-
-
-def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
-                        tolerance: float = DEFAULT_TOLERANCE,
-                        keep_grid: bool = False) -> MomentReport:
-    """Second-moment scan: double Cesaro means of theta_{k,l} versus rho**2.
-
-    Each row sum over k < l of theta_{k,l} comes from exact running sums, and
-    only the pairs they cannot give are evaluated.  Disjoint supports give
-    theta_{k,l} = rho_k rho_l (independent products), from the running sum
-    of rho; two plain families (members of size <= 1) give s_k s_l when
-    their parities agree and 0 otherwise, from the plain steps' signs summed
-    per parity.  Prefix members (one-member families {1,...,a}) are nested:
-    for a_k <= b = a_l, theta_{k,l} - rho_k rho_l = s_k s_l 2**(2-b)
-    (1 - 2**-a_k), from running sums of s_k and s_k 2**-a_k over the earlier
-    prefix members.  Other overlapping pairs with a family that is not plain
-    are found from the support spans and evaluated over their overlap
-    components.  The first-moment scan summarizes each family once (support,
-    sign, non-empty members, plain), and the pair scan reads only that.
-
-    The double sums are held as one integer numerator over a power of two.
-    The verdict is converged when the tail of the double means is stable and
-    lands within the tolerance of the squared first-moment estimate,
-    diverged when stable but away from it.  ``keep_grid`` keeps every
-    theta_{k,l}, k <= l, as reduced (k, l, numerator, exponent) columns.
-    """
-    report_a, steps = _first_moment_scan(rule, horizon, tolerance)
     # members are sorted and distinct, so a plain family's parity is its support
     step_masks, supports, signs, sizes, plain = zip(*steps)
+    horizon = len(steps)
     lo = np.array([(s & -s).bit_length() - 1 for s in supports])
     hi = np.array([s.bit_length() - 1 for s in supports])
     not_plain = ~np.array(plain)
-    # a of the prefix members {1,...,a}, 0 for the other families
-    plens = [s.bit_length() if n == 1 and s & 1 and not s & (s + 1) else 0
-             for s, n in zip(supports, sizes)]
-    plen = np.array(plens)
-    prefix_sums = 0, 0, 0  # sum of the prefix members' s_k, and of s_k 2**-a_k
     rho_num = [r.numerator for r in report_a.rho]
     rho_exp = [r.exponent for r in report_a.rho]
     grid: tuple[list[int], ...] | None = ([], [], [], []) if keep_grid else None
-    double: list[Fraction] = []
-    total, total_exp = 0, 0  # running double sum total / 2**total_exp
+    rows: list[tuple[int, int]] = []
     rho_sums = [(0, 0), (0, 0)]  # rho summed over the steps not plain, plain
     plain_signs: dict[int, int] = {}  # parity -> sum of the plain steps' signs
-    # exact stabilization: if rho settles at r and theta = r**2 for all tail
-    # pairs at least a band apart, the double Cesaro limit is r**2 (band and
-    # head add O(1/horizon)).  Disjoint and plain tail pairs give r**2 by
-    # construction, except plain ones of equal parity when r = 0.
+    # exact stabilization (see _second_moment_report): disjoint and plain tail
+    # pairs give r**2 by construction, except plain ones of equal parity when
+    # r = 0
     r_stab = report_a.stabilized
     r_sq = r_stab * r_stab if r_stab is not None else Dyadic(0)
     band = max(1, horizon // 8)
@@ -337,28 +314,9 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
         else:
             row, row_exp = _add(row, row_exp, num_l * rho_sums[1][0], exp_l + rho_sums[1][1])
         near = (lo[:j] <= hi[j]) & (hi[:j] >= lo[j])
-        evaluated = {}
         if plain_l:
             near &= not_plain[:j]
-        elif b := plens[j]:
-            # earlier prefix members up to {1,...,b} from the running sums; the
-            # longer ones are left to the pair loop
-            longer = plen[:j] > b
-            count, frac, frac_exp = prefix_sums
-            for i in np.flatnonzero(longer).tolist():
-                count -= signs[i]
-                frac, frac_exp = _add(frac, frac_exp, -signs[i], plens[i])
-            row, row_exp = _add(row, row_exp, sign_l * ((count << frac_exp) - frac),
-                                frac_exp + b - 2)
-            nested = (plen[:j] > 0) & ~longer
-            near &= ~nested
-            # tail rho all equal r, and theta_{k,l} - r**2 above is never 0
-            if theta_stable and nested[half:max(half, j - band + 1)].any():
-                theta_stable = False
-            if grid is not None:
-                for i in np.flatnonzero(nested).tolist():
-                    evaluated[i] = (signs[i] * sign_l
-                                    * ((1 << b) - (1 << (b + 1 - plens[i])) + 2), b)
+        evaluated = {}
         for i in np.flatnonzero(near).tolist():
             if not supports[i] & supp_l:
                 continue
@@ -376,13 +334,8 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
                     and num << r_sq.exponent != r_sq.numerator << exp):
                 theta_stable = False
             evaluated[i] = num, exp
-        # the off-diagonal pairs count twice; theta_{l,l} = E[zeta**2] = 1
-        total, total_exp = _add(total, total_exp, 2 * row + (1 << row_exp), row_exp)
-        double.append(Fraction(total, (l * l) << total_exp))
+        rows.append((row, row_exp))
         rho_sums[plain_l] = _add(*rho_sums[plain_l], num_l, exp_l)
-        if plens[j]:
-            prefix_sums = (prefix_sums[0] + sign_l,
-                           *_add(*prefix_sums[1:], sign_l, plens[j]))
         if plain_l:
             plain_signs[supp_l] = plain_signs.get(supp_l, 0) + sign_l
             if theta_stable and not r_sq and j >= half:
@@ -395,10 +348,179 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
                      for i in range(j)] + [(1, 0)]
             for column, values in zip(grid, (range(1, l + 1), [l] * l, *zip(*cells))):
                 column.extend(values)
+    return rows, theta_stable, grid
+
+
+#: Automata of at most this many states keep their counts in Python lists,
+#: whose few entries cost less than numpy's per-call overhead; larger ones
+#: (the walk) in one numpy object matrix.
+_LIST_STATES = 16
+
+
+def _push_rows(model: StateModel, rows: np.ndarray, states: np.ndarray,
+               into: np.ndarray) -> np.ndarray:
+    """The rows of counts over ``states`` moved one step on: each entry
+    added to the columns of its two successors among ``into``."""
+    new = np.zeros((len(rows), len(into)), dtype=object)
+    for moves in (model.minus, model.plus):
+        np.add.at(new, (slice(None), np.searchsorted(into, moves[states])), rows)
+    return new
+
+
+class _ListCounts:
+    """The path counts ``c`` and the weighted counts ``b`` of a small
+    automaton in Python lists, and the kept rows in an object matrix over
+    every state."""
+
+    def __init__(self, model: StateModel):
+        self.model = model
+        self.states = np.arange(model.size)
+        self.c, self.b = [0] * model.size, [0] * model.size
+        self.c[model.initial] = 1
+        self.rows = np.zeros((0, model.size), dtype=object)
+        # the push as one list display, compiled from the state indices alone:
+        # several times faster than summing each state's sources in a loop
+        sources = [[*np.flatnonzero(model.minus == t), *np.flatnonzero(model.plus == t)]
+                   for t in range(model.size)]
+        entries = ("+".join(f"v[{s}]" for s in each) or "0" for each in sources)
+        self.push = eval(f"lambda v: [{', '.join(entries)}]")
+
+    def values(self, out: np.ndarray) -> tuple[int, int, list[int]]:
+        """c.out, b.out and each kept row's dot with out."""
+        self.out, self.signs = out, out.tolist()
+        return (sum(map(operator.mul, self.c, self.signs)),
+                sum(map(operator.mul, self.b, self.signs)),
+                self.rows.dot(out).tolist() if len(self.rows) else [])
+
+    def varies(self) -> bool:
+        """Whether the signs differ between states some path is in."""
+        return len({s for s, count in zip(self.signs, self.c) if count}) > 1
+
+    def step(self, keep: bool) -> None:
+        """b <- push(b + c out), c <- push(c), with the row c out kept first
+        if asked, and every kept row pushed."""
+        if keep:
+            self.rows = np.vstack([self.rows, np.array(self.c, dtype=object) * self.out])
+        self.b = self.push(list(map(operator.add, self.b,
+                                    map(operator.mul, self.c, self.signs))))
+        self.c = self.push(self.c)
+        if len(self.rows):
+            self.rows = _push_rows(self.model, self.rows, self.states, self.states)
+
+    def retain(self, index: list[int]) -> None:
+        self.rows = self.rows[index]
+
+
+class _MatrixCounts:
+    """``c``, ``b`` and the kept rows as the rows of one object matrix over
+    the states some path is in, which for the walk value are far fewer than
+    the states of the horizon."""
+
+    def __init__(self, model: StateModel):
+        self.model = model
+        self.states = np.array([model.initial])
+        self.rows = np.array([[1], [0]], dtype=object)
+
+    def values(self, out: np.ndarray) -> tuple[int, int, list[int]]:
+        self.signs = out[self.states]
+        num, row, *thetas = self.rows.dot(self.signs).tolist()
+        return num, row, thetas
+
+    def varies(self) -> bool:
+        return bool((self.signs != self.signs[0]).any())
+
+    def step(self, keep: bool) -> None:
+        rows = self.rows
+        rows[1] += rows[0] * self.signs
+        if keep:
+            rows = np.vstack([rows, rows[0] * self.signs])
+        into = np.union1d(self.model.minus[self.states], self.model.plus[self.states])
+        self.rows = _push_rows(self.model, rows, self.states, into)
+        self.states = into
+
+    def retain(self, index: list[int]) -> None:
+        self.rows = self.rows[[0, 1] + [2 + i for i in index]]
+
+
+def _state_scan(model: StateModel, horizon: int, keep_grid: bool
+                ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], bool,
+                           tuple[list[int], ...] | None]:
+    """rho_k and the row sums sum_{j<k} theta_{j,k} of an automaton, as
+    (numerator, exponent), the exact-stabilization flag, and the grid when
+    kept.
+
+    ``c`` counts the paths per state and ``b`` weights each path by the sum
+    of its outputs so far: at step k, rho_k = c.out_k / 2**(k-1) and the row
+    sum is b.out_k / 2**(k-1); then b <- push(b + c out_k) and c <- push(c).
+    theta_{j,k} itself is the row c out_j of step j, pushed on to step k and
+    dotted with out_k.  Such rows are kept for the grid, and for the tail
+    pairs the stabilization check must evaluate: pairs at least the model's
+    depth apart give rho_j rho_k, and so do steps whose output is the same
+    in every state some path is in.
+    """
+    counts = (_ListCounts if model.size <= _LIST_STATES else _MatrixCounts)(model)
+    terms: list[tuple[int, int]] = []  # numerators over 2**(k-1), not reduced
+    rows: list[tuple[int, int]] = []
+    grid: tuple[list[int], ...] | None = ([], [], [], []) if keep_grid else None
+    band = max(1, horizon // 8)
+    half = horizon // 2  # the last step before the tail
+    depth = model.depth()
+    check_pairs = depth is None or depth > band
+    r_num, r_exp = 0, 0  # rho at the first tail step
+    stable = True  # tail rho all r, and theta = r**2 on the tail pairs seen
+    kept: list[int] = []  # the steps of the kept rows
+    for k in range(1, horizon + 1):
+        num, row, thetas = counts.values(model.out(k))
+        terms.append((num, k - 1))
+        rows.append((row, k - 1))
+        if thetas:
+            if stable:  # r**2 = r_num**2 / 2**(2 r_exp)
+                stable = all(theta << 2 * r_exp == r_num * r_num << k - 1
+                             for j, theta in zip(kept, thetas) if j > half and k - j >= band)
+            if grid is not None:
+                cells = [reduced(theta, k - 1) for theta in thetas]
+                for column, values in zip(grid, (kept, [k] * len(kept), *zip(*cells))):
+                    column.extend(values)
+        if grid is not None:
+            for column, value in zip(grid, (k, k, 1, 0)):
+                column.append(value)
+        if k == half + 1:
+            r_num, r_exp = num, k - 1
+        elif k > half + 1 and stable:
+            stable = num << r_exp == r_num << k - 1
+        keep = keep_grid or (stable and k > half and check_pairs and counts.varies())
+        if keep:
+            kept.append(k)
+        counts.step(keep)
+        if kept and not keep_grid:
+            live = [i for i, j in enumerate(kept)
+                    if stable and (depth is None or k + 1 - j < depth)]
+            if len(live) < len(kept):
+                counts.retain(live)
+                kept = [kept[i] for i in live]
+    return terms, rows, stable, grid
+
+
+def _second_moment_report(report_a: MomentReport, rows: list[tuple[int, int]],
+                          theta_stable: bool, grid: tuple[list[int], ...] | None
+                          ) -> MomentReport:
+    """Double Cesaro means and verdict from the row sums sum_{k<l} theta_{k,l}.
+
+    Exact stabilization: if rho settles at r and theta_{k,l} = r**2 for all
+    tail pairs at least a band apart (``theta_stable``), the double Cesaro
+    limit is r**2 (band and head add O(1/horizon)).
+    """
+    double: list[Fraction] = []
+    total, total_exp = 0, 0  # running double sum total / 2**total_exp
+    for l, (row, row_exp) in enumerate(rows, start=1):
+        # the off-diagonal pairs count twice; theta_{l,l} = E[zeta**2] = 1
+        total, total_exp = _add(total, total_exp, 2 * row + (1 << row_exp), row_exp)
+        double.append(Fraction(total, (l * l) << total_exp))
+    tolerance = report_a.tolerance
     rho_sq = Fraction(report_a.final_cesaro()) ** 2
     stable = _tail_range(double) < tolerance
     close = abs(float(double[-1] - rho_sq)) < tolerance
-    if r_stab is not None and theta_stable:
+    if report_a.stabilized is not None and theta_stable:
         verdict = "converged"
     elif stable and close:
         verdict = "converged"
@@ -407,7 +529,7 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
     else:
         verdict = "undetermined"
     return MomentReport(
-        horizon=horizon,
+        horizon=report_a.horizon,
         rho=report_a.rho,
         cesaro=report_a.cesaro,
         verdict=verdict,
@@ -417,6 +539,54 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
         rho_estimate=report_a.rho_estimate,
         theta_grid=grid,
     )
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+
+
+def condition_A_partial(rule: RecyclingRule, horizon: int,
+                        tolerance: float = DEFAULT_TOLERANCE) -> MomentReport:
+    """First-moment Cesaro scan: rho_k = E[zeta_{k-1}] for k <= horizon, by
+    the rule's state model where it has one, else from its beta families.
+
+    Converged means the per-step value stabilized exactly over the last
+    half, or the last half of the Cesaro sequence has range below the
+    tolerance.
+    """
+    _check_horizon(horizon)
+    model = rule.state_model(horizon)
+    if model is not None:
+        return _first_moment_report(_state_scan(model, horizon, False)[0], tolerance)
+    return _first_moment_report(_family_scan(rule, horizon)[0], tolerance)
+
+
+def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
+                        tolerance: float = DEFAULT_TOLERANCE,
+                        keep_grid: bool = False) -> MomentReport:
+    """Second-moment scan: double Cesaro means of theta_{k,l} versus rho**2.
+
+    A rule with a state model is scanned by counting paths per state (see
+    ``_state_scan``); any other from its beta families (see ``_pair_scan``),
+    whose pair scan reads the first-moment scan's summary of each family.
+    Either way the row sums are exact, and the double sums are held as one
+    integer numerator over a power of two.  The verdict is converged when rho
+    stabilizes exactly with theta_{k,l} = rho**2 on the tail pairs a band
+    apart, or when the tail of the double means is stable and lands within
+    the tolerance of the squared first-moment estimate; diverged when stable
+    but away from it.  ``keep_grid`` keeps every theta_{k,l}, k <= l, as
+    reduced (k, l, numerator, exponent) columns.
+    """
+    _check_horizon(horizon)
+    model = rule.state_model(horizon)
+    if model is not None:
+        terms, rows, theta_stable, grid = _state_scan(model, horizon, keep_grid)
+        return _second_moment_report(_first_moment_report(terms, tolerance), rows,
+                                     theta_stable, grid)
+    terms, steps = _family_scan(rule, horizon)
+    report_a = _first_moment_report(terms, tolerance)
+    return _second_moment_report(report_a, *_pair_scan(report_a, steps, keep_grid))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ and otherwise a rule's ``table_signs`` once the arity is checked against
 the enumeration cap; ``step_family`` gives the beta coefficient family,
 in closed form where one is known, and ``negatives_parity`` the parity of
 a step's -1 count, which the single-orbit criterion reads, in closed form
-for every builtin rule.
+for every builtin rule.  ``state_model`` gives, where one is known, an
+automaton whose state after u_1..u_{k-1} fixes psi_{k-1}: the walk value
+for rules of the sum, a few states for the products and maxima; the moment
+scans count paths per state instead of expanding beta families.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -248,6 +251,62 @@ def sgn_truth_table(n: int, sgn0: int = -1) -> TruthTable:
     return LevyRule(sgn0).step_table(n + 1)
 
 
+#: Largest automaton whose mixing depth is searched: its transition
+#: probabilities after m <= 52 steps are multiples of 2^-m, exact in float64.
+_DEPTH_STATES = 52
+
+
+@dataclass(frozen=True)
+class StateModel:
+    """A rule's multipliers read off a deterministic automaton of the increments.
+
+    ``initial`` is the state before u_1; ``minus[s]`` and ``plus[s]`` are the
+    states after reading u = -1 and u = +1 in state s; ``out(k)`` gives
+    psi_{k-1} per state as int8 signs (not to be written to), read in the
+    state reached after u_1, ..., u_{k-1}.
+    """
+
+    initial: int
+    minus: np.ndarray
+    plus: np.ndarray
+    out: Callable[[int], np.ndarray]
+
+    @property
+    def size(self) -> int:
+        return len(self.minus)
+
+    def depth(self) -> int | None:
+        """Least m for which the state m steps on has the same law from every
+        state, so that psi_{k-1} and psi_{l-1} are independent once l - k >= m;
+        None when there is none.  Such an m is at most the number of states;
+        it is searched for automata of at most ``_DEPTH_STATES`` states."""
+        n = self.size
+        if n > _DEPTH_STATES:
+            return None
+        step = np.zeros((n, n))
+        np.add.at(step, (np.arange(n), self.minus), 0.5)
+        np.add.at(step, (np.arange(n), self.plus), 0.5)
+        law = np.eye(n)
+        for m in range(n + 1):
+            if (law == law[0]).all():
+                return m
+            law = law @ step
+        return None
+
+
+def _fixed_model(initial: int, minus: list[int], plus: list[int],
+                 signs: list[int]) -> StateModel:
+    """An automaton whose output signs are the same at every step."""
+    out = np.array(signs, dtype=np.int8)
+    return StateModel(initial, np.array(minus), np.array(plus), lambda k: out)
+
+
+def _single_state(sign: Callable[[int], int]) -> StateModel:
+    """A one-state automaton: psi_{k-1} = sign(k) on every path."""
+    stay = np.zeros(1, dtype=np.int64)
+    return StateModel(0, stay, stay, lambda k: np.array([sign(k)], dtype=np.int8))
+
+
 class RecyclingRule:
     """Base class; subclasses provide psi, _multipliers or minus_words (or
     both), and table_signs."""
@@ -347,6 +406,11 @@ class RecyclingRule:
         """Beta family of the multiplier at ``step``."""
         return truth_to_beta(self.step_table(step))
 
+    def state_model(self, horizon: int) -> StateModel | None:
+        """An automaton whose outputs are this rule's multipliers at steps
+        1..horizon, or None when the rule states none."""
+        return None
+
     def describe(self) -> str:
         return f"{self.name} (psi0={self.psi0:+d})"
 
@@ -384,6 +448,9 @@ class ConstantRule(RecyclingRule):
     def step_family(self, step):
         value = self.psi0 if step == 1 else self.value
         return BetaFamily(step, [0] if value == -1 else [])
+
+    def state_model(self, horizon):
+        return _single_state(lambda k: self.psi0 if k == 1 else self.value)
 
 
 def identity_rule() -> ConstantRule:
@@ -437,6 +504,10 @@ class ProductRule(RecyclingRule):
 
     def step_family(self, step):
         return _singleton_family(step, 1, step - 1)
+
+    def state_model(self, horizon):
+        # the parity of the -1s read so far
+        return _fixed_model(0, [1, 0], [0, 1], [1, -1])
 
 
 class ExtendedBrwRule(RecyclingRule):
@@ -540,6 +611,15 @@ class WindowMaxRule(RecyclingRule):
 
     def step_family(self, step):
         return BetaFamily(step, [self.window_mask(step)])
+
+    def state_model(self, horizon):
+        w = self.width
+        if w is None:  # whether the prefix is still all -1
+            return _fixed_model(0, [0, 1], [1, 1], [-1, 1])
+        # the run of -1s ending the prefix, capped at w, counting the steps
+        # before the path as -1s
+        return _fixed_model(w, [min(r + 1, w) for r in range(w + 1)], [0] * (w + 1),
+                            [1] * w + [-1])
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +744,28 @@ class SymmetricRule(RecyclingRule):
 
     def negatives_parity(self, step):
         # level nu holds C(arity, nu) inputs, odd exactly when nu is a
-        # submask of the arity (Lucas' theorem)
+        # submask of the arity (Lucas' theorem): f is read at those levels only
+        arity = step - 1
         nu = np.arange(step)
-        odd = (nu & ~(step - 1)) == 0
-        return int(np.count_nonzero(odd & (self.profile(step) < 0))) & 1
+        nu = nu[(nu & ~arity) == 0].astype(np.float64)
+        # the same float64 z as ``profile``
+        z = (arity - 2.0 * nu) / self._scale(arity)
+        return int(np.count_nonzero(self.f.vectorized(z) < 0)) & 1
 
     def step_family(self, step):
         check_enum_cap(step - 1, "rule family arity")
         return level_family(step, symmetric_profile_to_levels(self.profile(step)))
+
+    def state_model(self, horizon):
+        if not self.f.breaks:
+            return _single_state(lambda k: self.f.values[0])
+        # the walk value S as the index S + horizon; the moves wrap around at
+        # +-horizon, which no path of the horizon passes
+        walk = np.arange(-horizon, horizon + 1)
+        index = np.arange(walk.size)
+        # the same float64 S / sqrt(k) that psi compares
+        return StateModel(horizon, np.roll(index, 1), np.roll(index, -1),
+                          lambda k: self.f.vectorized(walk / self._scale(k - 1)))
 
 
 class LevyRule(SymmetricRule):
@@ -740,6 +834,36 @@ class PrefixMaxRule(RecyclingRule):
         """``flips`` at arity n, given the inner table at step n + 1."""
         return bool(self.flips(np.array([n]))[0])
 
+    def state_model(self, horizon):
+        # the inner automaton, with psi negated in the state of the all-minus
+        # prefix; so that no other path shares the factor, that state must be
+        # one no other path is in (as the walk value -(k-1) is)
+        inner = self.inner.state_model(horizon)
+        if inner is None:
+            return None
+        chain = [inner.initial]  # the all-minus prefix's states
+        others = np.zeros(inner.size, dtype=bool)  # the states of every other path
+        for _ in range(1, horizon):
+            reach = np.zeros(inner.size, dtype=bool)
+            reach[inner.minus[others]] = reach[inner.plus[others]] = True
+            reach[inner.plus[chain[-1]]] = True
+            chain.append(int(inner.minus[chain[-1]]))
+            if reach[chain[-1]]:
+                return None
+            others = reach
+        flips = np.zeros(horizon, dtype=bool)
+        flips[1:] = self.flips(np.arange(1, horizon))
+
+        def out(k):
+            signs = inner.out(k).copy()
+            if k == 1:
+                signs[inner.initial] = self.psi0
+            elif flips[k - 1]:
+                signs[chain[k - 1]] *= -1
+            return signs
+
+        return StateModel(inner.initial, inner.minus, inner.plus, out)
+
 
 class ModifiedLevyRule(PrefixMaxRule):
     """The sign rule made ergodic (Dubins and Smorodinsky): sgn(u_1 + ... + u_n)
@@ -781,6 +905,18 @@ class _OneStepLate(RecyclingRule):
     def negatives_parity(self, step):
         # after step 1, every table holds each value an even number of times
         return int(step == 1 and self.psi0 == -1)
+
+    def state_model(self, horizon):
+        # the inner state before the last increment and that increment, as
+        # the state 2 s + (u > 0); state 2 n is the start, before u_1
+        inner = self.inner.state_model(horizon)
+        if inner is None:
+            return None
+        n = inner.size
+        now = np.append(np.stack([inner.minus, inner.plus], axis=1).ravel(), inner.initial)
+        before = np.append(np.repeat(np.arange(n), 2), inner.initial)
+        return StateModel(2 * n, 2 * now, 2 * now + 1,
+                          lambda k: inner.out(max(k - 1, 1))[before])
 
 
 class ModifiedLevyMaxRule(PrefixMaxRule):
@@ -875,6 +1011,9 @@ class SignFlipRule(RecyclingRule):
     def step_family(self, step):
         return BetaFamily(step, [0] if self.epsilon(step) == -1 else [])
 
+    def state_model(self, horizon):
+        return _single_state(self.epsilon)
+
 
 # ---------------------------------------------------------------------------
 # Explicitly tabulated rules
@@ -945,6 +1084,13 @@ class ExplicitRule(RecyclingRule):
         if step in self.tables:
             return truth_to_beta(self.tables[step])
         return self._fallback_at(step).step_family(step)
+
+    def negatives_parity(self, step):
+        # psi0 and the listed steps count their tables; the others are the
+        # fallback's
+        if step == 1 or step in self.tables or step in self.families:
+            return super().negatives_parity(step)
+        return self._fallback_at(step).negatives_parity(step)
 
     def _fallback_at(self, step: int) -> RecyclingRule:
         if self.fallback is None:

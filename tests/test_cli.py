@@ -219,6 +219,29 @@ def test_ergodic_check_runs_past_the_table_cap(capsys, tmp_path, rule, code, ver
     assert got == code and verdict in out
 
 
+def test_ergodic_check_reads_a_document_fallback_past_the_table_cap(capsys, tmp_path):
+    # the document lists step 3 only; every other step reads the parity of
+    # its fallback, stated in closed form, so no table past step 3 is built
+    doc = tmp_path / "doc.rule"
+    doc.write_text("psi0: -1\ngenerator: beta {\n  3: [{1,2}]\n  fallback: modified-levy\n}\n")
+    code, out, _ = run(["ergodic-check", "--rule", str(doc), "--horizon", "30",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert "single-orbit criterion holds for n <= 30" in out
+
+
+@pytest.mark.parametrize("rule", ["levy", "symmetric:-1:0.5:1", "modified-levy"])
+def test_gaussian_check_scans_the_sign_rules_exactly(capsys, tmp_path, rule):
+    # the walk value's state model runs past the families' step-7 cap; the
+    # double Cesaro means stay near 1/2, away from rho^2 near 0
+    code, out, _ = run(["gaussian-check", "--rule", f"builtin:{rule}", "--horizon", "128",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "verdict: diverged" in out
+    rows = read_csv(tmp_path / "rho_seq.csv")
+    assert [int(row[0]) for row in rows[1:]] == list(range(1, 129))
+
+
 def test_ergodic_check_repair_flag(capsys, tmp_path):
     code, out, _ = run(
         [

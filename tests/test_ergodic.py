@@ -17,12 +17,14 @@ from gbrw.ergodic import (
     sgn_beta_array,
 )
 from gbrw.rules import (
+    ConstantRule,
     ExplicitRule,
     LevyRule,
     ModifiedLevyMaxRule,
     ModifiedLevyRule,
     ProductRule,
     RandomRule,
+    RecyclingRule,
     WindowMaxRule,
     identity_rule,
     sgn_truth_table,
@@ -419,14 +421,31 @@ def test_repair_of_closed_form_parities_builds_no_table():
     assert np.array_equal(repaired.apply(xi), ModifiedLevyRule().apply(xi))
 
 
+class _CountedIdentity(ConstantRule):
+    """The identity rule with its parities counted from tables."""
+
+    negatives_parity = RecyclingRule.negatives_parity
+
+
 def test_repair_capacity_error_names_the_step():
     # the all-minus path needs the decision at every arity, up to 25 for
     # step 26; identity tables read through an explicit rule keep the
     # parities on the table route and the lower tables cheap
-    repaired = ergodic_repair(ExplicitRule(+1, fallback=identity_rule()))
+    repaired = ergodic_repair(ExplicitRule(+1, fallback=_CountedIdentity("identity", 1, 1)))
     with pytest.raises(CapacityError,
                        match="step 26: rule table arity 25 exceeds enumeration cap 24"):
         repaired.apply(np.full(26, -1, dtype=np.int8))
+
+
+def test_repair_of_an_explicit_rule_checks_the_horizon_by_its_fallback():
+    # the steps a rule lists are tables already; past them the fallback's
+    # parities count tables (random) or are stated in closed form (levy)
+    with pytest.raises(CapacityError, match="step 26: rule table arity 25"):
+        ergodic_repair(ExplicitRule(-1, fallback=RandomRule(5)), horizon=25)
+    with pytest.raises(CapacityError, match="step 26: rule table arity 25"):
+        ergodic_repair(ExplicitRule(-1), horizon=25)
+    repaired = ergodic_repair(ExplicitRule(-1, fallback=LevyRule()), horizon=10_000)
+    assert is_ergodic_up_to(repaired, 200).ergodic_so_far
 
 
 def test_repaired_psi_off_the_all_minus_prefix():

@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,17 +26,20 @@ from gbrw.moments import (
     sign_flip_rho,
     window_rho,
 )
+from gbrw.ergodic import ergodic_repair
 from gbrw.rules import (
     ExtendedBrwRule,
     ExplicitRule,
     LevyRule,
     ModifiedLevyRule,
+    ProductRule,
     SignFlipRule,
     WindowMaxRule,
     identity_rule,
 )
 from gbrw.rulespec import make_builtin
 from gbrw import algebra, moments, setseq
+from gbrw import rules as rules_module
 
 def S(*indices):
     """The mask of the index set {indices} (bit k-1 for index k)."""
@@ -304,11 +309,14 @@ def test_sign_flip_rule_condition_a():
     assert float(report.cesaro[-1]) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_condition_a_capacity_error_names_the_step():
-    from gbrw.rules import LevyRule
+def _on_families(rule):
+    """The same multipliers with no state model: the beta-family engine."""
+    return ExplicitRule(rule.psi0, fallback=rule)
 
+
+def test_condition_a_capacity_error_names_the_step():
     with pytest.raises(CapacityError) as err:
-        condition_A_partial(LevyRule(), horizon=10)
+        condition_A_partial(_on_families(LevyRule()), horizon=10)
     assert "step 7" in str(err.value)
 
 
@@ -421,11 +429,13 @@ def test_condition_b_grid_matches_per_pair_engine_explicit(psi0, per_step):
 
 
 def test_levy_capacity_message_unchanged():
+    # the sign rule's families stop at step 7; its state model does not
     message = "step 7: overlap component of size 35 exceeds expansion cap 20"
     for scan in (condition_A_partial, condition_B_partial):
         with pytest.raises(CapacityError) as err:
-            scan(LevyRule(), horizon=16)
+            scan(_on_families(LevyRule()), horizon=16)
         assert str(err.value) == message
+        assert len(scan(LevyRule(), horizon=16).rho) == 16
 
 
 def test_table_capacity_message_names_the_step_once(monkeypatch):
@@ -433,14 +443,14 @@ def test_table_capacity_message_names_the_step_once(monkeypatch):
     monkeypatch.setattr(algebra, "DEFAULT_ENUM_CAP", 3)
     for scan in (condition_A_partial, condition_B_partial):
         with pytest.raises(CapacityError) as err:
-            scan(ModifiedLevyRule(), 8)
+            scan(_on_families(ModifiedLevyRule()), 8)
         assert str(err.value) == "step 5: rule table arity 4 exceeds enumeration cap 3"
 
 
 def test_levy_scan_fails_at_the_first_blocked_step():
     # step 7 is the first family past the expansion cap; the scan builds no
     # later family, so a long horizon fails as fast and names the same step
-    rule = LevyRule()
+    rule = _on_families(LevyRule())
     built = []
     step_family = rule.step_family
 
@@ -480,7 +490,7 @@ def test_condition_b_pair_capacity_names_the_pair(monkeypatch):
 def _condition_b_loop(rule, horizon, tolerance=DEFAULT_TOLERANCE):
     """Oracle: the scan visiting every pair k < l, as (double Cesaro means,
     verdict, stabilized value, reduced (k, l, numerator, exponent) rows)."""
-    report_a = condition_A_partial(rule, horizon, tolerance)
+    report_a = condition_A_partial(_on_families(rule), horizon, tolerance)
     step_masks = [rule.step_family(k).masks for k in range(1, horizon + 1)]
     supports, parities, signs, plain = [], [], [], []
     for masks in step_masks:
@@ -545,6 +555,21 @@ def _assert_scan_matches_loop(rule, horizon):
     try:
         expected = _condition_b_loop(rule, horizon)
     except CapacityError as exc:
+        if rule.state_model(horizon) is not None:
+            # the state scan runs past the families' caps: it matches the
+            # loop on every step the loop reaches
+            while True:
+                blocked = re.match(r"step (\d+):|pair \(\d+,(\d+)\):", str(exc))
+                reach = int(blocked.group(1) or blocked.group(2)) - 1
+                try:
+                    double, _, _, rows = _condition_b_loop(rule, reach)
+                    break
+                except CapacityError as closer:
+                    exc = closer
+            report = condition_B_partial(rule, horizon, keep_grid=True)
+            assert report.double_cesaro[:reach] == double
+            assert list(zip(*report.theta_grid))[:len(rows)] == rows
+            return
         with pytest.raises(CapacityError) as err:
             condition_B_partial(rule, horizon, keep_grid=True)
         assert str(err.value) == str(exc)
@@ -656,25 +681,154 @@ def test_condition_b_pair_capacity_matches_the_pair_loop(monkeypatch):
 
 
 def test_max_scan_evaluates_no_pair(monkeypatch):
-    # nested prefix members: every row comes from the running sums
+    # the all-minus flag: every row comes from the state counts, with no
+    # family built and no pair evaluated
     calls = []
     for name in ("_component_terms", "_product_terms"):
-        real = getattr(moments, name)
-        monkeypatch.setattr(moments, name, lambda *args, real=real: calls.append(args)
-                            or real(*args))
+        monkeypatch.setattr(moments, name, lambda *args: calls.append(args))
+    monkeypatch.setattr(WindowMaxRule, "step_family", lambda *args: calls.append(args))
     report = condition_B_partial(make_builtin("max"), 512)
-    assert calls  # the first moments of single families
-    assert all(len(list(filter(None, args[-1]))) <= 1 for args in calls)
+    assert not calls
     assert report.verdict == "undetermined"
 
 
 def test_brw_scan_adopts_its_families(monkeypatch):
+    # the parity's state model builds no family at all, at any horizon
     def init(*args):
         raise AssertionError("BetaFamily.__init__ entered")
 
+    def step_family(self, step):
+        raise AssertionError("step_family called")
+
     monkeypatch.setattr(BetaFamily, "__init__", init)
-    report = condition_B_partial(make_builtin("brw"), 256)
-    assert report.stabilized == 0 and report.verdict == "converged"
+    monkeypatch.setattr(ProductRule, "step_family", step_family)
+    for horizon in (256, 4096):
+        report = condition_B_partial(make_builtin("brw"), horizon)
+        assert report.stabilized == 0 and report.verdict == "converged"
+
+
+# ---------------------------------------------------------------------------
+# State models against the beta-family engine and path enumeration
+
+
+MODELLED = ["identity", "negation", "brw", "max", "window-max:1", "window-max:2",
+            "window-max:3", "window-max:7", "sign-flips:0.25", "sign-flips:0.5",
+            "sign-flips:1/3"]
+#: walk-value models, whose families pass the expansion cap after step 6
+WALK_MODELLED = ["symmetric:1", "symmetric:-1", "levy", "symmetric:-1:0:1",
+                 "symmetric:-1:0.5:1", "symmetric:1:-0.3:-1:0.7:1", "modified-levy",
+                 "modified-levy-max"]
+
+
+def _walk_rules():
+    rules = [make_builtin(spec, sgn0) for spec in WALK_MODELLED for sgn0 in (-1, 1)]
+    return rules + [ergodic_repair(LevyRule()), rules_module._OneStepLate(LevyRule(1)),
+                    rules_module._OneStepLate(WindowMaxRule(2))]
+
+
+def _assert_same_report(rule, horizon, keep_grid):
+    ours = condition_B_partial(rule, horizon, keep_grid=keep_grid)
+    theirs = condition_B_partial(_on_families(rule), horizon, keep_grid=keep_grid)
+    assert ours.rho == theirs.rho
+    assert ours.cesaro == theirs.cesaro
+    assert ours.double_cesaro == theirs.double_cesaro
+    assert ours.stabilized == theirs.stabilized
+    assert ours.verdict == theirs.verdict
+    assert ours.theta_grid == theirs.theta_grid
+    first = condition_A_partial(rule, horizon)
+    assert (first.rho, first.cesaro, first.verdict) == (theirs.rho, theirs.cesaro,
+                                                        condition_A_partial(
+                                                            _on_families(rule), horizon).verdict)
+
+
+@pytest.mark.parametrize("horizon", [1, 8, 16, 64, 256])
+@pytest.mark.parametrize("spec", MODELLED)
+def test_state_scan_matches_the_family_engine(spec, horizon):
+    rule = make_builtin(spec)
+    assert rule.state_model(horizon) is not None
+    _assert_same_report(rule, horizon, keep_grid=horizon <= 64)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rule", _walk_rules(), ids=lambda r: f"{r.name}{r.psi0:+d}")
+def test_walk_state_scan_matches_the_family_engine(rule, horizon):
+    # the families' pair scan stops at pair (5,6) for the sign rule
+    assert rule.state_model(horizon) is not None
+    _assert_same_report(rule, horizon, keep_grid=True)
+
+
+@pytest.mark.parametrize("horizon", [8, 16])
+@pytest.mark.parametrize("spec", ["symmetric:1", "symmetric:-1"])
+def test_constant_symmetric_scan_matches_the_family_engine(spec, horizon):
+    _assert_same_report(make_builtin(spec), horizon, keep_grid=True)
+
+
+@pytest.mark.parametrize("horizon", range(1, 41))
+@pytest.mark.parametrize("width", [2, 3, 7])
+def test_window_scan_keeps_the_verdict_where_the_depth_passes_the_band(width, horizon):
+    # a window of width w has depth w, more than the band h // 8 up to h < 8 w:
+    # tail pairs closer than w are evaluated, the others give rho_k rho_l
+    _assert_same_report(WindowMaxRule(width), horizon, keep_grid=False)
+
+
+def test_state_model_depths():
+    depths = {spec: make_builtin(spec).state_model(64).depth()
+              for spec in ["identity", "sign-flips:0.25", "symmetric:1", "brw", "max",
+                           "window-max:1", "window-max:3", "window-max:7", "levy",
+                           "modified-levy", "modified-levy-max"]}
+    assert depths == {"identity": 0, "sign-flips:0.25": 0, "symmetric:1": 0, "brw": 1,
+                      "max": None, "window-max:1": 1, "window-max:3": 3,
+                      "window-max:7": 7, "levy": None, "modified-levy": None,
+                      "modified-levy-max": None}
+    assert make_builtin("levy").state_model(10).depth() is None  # 21 states, searched
+
+
+PATHS = 14
+
+
+@pytest.fixture(scope="module")
+def all_paths():
+    masks = np.arange(1 << PATHS)
+    return (1 - 2 * ((masks[:, None] >> np.arange(PATHS)) & 1)).astype(np.int8)
+
+
+@pytest.mark.parametrize("rule", [make_builtin(spec) for spec in MODELLED] + _walk_rules(),
+                         ids=lambda r: f"{r.name}{r.psi0:+d}")
+def test_state_scan_matches_path_enumeration(rule, all_paths):
+    # rho_k and every row sum sum_{j<k} theta_{j,k} over all 2^14 paths
+    psi = rule.multipliers(all_paths).astype(np.int64)
+    report = condition_B_partial(rule, PATHS)
+    assert [r.as_fraction() for r in report.rho] == [
+        Fraction(int(column.sum()), 1 << PATHS) for column in psi.T]
+    products = psi.T @ psi  # path sums of psi_{k-1} psi_{l-1}
+    total, double = 0, []
+    for l in range(PATHS):
+        total += 2 * int(products[:l, l].sum()) + int(products[l, l])
+        double.append(Fraction(total, (l + 1) ** 2 << PATHS))
+    assert report.double_cesaro == double
+
+
+@pytest.mark.parametrize("sgn0", [-1, 1])
+def test_levy_first_moments_are_the_return_probabilities(sgn0):
+    # rho_k = E[sgn(S_{k-1})] = sgn0 P(S_{k-1} = 0), zero at odd k - 1
+    report = condition_A_partial(LevyRule(sgn0), 200)
+    assert report.rho == [Dyadic(sgn0 * math.comb(n, n // 2) if n % 2 == 0 else 0, n)
+                          for n in range(200)]
+
+
+def test_levy_double_cesaro_mean_is_one_half():
+    # E[(2A - 1)^2] = 1/2 for A arcsine-distributed (Levy), reached exactly
+    report = condition_B_partial(LevyRule(), 256)
+    assert report.double_cesaro[-1] == Fraction(1, 2)
+    assert report.verdict != "converged"
+
+
+def test_prefix_max_needs_the_all_minus_path_alone():
+    # the all-minus path of brw shares its parity with other paths, so a
+    # prefix-max factor over it has no state model; levy's walk value does not
+    assert ergodic_repair(ProductRule()).state_model(8) is None
+    assert ergodic_repair(LevyRule()).state_model(8) is not None
+    assert ExplicitRule(-1, fallback=LevyRule()).state_model(8) is None
 
 
 def test_condition_b_memory_is_linear_in_the_horizon():
