@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import os
 import sys
 
@@ -58,13 +59,31 @@ def _load_rule(args):
     return load_rule(args.rule, sgn0=args.sgn0)
 
 
+# Cells are formatted here as format_value writes them.  Text cells take the
+# writer's Python path, which beats its numpy path on tables of up to about
+# 2,000 rows; the theta grid, larger, goes through numpy as bytes.
+
+
+def _float_cells(values) -> list[str]:
+    """The cells of floats, or of exact values given as their float (int /
+    int rounds as float(Fraction) does)."""
+    return ["%.17g" % v for v in values]
+
+
+def _dyadic_cells(values: list[tuple[int, int]]) -> tuple[tuple[str, ...], ...]:
+    """The exact (p/2^e) and float cells of Dyadic(p, e) per reduced (p, e)
+    pair; each distinct value is formatted once."""
+    cells = {v: ("%d/2^%d" % v, "%.17g" % (v[0] / (1 << v[1]))) for v in set(values)}
+    return tuple(zip(*map(cells.__getitem__, values)))
+
+
 def _emit_rho_csv(args, report) -> str:
     path = _out_path(args, "rho_seq.csv")
     write_csv(
         path,
         ("k", "rho_exact", "rho", "cesaro"),
-        (np.arange(1, report.horizon + 1), report.rho,
-         np.array([float(r) for r in report.rho]), report.cesaro),
+        (np.arange(1, report.horizon + 1), *_dyadic_cells(report.rho_terms),
+         _float_cells(t / (k << report.sum_exponent) for k, t in enumerate(report.sums, start=1))),
     )
     return path
 
@@ -124,14 +143,17 @@ def _emit_set_diag(args, rule) -> None:
         return
     horizon = args.horizon
     report = analyze_set_sequence(rule.seq, horizon, tolerance=args.tolerance)
+    n = range(1, horizon + 1)
     try:
-        d_seq = intersection_diagnostic(rule.seq, horizon).mean_intersection
+        d_seq = _float_cells(map(operator.truediv,
+                                 intersection_diagnostic(rule.seq, horizon).overlaps, n))
     except ValueError:
         d_seq = [""] * horizon
     write_csv(
         _out_path(args, "set_diag.csv"),
         ("n", "first_match_ratio", "match_fraction", "mean_intersection"),
-        (np.arange(1, horizon + 1), report.n_ratio, report.match_fraction, d_seq),
+        (np.arange(1, horizon + 1), _float_cells(map(operator.truediv, report.first_match, n)),
+         _float_cells(map(operator.truediv, report.matches, n)), d_seq),
     )
     print(
         f"set sequence {rule.seq.name}: nested={report.nested}, "
@@ -151,16 +173,15 @@ def cmd_moments(args) -> int:
     cells = list(zip(nums, exps))
     values = {v: i for i, v in enumerate(dict.fromkeys(cells))}
     index = np.fromiter(map(values.__getitem__, cells), np.int64, len(cells))
-    exact = np.array([f"{n}/2^{e}".encode() for n, e in values], dtype="S")
-    floats = np.array([format_value(n / (1 << e)).encode() for n, e in values], dtype="S")
+    exact, floats = (np.array(column, dtype="S") for column in _dyadic_cells(list(values)))
     write_csv(
         path_b,
         ("k", "l", "theta_exact", "theta"),
         (np.array(ks), np.array(ls), exact[index], floats[index]),
     )
     _emit_set_diag(args, rule)
-    print(f"first-moment cesaro -> {float(report.cesaro[-1]):.6g}")
-    print(f"double cesaro -> {float(report.double_cesaro[-1]):.6g}")
+    print(f"first-moment cesaro -> {float(report.final_cesaro()):.6g}")
+    print(f"double cesaro -> {float(report.final_double_cesaro()):.6g}")
     print(f"verdict: {report.verdict} (tolerance {report.tolerance:g})")
     print(f"wrote {path_a}, {path_b}")
     return EXIT_OK if report.verdict == "converged" else EXIT_FAILED_VERDICT
@@ -190,7 +211,7 @@ def cmd_gaussian_check(args) -> int:
     print(f"condition (A) cesaro -> {rho:.6g}"
           + (f", per-step value stabilized at {report.stabilized}"
              if report.stabilized is not None else ""))
-    print(f"condition (B) double cesaro -> {float(report.double_cesaro[-1]):.6g} "
+    print(f"condition (B) double cesaro -> {float(report.final_double_cesaro()):.6g} "
           f"(target rho^2 = {rho * rho:.6g})")
     closed = _closed_form_for(rule)
     if closed is not None:

@@ -19,8 +19,9 @@ verdicts.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -177,22 +178,47 @@ def brute_force_expect(families: Sequence[BetaFamily]) -> Dyadic:
 class MomentReport:
     """Per-step moments, Cesaro means, and a finite-horizon verdict.
 
+    Held as exact integers: rho_k as the reduced (numerator, exponent) pair
+    rho_terms[k-1], the k-th Cesaro mean as sums[k-1] / (k 2**sum_exponent)
+    and the l-th double one as double_sums[l-1] / (l**2 2**double_exponent).
+    ``rho``, ``cesaro`` and ``double_cesaro`` build the lists on first read.
+
     The verdict is a heuristic on the computed horizon; it never claims to
     decide the limit.
     """
 
     horizon: int
-    rho: list[Dyadic]
-    cesaro: list[Fraction]
+    rho_terms: list[tuple[int, int]]
+    sums: list[int]
+    sum_exponent: int
     verdict: str
     tolerance: float
     stabilized: Dyadic | None = None
-    double_cesaro: list[Fraction] | None = None
+    double_sums: list[int] | None = None
+    double_exponent: int = 0
     rho_estimate: float | None = None
     theta_grid: tuple[list[int], ...] | None = None  # k, l, numerator, exponent
 
+    @functools.cached_property
+    def rho(self) -> list[Dyadic]:
+        return [Dyadic(*term) for term in self.rho_terms]
+
+    @functools.cached_property
+    def cesaro(self) -> list[Fraction]:
+        return [Fraction(t, k << self.sum_exponent) for k, t in enumerate(self.sums, start=1)]
+
+    @functools.cached_property
+    def double_cesaro(self) -> list[Fraction] | None:
+        if self.double_sums is None:
+            return None
+        return [Fraction(t, l * l << self.double_exponent)
+                for l, t in enumerate(self.double_sums, start=1)]
+
     def final_cesaro(self) -> Fraction:
-        return self.cesaro[-1]
+        return Fraction(self.sums[-1], self.horizon << self.sum_exponent)
+
+    def final_double_cesaro(self) -> Fraction:
+        return Fraction(self.double_sums[-1], self.horizon ** 2 << self.double_exponent)
 
 
 def _add(total: int, total_exp: int, num: int, exp: int) -> tuple[int, int]:
@@ -202,41 +228,48 @@ def _add(total: int, total_exp: int, num: int, exp: int) -> tuple[int, int]:
     return total + (num << (total_exp - exp)), total_exp
 
 
-def _tail_range(values: list[Fraction]) -> float:
-    tail = values[len(values) // 2:]
-    return float(max(tail) - min(tail))
+def _running_sums(terms: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Running sums of (numerator, exponent) terms, over their largest power
+    of two: (totals, exponent)."""
+    exponent = max(exp for _, exp in terms)
+    return list(itertools.accumulate(num << exponent - exp for num, exp in terms)), exponent
 
 
-def _stabilized_tail(rho: list[Dyadic]) -> Dyadic | None:
-    tail = rho[len(rho) // 2:]
-    first = tail[0]
-    if all(r == first for r in tail[1:]):
-        return first
-    return None
+def _tail_range(totals: list[int], exponent: int, power: int) -> float:
+    """max - min of the last half of the means totals[k-1] / (k**power
+    2**exponent); the extremes are found by integer cross-multiplication."""
+    start = len(totals) // 2
+    hi = lo = (totals[start], (start + 1) ** power)  # (total, k**power)
+    for k, total in enumerate(totals[start + 1:], start=start + 2):
+        den = k ** power
+        if total * hi[1] > hi[0] * den:
+            hi = total, den
+        elif total * lo[1] < lo[0] * den:
+            lo = total, den
+    # int / int rounds correctly, so this is float(Fraction) of the range
+    return (hi[0] * lo[1] - lo[0] * hi[1]) / (hi[1] * lo[1] << exponent)
 
 
 def _first_moment_report(terms: list[tuple[int, int]], tolerance: float) -> MomentReport:
     """Per-step values, Cesaro means and verdict of rho_k = numerator /
     2**exponent, given per step."""
-    rho: list[Dyadic] = []
-    cesaro: list[Fraction] = []
-    total, total_exp = 0, 0  # running sum total / 2**total_exp
-    for k, (num, exp) in enumerate(terms, start=1):
-        rho.append(Dyadic(num, exp))
-        total, total_exp = _add(total, total_exp, num, exp)
-        cesaro.append(Fraction(total, k << total_exp))
-    stabilized = _stabilized_tail(rho)
+    rho = list(itertools.starmap(reduced, terms))
+    sums, exponent = _running_sums(terms)
+    tail = rho[len(rho) // 2:]
+    stabilized = Dyadic(*tail[0]) if tail.count(tail[0]) == len(tail) else None
     # an eventually constant per-step sequence has that constant as its
     # Cesaro limit, no tolerance needed
-    if stabilized is not None or _tail_range(cesaro) < tolerance:
+    if stabilized is not None or _tail_range(sums, exponent, 1) < tolerance:
         verdict = "converged"
     else:
         verdict = "undetermined"
-    estimate = float(stabilized) if stabilized is not None else float(cesaro[-1])
+    # int / int rounds as float(Fraction) does
+    estimate = float(stabilized) if stabilized is not None else sums[-1] / (len(terms) << exponent)
     return MomentReport(
         horizon=len(terms),
-        rho=rho,
-        cesaro=cesaro,
+        rho_terms=rho,
+        sums=sums,
+        sum_exponent=exponent,
         verdict=verdict,
         tolerance=tolerance,
         stabilized=stabilized,
@@ -289,9 +322,8 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
     lo = np.array([(s & -s).bit_length() - 1 for s in supports])
     hi = np.array([s.bit_length() - 1 for s in supports])
     not_plain = ~np.array(plain)
-    rho_num = [r.numerator for r in report_a.rho]
-    rho_exp = [r.exponent for r in report_a.rho]
-    grid: tuple[list[int], ...] | None = ([], [], [], []) if keep_grid else None
+    rho_num, rho_exp = zip(*report_a.rho_terms)
+    evaluated: list[tuple[int, int, int]] = []  # kept grid cells (index, numerator, exponent)
     rows: list[tuple[int, int]] = []
     rho_sums = [(0, 0), (0, 0)]  # rho summed over the steps not plain, plain
     plain_signs: dict[int, int] = {}  # parity -> sum of the plain steps' signs
@@ -316,7 +348,6 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
         near = (lo[:j] <= hi[j]) & (hi[:j] >= lo[j])
         if plain_l:
             near &= not_plain[:j]
-        evaluated = {}
         for i in np.flatnonzero(near).tolist():
             if not supports[i] & supp_l:
                 continue
@@ -333,22 +364,43 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
             if (theta_stable and i >= half and j - i >= band
                     and num << r_sq.exponent != r_sq.numerator << exp):
                 theta_stable = False
-            evaluated[i] = num, exp
+            if keep_grid:
+                evaluated.append((j * l // 2 + i, num, exp))
         rows.append((row, row_exp))
         rho_sums[plain_l] = _add(*rho_sums[plain_l], num_l, exp_l)
         if plain_l:
             plain_signs[supp_l] = plain_signs.get(supp_l, 0) + sign_l
             if theta_stable and not r_sq and j >= half:
                 theta_stable = j - first_plain.setdefault(supp_l, j) < band
-        if grid is not None:
-            cells = [reduced(*evaluated[i]) if i in evaluated
-                     else (signs[i] * sign_l * (supports[i] == supp_l), 0)
-                     if plain[i] and plain_l
-                     else reduced(rho_num[i] * num_l, rho_exp[i] + exp_l)
-                     for i in range(j)] + [(1, 0)]
-            for column, values in zip(grid, (range(1, l + 1), [l] * l, *zip(*cells))):
-                column.extend(values)
+    grid = _pair_grid(report_a.rho_terms, steps, evaluated) if keep_grid else None
     return rows, theta_stable, grid
+
+
+def _pair_grid(rho_terms: list[tuple[int, int]], steps: list[tuple],
+               evaluated: list[tuple[int, int, int]]) -> tuple[list[int], ...]:
+    """Reduced (k, l, numerator, exponent) columns of theta_{k,l}, k <= l, the
+    pair at index l(l-1)/2 + k-1: rho_k rho_l, s_k s_l or 0 for two plain
+    families, 1 on the diagonal, and the evaluated cells where given."""
+    _, supports, signs, _, plain = zip(*steps)
+    l = np.repeat(np.arange(len(steps)), np.arange(1, len(steps) + 1))
+    k = np.arange(l.size) - l * (l + 1) // 2
+    rho_num, rho_exp = zip(*rho_terms)
+    rho_num, rho_exp = np.array(rho_num, dtype=object), np.array(rho_exp)
+    nums = rho_num[k] * rho_num[l]
+    # |rho| <= 1, so a factor over 2**0 is 0 or +-1: only a zero product
+    # needs reducing
+    exps = np.where(nums == 0, 0, rho_exp[k] + rho_exp[l])
+    plain, signs = np.array(plain), np.array(signs)
+    last = {s: i for i, s in enumerate(supports)}  # one index per parity
+    parity = np.array([last[s] for s in supports])
+    both = plain[k] & plain[l]
+    nums[both] = (signs[k] * signs[l] * (parity[k] == parity[l]))[both]
+    exps[both] = 0
+    nums[k == l], exps[k == l] = 1, 0
+    if evaluated:
+        index, num, exp = zip(*evaluated)
+        nums[list(index)], exps[list(index)] = zip(*map(reduced, num, exp))
+    return (k + 1).tolist(), (l + 1).tolist(), nums.tolist(), exps.tolist()
 
 
 #: Automata of at most this many states keep their counts in Python lists,
@@ -510,35 +562,20 @@ def _second_moment_report(report_a: MomentReport, rows: list[tuple[int, int]],
     tail pairs at least a band apart (``theta_stable``), the double Cesaro
     limit is r**2 (band and head add O(1/horizon)).
     """
-    double: list[Fraction] = []
-    total, total_exp = 0, 0  # running double sum total / 2**total_exp
-    for l, (row, row_exp) in enumerate(rows, start=1):
-        # the off-diagonal pairs count twice; theta_{l,l} = E[zeta**2] = 1
-        total, total_exp = _add(total, total_exp, 2 * row + (1 << row_exp), row_exp)
-        double.append(Fraction(total, (l * l) << total_exp))
+    # the off-diagonal pairs count twice; theta_{l,l} = E[zeta**2] = 1
+    double, exponent = _running_sums([(2 * row + (1 << exp), exp) for row, exp in rows])
     tolerance = report_a.tolerance
-    rho_sq = Fraction(report_a.final_cesaro()) ** 2
-    stable = _tail_range(double) < tolerance
-    close = abs(float(double[-1] - rho_sq)) < tolerance
-    if report_a.stabilized is not None and theta_stable:
+    stable = _tail_range(double, exponent, 2) < tolerance
+    # the last double mean minus the squared last Cesaro mean, as one quotient
+    e1 = report_a.sum_exponent
+    close = (abs((double[-1] << 2 * e1) - (report_a.sums[-1] ** 2 << exponent))
+             / (report_a.horizon ** 2 << exponent + 2 * e1))
+    if (report_a.stabilized is not None and theta_stable) or (stable and close < tolerance):
         verdict = "converged"
-    elif stable and close:
-        verdict = "converged"
-    elif stable:
-        verdict = "diverged"
     else:
-        verdict = "undetermined"
-    return MomentReport(
-        horizon=report_a.horizon,
-        rho=report_a.rho,
-        cesaro=report_a.cesaro,
-        verdict=verdict,
-        tolerance=tolerance,
-        stabilized=report_a.stabilized,
-        double_cesaro=double,
-        rho_estimate=report_a.rho_estimate,
-        theta_grid=grid,
-    )
+        verdict = "diverged" if stable else "undetermined"
+    return replace(report_a, verdict=verdict, double_sums=double,
+                   double_exponent=exponent, theta_grid=grid)
 
 
 def _check_horizon(horizon: int) -> None:
@@ -642,15 +679,23 @@ def sign_flip_rho(p) -> Fraction:
 
 @dataclass
 class SetSequenceReport:
-    """First-occurrence and match-fraction diagnostics of a set sequence."""
+    """First-occurrence and match-fraction diagnostics of a set sequence;
+    the ``Fraction`` lists are built from the counts on first read."""
 
     horizon: int
     first_match: list[int]              # N(n) = inf{k : M_k = M_n}
-    n_ratio: list[Fraction]             # N(n) / n
-    match_fraction: list[Fraction]      # (1/n) sum_{k<=n} 1{M_k = M_n}
+    matches: list[int]                  # sum_{k<=n} 1{M_k = M_n}
     nested: bool
     independent_limit: bool
     tolerance: float
+
+    @functools.cached_property
+    def n_ratio(self) -> list[Fraction]:  # N(n) / n
+        return list(map(Fraction, self.first_match, range(1, self.horizon + 1)))
+
+    @functools.cached_property
+    def match_fraction(self) -> list[Fraction]:  # (1/n) sum_{k<=n} 1{M_k = M_n}
+        return list(map(Fraction, self.matches, range(1, self.horizon + 1)))
 
 
 def analyze_set_sequence(seq: SetSequence, horizon: int,
@@ -666,39 +711,40 @@ def analyze_set_sequence(seq: SetSequence, horizon: int,
     first_seen: dict[tuple[int, int], int] = {}
     counts: dict[tuple[int, int], int] = {}
     first_match: list[int] = []
-    n_ratio: list[Fraction] = []
-    match_fraction: list[Fraction] = []
+    matches: list[int] = []
     for n, key in enumerate(zip(lo.tolist(), hi.tolist()), start=1):
-        first_seen.setdefault(key, n)
+        first_match.append(first_seen.setdefault(key, n))
         counts[key] = counts.get(key, 0) + 1
-        first_match.append(first_seen[key])
-        n_ratio.append(Fraction(first_seen[key], n))
-        match_fraction.append(Fraction(counts[key], n))
+        matches.append(counts[key])
     # M_n within M_{n+1}: M_n empty, or its bounds inside the next ones
     nested = bool(np.all((hi[:-1] < lo[:-1])
                          | ((lo[1:] <= lo[:-1]) & (hi[:-1] <= hi[1:]))))
-    tail = match_fraction[horizon // 2:]
-    independent = max(float(f) for f in tail) < tolerance
+    # int / int rounds as float(Fraction) does
+    tail_max = max(matches[n - 1] / n for n in range(horizon // 2 + 1, horizon + 1))
     return SetSequenceReport(
         horizon=horizon,
         first_match=first_match,
-        n_ratio=n_ratio,
-        match_fraction=match_fraction,
+        matches=matches,
         nested=nested,
-        independent_limit=independent,
+        independent_limit=tail_max < tolerance,
         tolerance=tolerance,
     )
 
 
 @dataclass
 class IntersectionReport:
-    """Mean intersection sizes with the next set, plus recurring indices."""
+    """Mean intersection sizes with the next set, plus recurring indices;
+    the ``Fraction`` list is built from the sums on first read."""
 
     horizon: int
-    mean_intersection: list[Fraction]   # d_N = (1/N) sum_{k<=N} |M_k /\ M_{N+1}|
+    overlaps: list[int]                 # sum_{k<=N} |M_k /\ M_{N+1}|
     cardinality: int
     recurring: list[int]                # indices present in >= threshold sets
     threshold: int
+
+    @functools.cached_property
+    def mean_intersection(self) -> list[Fraction]:  # d_N = overlaps[N-1] / N
+        return list(map(Fraction, self.overlaps, range(1, self.horizon + 1)))
 
 
 def intersection_diagnostic(seq: SetSequence, horizon: int,
@@ -719,18 +765,21 @@ def intersection_diagnostic(seq: SetSequence, horizon: int,
         )
     if threshold is None:
         threshold = max(2, horizon // 2)
-    mean_intersection: list[Fraction] = []
-    for n in range(1, horizon + 1):
-        # |M_k /\ M_{n+1}| for k <= n, from the overlap of the bounds
-        overlap = np.minimum(hi[:n], hi[n]) - np.maximum(lo[:n], lo[n]) + 1
-        mean_intersection.append(Fraction(int(np.maximum(overlap, 0).sum()), n))
+    overlaps: list[int] = []
+    # |M_k /\ M_{n+1}| for k <= n, from the overlap of the bounds, over
+    # blocks of n that keep each matrix near 2**16 entries
+    block, k = max(1, (1 << 16) // horizon), np.arange(horizon)
+    for start in range(1, horizon + 1, block):
+        n = np.arange(start, min(start + block, horizon + 1))[:, None]
+        overlap = np.minimum(hi[:horizon], hi[n]) - np.maximum(lo[:horizon], lo[n]) + 1
+        overlaps += np.where(k < n, np.maximum(overlap, 0), 0).sum(axis=1).tolist()
     # appearances of each index in M_1..M_horizon: +1 at lo, -1 past hi
     appearance = np.cumsum(np.bincount(lo[:horizon], minlength=horizon + 1)
                            - np.bincount(hi[:horizon] + 1, minlength=horizon + 1))
     recurring = np.flatnonzero(appearance >= threshold).tolist()
     return IntersectionReport(
         horizon=horizon,
-        mean_intersection=mean_intersection,
+        overlaps=overlaps,
         cardinality=next(iter(tail_sizes)),
         recurring=recurring,
         threshold=threshold,

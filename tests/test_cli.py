@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import importlib.util
+import io
 import os
 import random
 import sys
@@ -11,7 +12,9 @@ import pytest
 
 from gbrw import __version__
 from gbrw.cli import build_parser, main
-from gbrw.rulespec import BUILTINS
+from gbrw.moments import analyze_set_sequence, condition_B_partial, intersection_diagnostic
+from gbrw.reports import format_value
+from gbrw.rulespec import BUILTINS, make_builtin
 
 
 def run(args, capsys):
@@ -118,6 +121,45 @@ def test_moments_emits_csvs(capsys, tmp_path):
     assert theta[0] == ["k", "l", "theta_exact", "theta"]
     assert len(theta) == 1 + 64 * 65 // 2
     assert os.path.exists(tmp_path / "set_diag.csv")
+
+
+def csv_writer_bytes(header, rows):
+    """What csv.writer writes for format_value of every cell."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_value(v) for v in row] for row in rows)
+    return buffer.getvalue().encode()
+
+
+@pytest.mark.parametrize("spec, horizon", [
+    ("window-max:3", 64), ("max", 20), ("levy", 40), ("sign-flips:0.25", 50),
+    ("extended-brw:prefix:0.5", 33),
+])
+def test_rho_seq_csv_writes_the_dyadic_and_fraction_cells(capsys, tmp_path, spec, horizon):
+    run(["gaussian-check", "--rule", f"builtin:{spec}", "--horizon", str(horizon),
+         "--out", str(tmp_path)], capsys)
+    report = condition_B_partial(make_builtin(spec), horizon)
+    rows = [(k, r, float(r), c)
+            for k, (r, c) in enumerate(zip(report.rho, report.cesaro), start=1)]
+    assert (tmp_path / "rho_seq.csv").read_bytes() == csv_writer_bytes(
+        ("k", "rho_exact", "rho", "cesaro"), rows)
+
+
+@pytest.mark.parametrize("spec", ["extended-brw:window:3", "extended-brw:prefix:0.5"])
+def test_set_diag_csv_writes_the_fraction_cells(capsys, tmp_path, spec):
+    horizon = 40
+    run(["moments", "--rule", f"builtin:{spec}", "--horizon", str(horizon),
+         "--out", str(tmp_path)], capsys)
+    seq = make_builtin(spec).seq
+    report = analyze_set_sequence(seq, horizon)
+    try:
+        mean_intersection = intersection_diagnostic(seq, horizon).mean_intersection
+    except ValueError:  # the prefix's cardinality does not settle
+        mean_intersection = [""] * horizon
+    rows = zip(range(1, horizon + 1), report.n_ratio, report.match_fraction, mean_intersection)
+    assert (tmp_path / "set_diag.csv").read_bytes() == csv_writer_bytes(
+        ("n", "first_match_ratio", "match_fraction", "mean_intersection"), rows)
 
 
 def test_simulate_single_path(capsys, tmp_path):

@@ -538,7 +538,8 @@ def _condition_b_loop(rule, horizon, tolerance=DEFAULT_TOLERANCE):
         rows.append((l, l, 1, 0))
         double.append(Fraction(total, (l * l) << total_exp))
     rho_sq = Fraction(report_a.final_cesaro()) ** 2
-    stable = _tail_range(double) < tolerance
+    tail = double[len(double) // 2:]
+    stable = float(max(tail) - min(tail)) < tolerance
     close = abs(float(double[-1] - rho_sq)) < tolerance
     if r_stab is not None and theta_stable:
         verdict = "converged"
@@ -705,6 +706,68 @@ def test_brw_scan_adopts_its_families(monkeypatch):
     for horizon in (256, 4096):
         report = condition_B_partial(make_builtin("brw"), horizon)
         assert report.stabilized == 0 and report.verdict == "converged"
+
+
+# ---------------------------------------------------------------------------
+# Reports held as integer sums against lists rebuilt from rho and theta
+
+
+#: condition_B_partial's (verdict, stabilized as (numerator, exponent),
+#: rho_estimate), as the reports built from per-step Dyadic and Fraction
+#: lists gave them
+REPORT_VERDICTS = {
+    ("brw", 16): ("converged", (0, 0), 0.0),
+    ("brw", 64): ("converged", (0, 0), 0.0),
+    ("max", 16): ("undetermined", None, 0.7500038146972656),
+    ("max", 64): ("undetermined", None, 0.9375),
+    ("window-max:3", 16): ("undetermined", (3, 2), 0.75),
+    ("window-max:3", 64): ("converged", (3, 2), 0.75),
+    ("sign-flips:0.25", 16): ("undetermined", None, 0.5),
+    ("sign-flips:0.25", 64): ("undetermined", None, 0.5),
+    ("identity", 16): ("converged", (1, 0), 1.0),
+    ("identity", 64): ("converged", (1, 0), 1.0),
+    ("levy", 16): ("diverged", None, -0.196380615234375),
+    ("levy", 64): ("diverged", None, -0.09934675374796689),
+    ("extended-brw:window:3", 16): ("converged", (0, 0), 0.0),
+    ("extended-brw:window:3", 64): ("converged", (0, 0), 0.0),
+    ("extended-brw:prefix:0.5", 16): ("converged", (0, 0), 0.0),
+    ("extended-brw:prefix:0.5", 64): ("converged", (0, 0), 0.0),
+}
+
+
+@pytest.mark.parametrize("spec, horizon", list(REPORT_VERDICTS))
+def test_report_lists_match_the_eager_lists(spec, horizon):
+    report = condition_B_partial(make_builtin(spec), horizon, keep_grid=True)
+    rho = [r.as_fraction() for r in report.rho]
+    assert all(type(r) is Dyadic for r in report.rho)
+    assert [(r.numerator, r.exponent) for r in report.rho] == report.rho_terms
+    assert report.cesaro == [sum(rho[:k]) / k for k in range(1, horizon + 1)]
+    # row sums sum_{k<l} theta_{k,l} from the grid, then the double means
+    rows = [Fraction(0)] * horizon
+    for k, l, num, exp in zip(*report.theta_grid):
+        if k < l:
+            rows[l - 1] += Fraction(num, 1 << exp)
+    double = [sum(2 * row + 1 for row in rows[:l]) / l ** 2 for l in range(1, horizon + 1)]
+    assert report.double_cesaro == double
+    assert all(type(v) is Fraction for v in report.cesaro + report.double_cesaro)
+    assert report.final_cesaro() == report.cesaro[-1]
+    assert report.final_double_cesaro() == report.double_cesaro[-1]
+    verdict, stabilized, estimate = REPORT_VERDICTS[spec, horizon]
+    assert report.verdict == verdict
+    assert report.stabilized == (None if stabilized is None else Dyadic(*stabilized))
+    assert report.rho_estimate == estimate
+    first = condition_A_partial(make_builtin(spec), horizon)
+    assert (first.rho, first.cesaro, first.rho_estimate) == (report.rho, report.cesaro,
+                                                             estimate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-(1 << 90), 1 << 90), min_size=1, max_size=40),
+       st.integers(0, 100), st.sampled_from([1, 2]))
+def test_tail_range_matches_the_fraction_range(totals, exponent, power):
+    means = [Fraction(t, k ** power << exponent) for k, t in enumerate(totals, start=1)]
+    tail = means[len(means) // 2:]
+    assert _tail_range(totals, exponent, power) == float(max(tail) - min(tail))
 
 
 # ---------------------------------------------------------------------------
