@@ -59,11 +59,6 @@ def _load_rule(args):
     return load_rule(args.rule, sgn0=args.sgn0)
 
 
-# Cells are formatted here as format_value writes them.  Text cells take the
-# writer's Python path, which beats its numpy path on tables of up to about
-# 2,000 rows; the theta grid, larger, goes through numpy as bytes.
-
-
 def _float_cells(values) -> list[str]:
     """The cells of floats, or of exact values given as their float (int /
     int rounds as float(Fraction) does)."""

@@ -178,12 +178,12 @@ class BetaArray:
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cells (n, k, beta_{n,k}) for 0 <= k <= n as three arrays, n-major."""
-        n, k = np.broadcast_arrays(
-            np.arange(1, self.size + 1, dtype=np.int32)[:, None],
-            np.arange(self.size + 1, dtype=np.int32),
-        )
-        lower = k <= n
-        return n[lower], k[lower], self.bits[lower]
+        n = np.arange(1, self.size + 1, dtype=np.int32)
+        # row n holds n+1 cells, the first at (n-1)(n+2)/2
+        k = np.arange(self.size * (self.size + 3) // 2, dtype=np.int32)
+        k -= np.repeat((n - 1) * (n + 2) // 2, n + 1)
+        lower = np.tri(self.size, self.size + 1, 1, dtype=bool)
+        return np.repeat(n, n + 1), k, self.bits[lower]
 
 
 def sgn_beta_array(size: int) -> BetaArray:

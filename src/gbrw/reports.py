@@ -3,9 +3,11 @@
 Files are written atomically (temp file then rename) and get the mode a
 newly created file gets under the process umask.  CSV tables are given
 column by column and written with a header row, ``\\n`` line ends and
-``csv.QUOTE_MINIMAL`` quoting.  Integer and S-dtype arrays are encoded in
-numpy as zero-padded byte matrices; floats (17 significant digits),
-``Fraction``, ``Dyadic`` (p/2^e) and text are formatted by ``format_value``.
+``csv.QUOTE_MINIMAL`` quoting.  A chunk of at least ``SMALL_ROWS`` rows of
+integer and S-dtype arrays is encoded in numpy as one zero-padded byte
+matrix with a row per character position, transposed once into lines.
+Smaller chunks, floats (17 significant digits), ``Fraction``, ``Dyadic``
+(p/2^e) and text are formatted cell by cell by ``format_value``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 #: Rows formatted and written per block, which bounds the memory a table
 #: takes while it is written.
 CHUNK_ROWS = 1 << 16
+#: Chunks of fewer rows are formatted cell by cell, faster there than numpy.
+SMALL_ROWS = 128
 
 
 def format_value(value) -> str:
@@ -62,9 +67,6 @@ def _atomic_write(path: str, chunks: Iterable) -> None:
 _SPECIAL = ',"\n' + "\r" * (
     csv.writer(io.StringIO(), lineterminator="\n").writerow(["\r"]) > 2)
 _MUST_QUOTE = re.compile(f"[{re.escape(_SPECIAL)}]")
-#: The same characters as a lookup over bytes.
-_QUOTED_BYTES = np.zeros(256, dtype=bool)
-_QUOTED_BYTES[list(_SPECIAL.encode())] = True
 
 
 def _cells(column) -> list[str]:
@@ -88,39 +90,63 @@ def _lines(cells: list[list[str]]) -> bytes:
     return ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
 
 
-def _int_field(column: np.ndarray) -> np.ndarray:
-    """Decimal cells of an integer array, right-aligned in a zero-padded matrix."""
-    mag = column.astype(np.uint64)
-    np.negative(mag, out=mag, where=(neg := column < 0))  # |v| mod 2**64: exact at -2**63
-    mag = mag.astype(np.min_scalar_type(top := int(mag.max())))
-    out = np.zeros((column.size, int(neg.any()) + len(str(top))), np.uint8)
-    for j in range(out.shape[1] - 1, -1, -1):  # units first; no leading zeros
-        tens = mag // 10
-        out[:, j] = (mag - tens * 10 + 48) * ((mag > 0) | (j == out.shape[1] - 1))
-        mag = tens
-    out[:, 0] |= neg.view(np.uint8) * 45  # the sign column has no digit
-    return out
+def _int_field(column: np.ndarray):
+    """Width and row writer (one row per character) of an integer array's cells."""
+    lo, hi = int(column.min()), int(column.max())
+    mag, neg = column, None
+    if lo < 0:  # |v| mod 2**64: exact at -2**63
+        mag, neg = column.astype(np.uint64), column < 0
+        np.negative(mag, out=mag, where=neg)
+    mag = mag.astype(np.min_scalar_type(top := max(hi, -lo)))
+
+    def write(rows: np.ndarray) -> None:
+        rest = mag
+        for j, row in enumerate(rows[::-1]):  # units first
+            tens = rest // 10
+            row[...] = rest - tens * 10 + 48
+            if j:  # no leading zeros
+                row *= rest > 0
+            rest = tens
+        if lo < 0:  # the sign row has no digit
+            rows[0] |= neg.view(np.uint8) * 45
+
+    return (lo < 0) + len(str(top)), write
 
 
-def _text_field(column: np.ndarray, alone: bool) -> np.ndarray:
-    """Cells of an S-dtype array without '"', csv-quoted in a zero-padded matrix."""
+def _text_field(column: np.ndarray, alone: bool):
+    """Width and row writer of the csv-quoted cells of an S-dtype array without '"'."""
     cells = np.ascontiguousarray(column).view(np.uint8).reshape(column.size, -1)
-    quote = _QUOTED_BYTES[cells].any(axis=1) | (alone & ~cells.any(axis=1))
-    out = np.pad(cells, ((0, 0), (1, 1)))
-    out[quote, 0] = out[quote, -1] = ord('"')
-    return out
+    special = np.zeros(cells.shape, bool)
+    for byte in _SPECIAL.encode():  # compares, as a lookup table copies cells to intp
+        special |= cells == byte
+    quote = special.any(axis=1)
+    if alone:
+        quote |= ~cells.any(axis=1)
+
+    def write(rows: np.ndarray) -> None:
+        rows[1:-1] = cells.T
+        rows[0, quote] = rows[-1, quote] = ord('"')
+
+    return cells.shape[1] + 2, write
 
 
 def _rows(columns: list) -> bytes:
-    """CSV lines of one chunk: a zero-padded byte matrix where the columns allow."""
-    if not all(isinstance(c, np.ndarray) and (c.dtype.kind in "iu" or c.dtype.kind == "S"
-                                              and b'"' not in c.tobytes()) for c in columns):
+    """CSV lines of one chunk: a zero-padded byte matrix, one row per character
+    position so that every store is contiguous, where the columns allow."""
+    if len(columns[0]) < SMALL_ROWS or not all(
+            isinstance(c, np.ndarray) and (c.dtype.kind in "iu" or c.dtype.kind == "S"
+                                           and b'"' not in c.tobytes()) for c in columns):
         return _lines([_cells(column) for column in columns])
-    comma = np.full((len(columns[0]), 1), ord(","), np.uint8)
-    buf = np.hstack([part for c in columns for part in (
-        _text_field(c, len(columns) == 1) if c.dtype.kind == "S" else _int_field(c), comma)])
-    buf[:, -1] = ord("\n")
-    return buf[buf != 0].tobytes()
+    fields = [_text_field(c, len(columns) == 1) if c.dtype.kind == "S" else _int_field(c)
+              for c in columns]
+    buf = np.zeros((sum(width + 1 for width, _ in fields), len(columns[0])), np.uint8)
+    start = 0
+    for width, write in fields:
+        write(buf[start:start + width])
+        buf[start + width] = ord(",")
+        start += width + 1
+    buf[-1] = ord("\n")
+    return buf.T.tobytes().translate(None, b"\0")
 
 
 def write_csv(path: str, header: Sequence[str], columns: Iterable) -> None:
@@ -159,9 +185,12 @@ def write_beta_pixmap(path: str, bits: np.ndarray) -> None:
     k > n are background.
     """
     height, width = bits.shape
-    above = np.arange(width) > np.arange(1, height + 1)[:, None]
-    index = np.where(above, np.uint8(2), bits)
-    palette = np.array([PIXMAP_ZERO, PIXMAP_ONE, PIXMAP_BACKGROUND], dtype=np.uint8)
+    # window i of the strip starts with width - i coefficient-0 pixels; row n
+    # copies the one with n+1 of them (all, once n >= width - 1)
+    strip = np.repeat(np.array([PIXMAP_ZERO, PIXMAP_BACKGROUND], np.uint8), width, axis=0)
+    windows = sliding_window_view(strip.ravel(), 3 * width)[::3]
+    image = windows[np.maximum(width - 1 - np.arange(1, height + 1), 0)]
+    lower = np.tri(height, width, 1, dtype=bool)  # k <= n
+    image.reshape(-1, 3)[np.flatnonzero(np.logical_and(bits, lower))] = PIXMAP_ONE
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    # one 3-byte item per colour; plain indexing, as np.take copies the index to intp
-    _atomic_write(path, (header, palette.view("V3").ravel()[index]))
+    _atomic_write(path, (header, image))

@@ -313,6 +313,18 @@ def test_beta_array_bits_and_columns():
     assert list(zip(*(c.tolist() for c in array.columns()))) == cells
 
 
+@pytest.mark.parametrize("size", list(range(1, 41)) + [1000])
+def test_beta_array_columns_match_broadcast_mask(size):
+    array = sgn_beta_array(size)
+    n, k = np.broadcast_arrays(np.arange(1, size + 1, dtype=np.int32)[:, None],
+                               np.arange(size + 1, dtype=np.int32))
+    lower = k <= n
+    expected = (n[lower], k[lower], array.bits[lower])
+    for column, want in zip(array.columns(), expected, strict=True):
+        assert column.dtype == want.dtype
+        assert np.array_equal(column, want)
+
+
 def test_pascal_parity_row_matches_comb():
     for m in range(0, 40):
         row = pascal_parity_row(m)

@@ -79,17 +79,30 @@ def tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(), st.sampled_from([1, 2, 5, reports.CHUNK_ROWS]))
-def test_columnar_writer_matches_csv_module(tmp_path_factory, table, chunk_rows):
+@given(tables(), st.sampled_from([1, 2, 5, reports.CHUNK_ROWS]),
+       st.sampled_from([0, reports.SMALL_ROWS]))
+def test_columnar_writer_matches_csv_module(tmp_path_factory, table, chunk_rows, small_rows):
+    # small_rows 0 sends every chunk the columns allow to the byte matrix
     header, columns = table
     path = tmp_path_factory.mktemp("csv") / "table.csv"
-    saved = reports.CHUNK_ROWS
-    reports.CHUNK_ROWS = chunk_rows
+    saved = reports.CHUNK_ROWS, reports.SMALL_ROWS
+    reports.CHUNK_ROWS, reports.SMALL_ROWS = chunk_rows, small_rows
     try:
         write_csv(str(path), header, columns)
     finally:
-        reports.CHUNK_ROWS = saved
+        reports.CHUNK_ROWS, reports.SMALL_ROWS = saved
     assert written(path) == reference_csv(header, columns)
+
+
+#: Row counts past the per-cell cutoff, with the chunk size below set to
+#: twice the cutoff: one chunk on the byte matrix; two of them; one, then a
+#: remainder written cell by cell.
+LONG_ROWS = (reports.SMALL_ROWS + 1, 3 * reports.SMALL_ROWS + 5, 2 * reports.SMALL_ROWS + 3)
+
+
+@pytest.fixture
+def short_chunks(monkeypatch):
+    monkeypatch.setattr(reports, "CHUNK_ROWS", 2 * reports.SMALL_ROWS)
 
 
 def test_one_column_empty_cells_are_quoted(tmp_path):
@@ -99,14 +112,17 @@ def test_one_column_empty_cells_are_quoted(tmp_path):
     assert written(path) == reference_csv(("",), (["", "a", ""],))
 
 
-def test_byte_cells_are_quoted_as_csv_quotes_text(tmp_path):
-    # cells without '"' take the byte-matrix path, a doubled quote the per-cell one
+def test_byte_cells_are_quoted_as_csv_quotes_text(tmp_path, short_chunks):
+    # cells without '"' take the byte-matrix path past the per-cell cutoff, a
+    # doubled quote the per-cell one
     plain = np.array([b"", b"{1,2}", b"a\nb", b"\r", b"{3}"])
-    for cells in (plain, np.append(plain, b'say "hi"')):
-        for header, columns in ((("v",), (cells,)), (("n", "v"), (np.arange(cells.size), cells))):
-            path = tmp_path / "t.csv"
-            write_csv(str(path), header, columns)
-            assert written(path) == reference_csv(header, columns)
+    for short in (plain, np.append(plain, b'say "hi"')):
+        for cells in [short] + [np.resize(short, rows) for rows in LONG_ROWS]:
+            for header, columns in ((("v",), (cells,)),
+                                    (("n", "v"), (np.arange(cells.size), cells))):
+                path = tmp_path / "t.csv"
+                write_csv(str(path), header, columns)
+                assert written(path) == reference_csv(header, columns)
     write_csv(str(path), ("v",), (plain,))
     assert written(path).startswith(b'v\n""\n"{1,2}"\n"a\nb"\n')
     write_csv(str(path), ("n", "v"), (np.arange(5), plain))
@@ -130,10 +146,11 @@ def test_write_csv_accepts_any_iterable_of_columns(tmp_path):
     np.array([-128, 127, 0, -1, 127], dtype=np.int8),
     np.array([3, 1000, -1000, 3, 3], dtype=np.int16),
 ])
-def test_integer_columns_with_wide_ranges(tmp_path, column):
+def test_integer_columns_with_wide_ranges(tmp_path, short_chunks, column):
     path = tmp_path / "t.csv"
-    write_csv(str(path), ("v", "w"), (column, column[::-1]))
-    assert written(path) == reference_csv(("v", "w"), (column, column[::-1]))
+    for values in [column] + [np.resize(column, rows) for rows in LONG_ROWS]:
+        write_csv(str(path), ("v", "w"), (values, values[::-1]))
+        assert written(path) == reference_csv(("v", "w"), (values, values[::-1]))
 
 
 def test_write_csv_rejects_ragged_tables(tmp_path):
@@ -148,8 +165,8 @@ def test_write_csv_rejects_ragged_tables(tmp_path):
 # The pixmap against the per-pixel loop it replaced
 
 
-def reference_pixmap(bits, size) -> bytes:
-    width = size + 1
+def reference_pixmap(bits, size, width=None) -> bytes:
+    width = size + 1 if width is None else width
     body = bytearray()
     for n in range(1, size + 1):
         for k in range(width):
@@ -182,6 +199,28 @@ def test_pixmap_of_arbitrary_rows(tmp_path_factory, drawn):
     path = tmp_path_factory.mktemp("ppm") / "a.ppm"
     write_beta_pixmap(str(path), array.bits)
     assert written(path) == reference_pixmap(rows, size)
+
+
+def test_pixmap_draws_ones_above_the_diagonal_as_background(tmp_path):
+    bits = np.ones((6, 7), dtype=np.uint8)
+    write_beta_pixmap(str(tmp_path / "a.ppm"), bits)
+    body = written(tmp_path / "a.ppm")[len(b"P6\n7 6\n255\n"):]
+    pixels = np.frombuffer(body, np.uint8).reshape(6, 7, 3)
+    above = np.arange(7) > np.arange(1, 7)[:, None]
+    assert (pixels[above] == reports.PIXMAP_BACKGROUND).all()
+    assert (pixels[~above] == reports.PIXMAP_ONE).all()
+    assert written(tmp_path / "a.ppm") == reference_pixmap(bits.tolist(), 6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_pixmap_of_any_shape(tmp_path_factory, height, width, random):
+    # tall shapes too: from height >= width - 1 on, the last rows hold no background
+    bits = np.array([[random.randint(0, 1) for _ in range(width)] for _ in range(height)],
+                    dtype=np.uint8)
+    path = tmp_path_factory.mktemp("ppm") / "a.ppm"
+    write_beta_pixmap(str(path), bits)
+    assert written(path) == reference_pixmap(bits.tolist(), height, width)
 
 
 # ---------------------------------------------------------------------------
