@@ -172,7 +172,7 @@ def cmd_moments(args) -> int:
     write_csv(
         path_b,
         ("k", "l", "theta_exact", "theta"),
-        (np.array(ks), np.array(ls), exact[index], floats[index]),
+        (ks, ls, exact[index], floats[index]),
     )
     _emit_set_diag(args, rule)
     print(f"first-moment cesaro -> {float(report.final_cesaro()):.6g}")

@@ -18,6 +18,7 @@ verdicts.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -197,7 +198,7 @@ class MomentReport:
     double_sums: list[int] | None = None
     double_exponent: int = 0
     rho_estimate: float | None = None
-    theta_grid: tuple[list[int], ...] | None = None  # k, l, numerator, exponent
+    theta_grid: tuple | None = None  # k, l (int arrays), numerator, exponent
 
     @functools.cached_property
     def rho(self) -> list[Dyadic]:
@@ -306,15 +307,16 @@ def _family_scan(rule: RecyclingRule, horizon: int) -> tuple[list[tuple[int, int
 
 
 def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
-               ) -> tuple[list[tuple[int, int]], bool, tuple[list[int], ...] | None]:
+               ) -> tuple[list[tuple[int, int]], bool, tuple[np.ndarray, ...] | None]:
     """Row sums sum_{k<l} theta_{k,l} of the beta families as (numerator,
-    exponent), the exact-stabilization flag, and the grid when kept.
+    exponent), the exact-stabilization flag, and the grid cells when kept.
 
     Disjoint supports give theta_{k,l} = rho_k rho_l (independent products),
     from the running sum of rho; two plain families (members of size <= 1)
     give s_k s_l when their parities agree and 0 otherwise, from the plain
     steps' signs summed per parity.  The other overlapping pairs are found
-    from the support spans and evaluated over their overlap components.
+    from the support spans and evaluated over their overlap components; they
+    and the plain pairs of equal non-empty parity are the grid cells.
     """
     # members are sorted and distinct, so a plain family's parity is its support
     step_masks, supports, signs, sizes, plain = zip(*steps)
@@ -323,7 +325,7 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
     hi = np.array([s.bit_length() - 1 for s in supports])
     not_plain = ~np.array(plain)
     rho_num, rho_exp = zip(*report_a.rho_terms)
-    evaluated: list[tuple[int, int, int]] = []  # kept grid cells (index, numerator, exponent)
+    cells = ([], [], []) if keep_grid else None  # (index, numerator, exponent)
     rows: list[tuple[int, int]] = []
     rho_sums = [(0, 0), (0, 0)]  # rho summed over the steps not plain, plain
     plain_signs: dict[int, int] = {}  # parity -> sum of the plain steps' signs
@@ -365,42 +367,51 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
                     and num << r_sq.exponent != r_sq.numerator << exp):
                 theta_stable = False
             if keep_grid:
-                evaluated.append((j * l // 2 + i, num, exp))
+                for column, value in zip(cells, (j * l // 2 + i, *reduced(num, exp))):
+                    column.append(value)
         rows.append((row, row_exp))
         rho_sums[plain_l] = _add(*rho_sums[plain_l], num_l, exp_l)
         if plain_l:
             plain_signs[supp_l] = plain_signs.get(supp_l, 0) + sign_l
             if theta_stable and not r_sq and j >= half:
                 theta_stable = j - first_plain.setdefault(supp_l, j) < band
-    grid = _pair_grid(report_a.rho_terms, steps, evaluated) if keep_grid else None
-    return rows, theta_stable, grid
+    if keep_grid:
+        # plain pairs of one non-empty parity (-1 marks the rest): s_k s_l, not rho_k rho_l = 0
+        last = {s: j for j, s in enumerate(supports)}  # one index per parity
+        parity = np.array([last[s] if p and s else -1 for s, p in zip(supports, plain)])
+        shared = np.flatnonzero((parity >= 0) & (np.bincount(parity + 1)[parity + 1] > 1))
+        i, j = (shared[side] for side in np.triu_indices(shared.size, 1))
+        same = parity[i] == parity[j]
+        i, j, signs = i[same], j[same], np.array(signs)
+        index, num, exp = cells
+        cells = (np.concatenate([np.array(index, dtype=np.int64), j * (j + 1) // 2 + i]),
+                 np.concatenate([np.array(num, dtype=object), signs[i] * signs[j]]),
+                 np.concatenate([np.array(exp, dtype=np.int64), np.zeros_like(i)]))
+    return rows, theta_stable, cells
 
 
-def _pair_grid(rho_terms: list[tuple[int, int]], steps: list[tuple],
-               evaluated: list[tuple[int, int, int]]) -> tuple[list[int], ...]:
-    """Reduced (k, l, numerator, exponent) columns of theta_{k,l}, k <= l, the
-    pair at index l(l-1)/2 + k-1: rho_k rho_l, s_k s_l or 0 for two plain
-    families, 1 on the diagonal, and the evaluated cells where given."""
-    _, supports, signs, _, plain = zip(*steps)
-    l = np.repeat(np.arange(len(steps)), np.arange(1, len(steps) + 1))
+def _pair_grid(rho_terms: list[tuple[int, int]], cells: tuple[Sequence[int], ...]
+               ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+    """(k, l, numerator, exponent) columns of theta_{k,l}, k <= l, the pair
+    at index l(l-1)/2 + k-1: the reduced (index, numerator, exponent) cells a
+    scan evaluated, 1 on the diagonal and rho_k rho_l at every other pair.
+    k and l are int arrays, the numerators and exponents Python ints."""
+    horizon = len(rho_terms)
+    l = np.repeat(np.arange(horizon), np.arange(1, horizon + 1))
     k = np.arange(l.size) - l * (l + 1) // 2
+    index = np.asarray(cells[0], dtype=np.int64)
+    nums, exps = np.ones(l.size, dtype=object), np.zeros(l.size, dtype=np.int64)
+    bulk = k != l
+    bulk[index] = False
+    k_bulk, l_bulk = k[bulk], l[bulk]
     rho_num, rho_exp = zip(*rho_terms)
     rho_num, rho_exp = np.array(rho_num, dtype=object), np.array(rho_exp)
-    nums = rho_num[k] * rho_num[l]
+    nums[bulk] = products = rho_num[k_bulk] * rho_num[l_bulk]
     # |rho| <= 1, so a factor over 2**0 is 0 or +-1: only a zero product
     # needs reducing
-    exps = np.where(nums == 0, 0, rho_exp[k] + rho_exp[l])
-    plain, signs = np.array(plain), np.array(signs)
-    last = {s: i for i, s in enumerate(supports)}  # one index per parity
-    parity = np.array([last[s] for s in supports])
-    both = plain[k] & plain[l]
-    nums[both] = (signs[k] * signs[l] * (parity[k] == parity[l]))[both]
-    exps[both] = 0
-    nums[k == l], exps[k == l] = 1, 0
-    if evaluated:
-        index, num, exp = zip(*evaluated)
-        nums[list(index)], exps[list(index)] = zip(*map(reduced, num, exp))
-    return (k + 1).tolist(), (l + 1).tolist(), nums.tolist(), exps.tolist()
+    exps[bulk] = np.where(products == 0, 0, rho_exp[k_bulk] + rho_exp[l_bulk])
+    nums[index], exps[index] = cells[1:]
+    return k + 1, l + 1, nums.tolist(), exps.tolist()
 
 
 #: Automata of at most this many states keep their counts in Python lists,
@@ -448,9 +459,11 @@ class _ListCounts:
         """Whether the signs differ between states some path is in."""
         return len({s for s, count in zip(self.signs, self.c) if count}) > 1
 
-    def step(self, keep: bool) -> None:
-        """b <- push(b + c out), c <- push(c), with the row c out kept first
-        if asked, and every kept row pushed."""
+    def step(self, keep: bool, drop: int) -> None:
+        """b <- push(b + c out), c <- push(c), with the first ``drop`` kept
+        rows forgotten, the row c out kept if asked, and every kept row pushed."""
+        if drop:
+            self.rows = self.rows[drop:]
         if keep:
             self.rows = np.vstack([self.rows, np.array(self.c, dtype=object) * self.out])
         self.b = self.push(list(map(operator.add, self.b,
@@ -458,9 +471,6 @@ class _ListCounts:
         self.c = self.push(self.c)
         if len(self.rows):
             self.rows = _push_rows(self.model, self.rows, self.states, self.states)
-
-    def retain(self, index: list[int]) -> None:
-        self.rows = self.rows[index]
 
 
 class _MatrixCounts:
@@ -481,8 +491,8 @@ class _MatrixCounts:
     def varies(self) -> bool:
         return bool((self.signs != self.signs[0]).any())
 
-    def step(self, keep: bool) -> None:
-        rows = self.rows
+    def step(self, keep: bool, drop: int) -> None:
+        rows = np.delete(self.rows, np.s_[2:2 + drop], axis=0) if drop else self.rows
         rows[1] += rows[0] * self.signs
         if keep:
             rows = np.vstack([rows, rows[0] * self.signs])
@@ -490,37 +500,34 @@ class _MatrixCounts:
         self.rows = _push_rows(self.model, rows, self.states, into)
         self.states = into
 
-    def retain(self, index: list[int]) -> None:
-        self.rows = self.rows[[0, 1] + [2 + i for i in index]]
-
 
 def _state_scan(model: StateModel, horizon: int, keep_grid: bool
                 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], bool,
                            tuple[list[int], ...] | None]:
     """rho_k and the row sums sum_{j<k} theta_{j,k} of an automaton, as
-    (numerator, exponent), the exact-stabilization flag, and the grid when
-    kept.
+    (numerator, exponent), the exact-stabilization flag, and the grid cells
+    when kept.
 
     ``c`` counts the paths per state and ``b`` weights each path by the sum
     of its outputs so far: at step k, rho_k = c.out_k / 2**(k-1) and the row
     sum is b.out_k / 2**(k-1); then b <- push(b + c out_k) and c <- push(c).
     theta_{j,k} itself is the row c out_j of step j, pushed on to step k and
-    dotted with out_k.  Such rows are kept for the grid, and for the tail
-    pairs the stabilization check must evaluate: pairs at least the model's
-    depth apart give rho_j rho_k, and so do steps whose output is the same
-    in every state some path is in.
+    dotted with out_k.  Pairs at least the model's depth apart give rho_j
+    rho_k, and so do steps whose output is the same in every state some path
+    is in; so a row is kept only while a later pair can differ, for the grid
+    cells or for the tail pairs the stabilization check must evaluate.
     """
     counts = (_ListCounts if model.size <= _LIST_STATES else _MatrixCounts)(model)
     terms: list[tuple[int, int]] = []  # numerators over 2**(k-1), not reduced
     rows: list[tuple[int, int]] = []
-    grid: tuple[list[int], ...] | None = ([], [], [], []) if keep_grid else None
+    cells = ([], [], []) if keep_grid else None  # (index, numerator, exponent)
     band = max(1, horizon // 8)
     half = horizon // 2  # the last step before the tail
     depth = model.depth()
-    check_pairs = depth is None or depth > band
+    span = horizon + 1 if depth is None else depth  # row j is read while k - j < span
     r_num, r_exp = 0, 0  # rho at the first tail step
     stable = True  # tail rho all r, and theta = r**2 on the tail pairs seen
-    kept: list[int] = []  # the steps of the kept rows
+    kept: list[int] = []  # the steps of the kept rows, ascending
     for k in range(1, horizon + 1):
         num, row, thetas = counts.values(model.out(k))
         terms.append((num, k - 1))
@@ -529,33 +536,32 @@ def _state_scan(model: StateModel, horizon: int, keep_grid: bool
             if stable:  # r**2 = r_num**2 / 2**(2 r_exp)
                 stable = all(theta << 2 * r_exp == r_num * r_num << k - 1
                              for j, theta in zip(kept, thetas) if j > half and k - j >= band)
-            if grid is not None:
-                cells = [reduced(theta, k - 1) for theta in thetas]
-                for column, values in zip(grid, (kept, [k] * len(kept), *zip(*cells))):
-                    column.extend(values)
-        if grid is not None:
-            for column, value in zip(grid, (k, k, 1, 0)):
-                column.append(value)
+            if keep_grid:
+                # |theta| <= 2**(k-1): reducing takes off its trailing zeros,
+                # all k-1 of them for theta = 0
+                shifts = [(theta & -theta or 1 << k - 1).bit_length() - 1 for theta in thetas]
+                cells[0].extend(map((k * (k - 1) // 2 - 1).__add__, kept))
+                cells[1].extend(map(operator.rshift, thetas, shifts))
+                cells[2].extend(map((k - 1).__sub__, shifts))
         if k == half + 1:
             r_num, r_exp = num, k - 1
         elif k > half + 1 and stable:
             stable = num << r_exp == r_num << k - 1
-        keep = keep_grid or (stable and k > half and check_pairs and counts.varies())
+        # counts.varies() last: it costs more than the other tests
+        keep = (span > 1 and (keep_grid or stable and k > half and span > band)
+                and counts.varies())
+        drop = 0
+        if kept:  # no later step reads rows j <= k + 1 - span, nor any unstable without a grid
+            drop = bisect.bisect_right(kept, k + 1 - span) if keep_grid or stable else len(kept)
+            del kept[:drop]
         if keep:
             kept.append(k)
-        counts.step(keep)
-        if kept and not keep_grid:
-            live = [i for i, j in enumerate(kept)
-                    if stable and (depth is None or k + 1 - j < depth)]
-            if len(live) < len(kept):
-                counts.retain(live)
-                kept = [kept[i] for i in live]
-    return terms, rows, stable, grid
+        counts.step(keep, drop)
+    return terms, rows, stable, cells
 
 
 def _second_moment_report(report_a: MomentReport, rows: list[tuple[int, int]],
-                          theta_stable: bool, grid: tuple[list[int], ...] | None
-                          ) -> MomentReport:
+                          theta_stable: bool, grid: tuple | None) -> MomentReport:
     """Double Cesaro means and verdict from the row sums sum_{k<l} theta_{k,l}.
 
     Exact stabilization: if rho settles at r and theta_{k,l} = r**2 for all
@@ -612,18 +618,21 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
     stabilizes exactly with theta_{k,l} = rho**2 on the tail pairs a band
     apart, or when the tail of the double means is stable and lands within
     the tolerance of the squared first-moment estimate; diverged when stable
-    but away from it.  ``keep_grid`` keeps every theta_{k,l}, k <= l, as
-    reduced (k, l, numerator, exponent) columns.
+    but away from it.  With ``keep_grid`` either scan also reports the cells
+    it evaluated, and ``_pair_grid`` builds every theta_{k,l}, k <= l, from
+    them as reduced (k, l, numerator, exponent) columns.
     """
     _check_horizon(horizon)
     model = rule.state_model(horizon)
-    if model is not None:
-        terms, rows, theta_stable, grid = _state_scan(model, horizon, keep_grid)
-        return _second_moment_report(_first_moment_report(terms, tolerance), rows,
-                                     theta_stable, grid)
-    terms, steps = _family_scan(rule, horizon)
-    report_a = _first_moment_report(terms, tolerance)
-    return _second_moment_report(report_a, *_pair_scan(report_a, steps, keep_grid))
+    if model is None:
+        terms, steps = _family_scan(rule, horizon)
+        report_a = _first_moment_report(terms, tolerance)
+        rows, theta_stable, cells = _pair_scan(report_a, steps, keep_grid)
+    else:
+        terms, rows, theta_stable, cells = _state_scan(model, horizon, keep_grid)
+        report_a = _first_moment_report(terms, tolerance)
+    grid = _pair_grid(report_a.rho_terms, cells) if keep_grid else None
+    return _second_moment_report(report_a, rows, theta_stable, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -835,34 +835,24 @@ class PrefixMaxRule(RecyclingRule):
         return bool(self.flips(np.array([n]))[0])
 
     def state_model(self, horizon):
-        # the inner automaton, with psi negated in the state of the all-minus
-        # prefix; so that no other path shares the factor, that state must be
-        # one no other path is in (as the walk value -(k-1) is)
+        # the inner automaton times a flag set while every increment is -1:
+        # state s + size is state s on the all-minus prefix, where psi flips
         inner = self.inner.state_model(horizon)
         if inner is None:
             return None
-        chain = [inner.initial]  # the all-minus prefix's states
-        others = np.zeros(inner.size, dtype=bool)  # the states of every other path
-        for _ in range(1, horizon):
-            reach = np.zeros(inner.size, dtype=bool)
-            reach[inner.minus[others]] = reach[inner.plus[others]] = True
-            reach[inner.plus[chain[-1]]] = True
-            chain.append(int(inner.minus[chain[-1]]))
-            if reach[chain[-1]]:
-                return None
-            others = reach
-        flips = np.zeros(horizon, dtype=bool)
-        flips[1:] = self.flips(np.arange(1, horizon))
+        size = inner.size
+        flips = np.append(False, self.flips(np.arange(1, horizon)))  # by arity
 
         def out(k):
-            signs = inner.out(k).copy()
+            signs = np.tile(inner.out(k), 2)
             if k == 1:
-                signs[inner.initial] = self.psi0
+                signs[inner.initial + size] = self.psi0
             elif flips[k - 1]:
-                signs[chain[k - 1]] *= -1
+                signs[size:] *= -1
             return signs
 
-        return StateModel(inner.initial, inner.minus, inner.plus, out)
+        return StateModel(inner.initial + size, np.concatenate([inner.minus, inner.minus + size]),
+                          np.tile(inner.plus, 2), out)
 
 
 class ModifiedLevyRule(PrefixMaxRule):

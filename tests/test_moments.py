@@ -797,7 +797,11 @@ def _assert_same_report(rule, horizon, keep_grid):
     assert ours.double_cesaro == theirs.double_cesaro
     assert ours.stabilized == theirs.stabilized
     assert ours.verdict == theirs.verdict
-    assert ours.theta_grid == theirs.theta_grid
+    if keep_grid:
+        assert [list(column) for column in ours.theta_grid] == [
+            list(column) for column in theirs.theta_grid]
+    else:
+        assert ours.theta_grid is theirs.theta_grid is None
     first = condition_A_partial(rule, horizon)
     assert (first.rho, first.cesaro, first.verdict) == (theirs.rho, theirs.cesaro,
                                                         condition_A_partial(
@@ -820,18 +824,66 @@ def test_walk_state_scan_matches_the_family_engine(rule, horizon):
     _assert_same_report(rule, horizon, keep_grid=True)
 
 
+def test_family_grid_keeps_numerators_past_64_bits():
+    # theta_{k,l} of max has exponents up to 2l - 2: the cells stay Python ints
+    rule = make_builtin("max")
+    _assert_same_report(rule, 100, keep_grid=True)
+    grid = condition_B_partial(_on_families(rule), 100, keep_grid=True).theta_grid
+    assert max(map(int.bit_length, grid[2])) > 64
+
+
+def _repaired_rules():
+    # prefix-max wrappers of automata where other paths share the all-minus
+    # prefix's inner state
+    return [ergodic_repair(make_builtin(spec))
+            for spec in ["brw", "max", "window-max:3", "sign-flips:0.25", "identity"]]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 8])
+@pytest.mark.parametrize("rule", _repaired_rules(), ids=lambda r: r.name)
+def test_repaired_state_scan_matches_the_family_engine(rule, horizon):
+    # the families' pair scan stops at pair (10,11) for repair(brw)
+    assert rule.state_model(horizon) is not None
+    _assert_same_report(rule, horizon, keep_grid=True)
+
+
 @pytest.mark.parametrize("horizon", [8, 16])
 @pytest.mark.parametrize("spec", ["symmetric:1", "symmetric:-1"])
 def test_constant_symmetric_scan_matches_the_family_engine(spec, horizon):
     _assert_same_report(make_builtin(spec), horizon, keep_grid=True)
 
 
+WINDOW_SCANS = [(width, keep_grid) for keep_grid in (False, True) for width in (2, 3, 7)]
+
+
 @pytest.mark.parametrize("horizon", range(1, 41))
-@pytest.mark.parametrize("width", [2, 3, 7])
-def test_window_scan_keeps_the_verdict_where_the_depth_passes_the_band(width, horizon):
+@pytest.mark.parametrize("width, keep_grid", WINDOW_SCANS,
+                         ids=[f"{w}-grid" if grid else str(w) for w, grid in WINDOW_SCANS])
+def test_window_scan_keeps_the_verdict_where_the_depth_passes_the_band(width, keep_grid,
+                                                                       horizon):
     # a window of width w has depth w, more than the band h // 8 up to h < 8 w:
     # tail pairs closer than w are evaluated, the others give rho_k rho_l
-    _assert_same_report(WindowMaxRule(width), horizon, keep_grid=False)
+    _assert_same_report(WindowMaxRule(width), horizon, keep_grid=keep_grid)
+
+
+@pytest.mark.parametrize("spec, most", [("window-max:2", 1), ("window-max:3", 2),
+                                        ("window-max:7", 6), ("brw", 0),
+                                        ("sign-flips:0.25", 0)])
+def test_grid_scan_holds_no_row_past_the_depth(monkeypatch, spec, most):
+    # pairs at least the depth w apart, or after a step whose sign is the same
+    # in every state, are rho_k rho_l: after step k only the rows of steps
+    # k+2-w..k are held
+    held = []
+    step = moments._ListCounts.step
+
+    def spy(counts, *args):
+        step(counts, *args)
+        held.append(len(counts.rows))
+
+    monkeypatch.setattr(moments._ListCounts, "step", spy)
+    report = condition_B_partial(make_builtin(spec), 64, keep_grid=True)
+    assert len(held) == 64 and max(held) == most
+    assert len(report.theta_grid[0]) == 64 * 65 // 2
 
 
 def test_state_model_depths():
@@ -855,8 +907,8 @@ def all_paths():
     return (1 - 2 * ((masks[:, None] >> np.arange(PATHS)) & 1)).astype(np.int8)
 
 
-@pytest.mark.parametrize("rule", [make_builtin(spec) for spec in MODELLED] + _walk_rules(),
-                         ids=lambda r: f"{r.name}{r.psi0:+d}")
+@pytest.mark.parametrize("rule", [make_builtin(spec) for spec in MODELLED] + _walk_rules()
+                         + _repaired_rules(), ids=lambda r: f"{r.name}{r.psi0:+d}")
 def test_state_scan_matches_path_enumeration(rule, all_paths):
     # rho_k and every row sum sum_{j<k} theta_{j,k} over all 2^14 paths
     psi = rule.multipliers(all_paths).astype(np.int64)
@@ -886,10 +938,14 @@ def test_levy_double_cesaro_mean_is_one_half():
     assert report.verdict != "converged"
 
 
-def test_prefix_max_needs_the_all_minus_path_alone():
-    # the all-minus path of brw shares its parity with other paths, so a
-    # prefix-max factor over it has no state model; levy's walk value does not
-    assert ergodic_repair(ProductRule()).state_model(8) is None
+def test_prefix_max_model_flags_the_all_minus_path():
+    # the inner automaton twice over: the flagged copy holds the all-minus
+    # path alone, even where other paths share its inner state (brw's parity)
+    model = ergodic_repair(ProductRule()).state_model(8)
+    assert model.size == 4 and model.initial == 2
+    assert model.minus.tolist() == [1, 0, 3, 2]
+    assert model.plus.tolist() == [0, 1, 0, 1]
+    assert model.depth() is None
     assert ergodic_repair(LevyRule()).state_model(8) is not None
     assert ExplicitRule(-1, fallback=LevyRule()).state_model(8) is None
 
