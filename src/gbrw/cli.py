@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import CapacityError, beta_to_truth, member_cells, member_strings, truth_to_beta
+from .algebra import CapacityError, beta_to_truth, member_cells, member_strings
 from .dyadic import Dyadic
 from .ergodic import (
     ergodic_repair,
@@ -30,6 +30,7 @@ from .moments import (
     closed_form_disjoint,
     condition_B_partial,
     intersection_diagnostic,
+    pair_steps,
     sign_flip_rho,
     window_rho,
 )
@@ -65,19 +66,22 @@ def _float_cells(values) -> list[str]:
     return ["%.17g" % v for v in values]
 
 
-def _dyadic_cells(values: list[tuple[int, int]]) -> tuple[tuple[str, ...], ...]:
+def _dyadic_cells(values: list[tuple[int, int]]) -> tuple[list[str], list[str]]:
     """The exact (p/2^e) and float cells of Dyadic(p, e) per reduced (p, e)
-    pair; each distinct value is formatted once."""
-    cells = {v: ("%d/2^%d" % v, "%.17g" % (v[0] / (1 << v[1]))) for v in set(values)}
-    return tuple(zip(*map(cells.__getitem__, values)))
+    pair."""
+    return ["%d/2^%d" % v for v in values], ["%.17g" % (p / (1 << e)) for p, e in values]
 
 
 def _emit_rho_csv(args, report) -> str:
     path = _out_path(args, "rho_seq.csv")
+    # each distinct value is formatted once
+    ids_of = {}
+    ids = [ids_of.setdefault(term, len(ids_of)) for term in report.rho_terms]
     write_csv(
         path,
         ("k", "rho_exact", "rho", "cesaro"),
-        (np.arange(1, report.horizon + 1), *_dyadic_cells(report.rho_terms),
+        (np.arange(1, report.horizon + 1),
+         *([cells[i] for i in ids] for cells in _dyadic_cells(list(ids_of))),
          _float_cells(t / (k << report.sum_exponent) for k, t in enumerate(report.sums, start=1))),
     )
     return path
@@ -110,7 +114,7 @@ def cmd_convert(args) -> int:
     n = args.step
     table = rule.step_table(n + 1)
     family = rule.step_family(n + 1)
-    roundtrip = beta_to_truth(truth_to_beta(table)) == table
+    roundtrip = beta_to_truth(family) == table  # the family written to beta_members.csv
     members = member_cells(family.masks)
     print(f"rule {rule.name}, multiplier {n} (a function of {n} increments)")
     if len(members) <= _PRINT_MAX:
@@ -163,16 +167,13 @@ def cmd_moments(args) -> int:
     )
     path_a = _emit_rho_csv(args, report)
     path_b = _out_path(args, "theta_grid.csv")
-    ks, ls, nums, exps = report.theta_grid
-    # each distinct value is formatted once, as bytes cells indexed per pair
-    cells = list(zip(nums, exps))
-    values = {v: i for i, v in enumerate(dict.fromkeys(cells))}
-    index = np.fromiter(map(values.__getitem__, cells), np.int64, len(cells))
-    exact, floats = (np.array(column, dtype="S") for column in _dyadic_cells(list(values)))
+    # each distinct value is formatted once, and gathered per pair
+    ids, values = report.theta_cells
     write_csv(
         path_b,
         ("k", "l", "theta_exact", "theta"),
-        (ks, ls, exact[index], floats[index]),
+        (*pair_steps(report.horizon),
+         *(np.array(cells, dtype="S")[ids] for cells in _dyadic_cells(values))),
     )
     _emit_set_diag(args, rule)
     print(f"first-moment cesaro -> {float(report.final_cesaro()):.6g}")

@@ -11,7 +11,8 @@ with q(M) = 2^-|M|.  Index sets are int masks (bit k-1 for index k), and
 the sums over sub-collections read the union popcounts of
 ``algebra.union_table``, whatever the width of the masks.  The condition
 scans read these sums only for rules without a state model; for the others
-they count the 2^(k-1) paths per state instead.  Everything here is
+they count the 2^(k-1) paths per state instead.  The grid of theta_{k,l}
+holds one id per pair into its distinct values.  Everything here is
 evaluated in exact dyadic arithmetic; floats appear only in convergence
 verdicts.
 """
@@ -198,7 +199,7 @@ class MomentReport:
     double_sums: list[int] | None = None
     double_exponent: int = 0
     rho_estimate: float | None = None
-    theta_grid: tuple | None = None  # k, l (int arrays), numerator, exponent
+    theta_cells: tuple | None = None  # per-pair ids (int array), distinct values
 
     @functools.cached_property
     def rho(self) -> list[Dyadic]:
@@ -214,6 +215,15 @@ class MomentReport:
             return None
         return [Fraction(t, l * l << self.double_exponent)
                 for l, t in enumerate(self.double_sums, start=1)]
+
+    @functools.cached_property
+    def theta_grid(self) -> tuple | None:
+        """(k, l, numerator, exponent) columns of theta_{k,l}, k <= l, read
+        off ``theta_cells``: k and l as int arrays, the rest Python ints."""
+        if self.theta_cells is not None:
+            ids, values = self.theta_cells
+            cells = map(values.__getitem__, ids.tolist())
+            return *pair_steps(self.horizon), *map(list, zip(*cells))
 
     def final_cesaro(self) -> Fraction:
         return Fraction(self.sums[-1], self.horizon << self.sum_exponent)
@@ -323,9 +333,10 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
     horizon = len(steps)
     lo = np.array([(s & -s).bit_length() - 1 for s in supports])
     hi = np.array([s.bit_length() - 1 for s in supports])
-    not_plain = ~np.array(plain)
+    others = np.flatnonzero(~np.array(plain))  # the steps not plain, ascending
+    seen = 0  # how many of them precede the row
     rho_num, rho_exp = zip(*report_a.rho_terms)
-    cells = ([], [], []) if keep_grid else None  # (index, numerator, exponent)
+    cells = ([], []) if keep_grid else None  # (index, reduced (numerator, exponent))
     rows: list[tuple[int, int]] = []
     rho_sums = [(0, 0), (0, 0)]  # rho summed over the steps not plain, plain
     plain_signs: dict[int, int] = {}  # parity -> sum of the plain steps' signs
@@ -347,10 +358,14 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
             row, row_exp = _add(row, row_exp, sign_l * plain_signs.get(supp_l, 0), 0)
         else:
             row, row_exp = _add(row, row_exp, num_l * rho_sums[1][0], exp_l + rho_sums[1][1])
-        near = (lo[:j] <= hi[j]) & (hi[:j] >= lo[j])
-        if plain_l:
-            near &= not_plain[:j]
-        for i in np.flatnonzero(near).tolist():
+        if not plain_l:
+            near, seen = np.flatnonzero((lo[:j] <= hi[j]) & (hi[:j] >= lo[j])).tolist(), seen + 1
+        elif seen:  # a plain row meets the plain steps in its parity sums
+            earlier = others[:seen]
+            near = earlier[(lo[earlier] <= hi[j]) & (hi[earlier] >= lo[j])].tolist()
+        else:
+            near = []
+        for i in near:
             if not supports[i] & supp_l:
                 continue
             if sizes[i] == sizes[j] == 1:
@@ -367,8 +382,8 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
                     and num << r_sq.exponent != r_sq.numerator << exp):
                 theta_stable = False
             if keep_grid:
-                for column, value in zip(cells, (j * l // 2 + i, *reduced(num, exp))):
-                    column.append(value)
+                cells[0].append(j * l // 2 + i)
+                cells[1].append(reduced(num, exp))
         rows.append((row, row_exp))
         rho_sums[plain_l] = _add(*rho_sums[plain_l], num_l, exp_l)
         if plain_l:
@@ -383,35 +398,41 @@ def _pair_scan(report_a: MomentReport, steps: list[tuple], keep_grid: bool
         i, j = (shared[side] for side in np.triu_indices(shared.size, 1))
         same = parity[i] == parity[j]
         i, j, signs = i[same], j[same], np.array(signs)
-        index, num, exp = cells
-        cells = (np.concatenate([np.array(index, dtype=np.int64), j * (j + 1) // 2 + i]),
-                 np.concatenate([np.array(num, dtype=object), signs[i] * signs[j]]),
-                 np.concatenate([np.array(exp, dtype=np.int64), np.zeros_like(i)]))
+        cells[0].extend((j * (j + 1) // 2 + i).tolist())
+        cells[1].extend((s, 0) for s in (signs[i] * signs[j]).tolist())
     return rows, theta_stable, cells
 
 
-def _pair_grid(rho_terms: list[tuple[int, int]], cells: tuple[Sequence[int], ...]
-               ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """(k, l, numerator, exponent) columns of theta_{k,l}, k <= l, the pair
-    at index l(l-1)/2 + k-1: the reduced (index, numerator, exponent) cells a
-    scan evaluated, 1 on the diagonal and rho_k rho_l at every other pair.
-    k and l are int arrays, the numerators and exponents Python ints."""
-    horizon = len(rho_terms)
-    l = np.repeat(np.arange(horizon), np.arange(1, horizon + 1))
-    k = np.arange(l.size) - l * (l + 1) // 2
-    index = np.asarray(cells[0], dtype=np.int64)
-    nums, exps = np.ones(l.size, dtype=object), np.zeros(l.size, dtype=np.int64)
+def pair_steps(horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The steps k and l of the pairs k <= l <= horizon, the pair (k, l) at
+    index l(l-1)/2 + k-1."""
+    l = np.repeat(np.arange(1, horizon + 1), np.arange(1, horizon + 1))
+    return np.arange(1, l.size + 1) - l * (l - 1) // 2, l
+
+
+def _pair_grid(rho_terms: list[tuple[int, int]], cells: tuple[list, list]
+               ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """theta_{k,l}, k <= l, as an id per pair (ordered as ``pair_steps``)
+    into the list of its distinct reduced (numerator, exponent) values: the
+    cells a scan evaluated (indices and reduced values), 1 on the
+    diagonal and rho_k rho_l at every other pair.  The products are taken
+    once per pair of distinct rho values some such pair has."""
+    ids_of: dict[tuple[int, int], int] = {}  # value -> id, in order of first use
+    rho_ids = np.array([ids_of.setdefault(term, len(ids_of)) for term in rho_terms])
+    rho_values, size = list(ids_of), len(ids_of)
+    k, l = pair_steps(len(rho_terms))
     bulk = k != l
-    bulk[index] = False
-    k_bulk, l_bulk = k[bulk], l[bulk]
-    rho_num, rho_exp = zip(*rho_terms)
-    rho_num, rho_exp = np.array(rho_num, dtype=object), np.array(rho_exp)
-    nums[bulk] = products = rho_num[k_bulk] * rho_num[l_bulk]
-    # |rho| <= 1, so a factor over 2**0 is 0 or +-1: only a zero product
-    # needs reducing
-    exps[bulk] = np.where(products == 0, 0, rho_exp[k_bulk] + rho_exp[l_bulk])
-    nums[index], exps[index] = cells[1:]
-    return k + 1, l + 1, nums.tolist(), exps.tolist()
+    bulk[cells[0]] = False
+    combos, inverse = np.unique(rho_ids[k[bulk] - 1] * size + rho_ids[l[bulk] - 1],
+                                return_inverse=True)
+    ids = np.full(k.size, ids_of.setdefault((1, 0), len(ids_of)))
+    products = []
+    for combo in combos.tolist():
+        (num_k, exp_k), (num_l, exp_l) = rho_values[combo // size], rho_values[combo % size]
+        products.append(ids_of.setdefault(reduced(num_k * num_l, exp_k + exp_l), len(ids_of)))
+    ids[bulk] = np.array(products, dtype=np.int64)[inverse]
+    ids[cells[0]] = [ids_of.setdefault(value, len(ids_of)) for value in cells[1]]
+    return ids, list(ids_of)
 
 
 #: Automata of at most this many states keep their counts in Python lists,
@@ -432,8 +453,8 @@ def _push_rows(model: StateModel, rows: np.ndarray, states: np.ndarray,
 
 class _ListCounts:
     """The path counts ``c`` and the weighted counts ``b`` of a small
-    automaton in Python lists, and the kept rows in an object matrix over
-    every state."""
+    automaton in Python lists, moved on by one compiled step per output
+    vector, and the kept rows in an object matrix over every state."""
 
     def __init__(self, model: StateModel):
         self.model = model
@@ -441,23 +462,40 @@ class _ListCounts:
         self.c, self.b = [0] * model.size, [0] * model.size
         self.c[model.initial] = 1
         self.rows = np.zeros((0, model.size), dtype=object)
-        # the push as one list display, compiled from the state indices alone:
-        # several times faster than summing each state's sources in a loop
         sources = [[*np.flatnonzero(model.minus == t), *np.flatnonzero(model.plus == t)]
                    for t in range(model.size)]
-        entries = ("+".join(f"v[{s}]" for s in each) or "0" for each in sources)
-        self.push = eval(f"lambda v: [{', '.join(entries)}]")
+        # the parts of the compiled step that no sign changes, given a list's
+        # letter: the names of its entries (c0, c1, ...) and its push
+        self.names = "".join(f"{{0}}{i}, " for i in range(model.size)).format
+        self.push = ", ".join("+".join(f"{{0}}{s}" for s in src) or "0" for src in sources).format
+        self.advance = {}  # the bytes of an output vector -> its compiled step
+
+    def _compile(self, key: bytes, signs: list[int]):
+        """(c, b) -> (c.out, b.out, push(c), push(b + c out)) for the output
+        vector ``signs``, as straight-line code with the signs written in,
+        kept under ``key``: several times faster than mapping over the lists
+        and pushing in a loop.  For ``brw`` (out = [1, -1]) it returns c0 - c1,
+        b0 - b1, [c1+c0, c0+c1] and [d1+d0, d0+d1], with d = b0 + c0, b1 - c1."""
+        ops = ["-" if s < 0 else "+" for s in signs]
+        dot = " ".join(f"{op} {{0}}{i}" for i, op in enumerate(ops)).removeprefix("+ ").format
+        names, push, scope = self.names, self.push, {}
+        exec(f"def advance(c, b):\n    {names('c')}= c\n    {names('b')}= b\n"
+             f"    {names('d')}= {''.join(f'b{i} {op} c{i}, ' for i, op in enumerate(ops))}\n"
+             f"    return {dot('c')}, {dot('b')}, [{push('c')}], [{push('d')}]", scope)
+        self.advance[key] = scope["advance"]
+        return scope["advance"]
 
     def values(self, out: np.ndarray) -> tuple[int, int, list[int]]:
-        """c.out, b.out and each kept row's dot with out."""
-        self.out, self.signs = out, out.tolist()
-        return (sum(map(operator.mul, self.c, self.signs)),
-                sum(map(operator.mul, self.b, self.signs)),
-                self.rows.dot(out).tolist() if len(self.rows) else [])
+        """c.out, b.out and each kept row's dot with out; the pushed c and b
+        wait for ``step``."""
+        self.out, key = out, out.tobytes()
+        advance = self.advance.get(key) or self._compile(key, out.tolist())
+        num, row, self.next_c, self.next_b = advance(self.c, self.b)
+        return num, row, self.rows.dot(out).tolist() if len(self.rows) else []
 
     def varies(self) -> bool:
         """Whether the signs differ between states some path is in."""
-        return len({s for s, count in zip(self.signs, self.c) if count}) > 1
+        return len({s for s, count in zip(self.out.tolist(), self.c) if count}) > 1
 
     def step(self, keep: bool, drop: int) -> None:
         """b <- push(b + c out), c <- push(c), with the first ``drop`` kept
@@ -466,9 +504,7 @@ class _ListCounts:
             self.rows = self.rows[drop:]
         if keep:
             self.rows = np.vstack([self.rows, np.array(self.c, dtype=object) * self.out])
-        self.b = self.push(list(map(operator.add, self.b,
-                                    map(operator.mul, self.c, self.signs))))
-        self.c = self.push(self.c)
+        self.c, self.b = self.next_c, self.next_b
         if len(self.rows):
             self.rows = _push_rows(self.model, self.rows, self.states, self.states)
 
@@ -520,7 +556,7 @@ def _state_scan(model: StateModel, horizon: int, keep_grid: bool
     counts = (_ListCounts if model.size <= _LIST_STATES else _MatrixCounts)(model)
     terms: list[tuple[int, int]] = []  # numerators over 2**(k-1), not reduced
     rows: list[tuple[int, int]] = []
-    cells = ([], [], []) if keep_grid else None  # (index, numerator, exponent)
+    cells = ([], []) if keep_grid else None  # (index, reduced (numerator, exponent))
     band = max(1, horizon // 8)
     half = horizon // 2  # the last step before the tail
     depth = model.depth()
@@ -541,8 +577,8 @@ def _state_scan(model: StateModel, horizon: int, keep_grid: bool
                 # all k-1 of them for theta = 0
                 shifts = [(theta & -theta or 1 << k - 1).bit_length() - 1 for theta in thetas]
                 cells[0].extend(map((k * (k - 1) // 2 - 1).__add__, kept))
-                cells[1].extend(map(operator.rshift, thetas, shifts))
-                cells[2].extend(map((k - 1).__sub__, shifts))
+                cells[1].extend(zip(map(operator.rshift, thetas, shifts),
+                                    map((k - 1).__sub__, shifts)))
         if k == half + 1:
             r_num, r_exp = num, k - 1
         elif k > half + 1 and stable:
@@ -581,7 +617,7 @@ def _second_moment_report(report_a: MomentReport, rows: list[tuple[int, int]],
     else:
         verdict = "diverged" if stable else "undetermined"
     return replace(report_a, verdict=verdict, double_sums=double,
-                   double_exponent=exponent, theta_grid=grid)
+                   double_exponent=exponent, theta_cells=grid)
 
 
 def _check_horizon(horizon: int) -> None:
@@ -619,8 +655,8 @@ def condition_B_partial(rule: RecyclingRule, horizon: int = DEFAULT_B_HORIZON,
     apart, or when the tail of the double means is stable and lands within
     the tolerance of the squared first-moment estimate; diverged when stable
     but away from it.  With ``keep_grid`` either scan also reports the cells
-    it evaluated, and ``_pair_grid`` builds every theta_{k,l}, k <= l, from
-    them as reduced (k, l, numerator, exponent) columns.
+    it evaluated, and ``_pair_grid`` gives every theta_{k,l}, k <= l, an id
+    into its distinct reduced (numerator, exponent) values (``theta_cells``).
     """
     _check_horizon(horizon)
     model = rule.state_model(horizon)

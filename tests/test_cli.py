@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from gbrw import __version__
+from gbrw.algebra import BetaFamily
 from gbrw.cli import build_parser, main
 from gbrw.moments import analyze_set_sequence, condition_B_partial, intersection_diagnostic
 from gbrw.reports import format_value
+from gbrw.rules import ProductRule
 from gbrw.rulespec import BUILTINS, make_builtin
 
 
@@ -64,6 +66,18 @@ def test_convert_levy_step3(capsys, tmp_path):
     assert [r[1] for r in rows[1:]] == ["{1,2}", "{1,3}", "{2,3}"]
     table_rows = read_csv(tmp_path / "truth_table.csv")
     assert len(table_rows) == 1 + 8
+
+
+def test_convert_checks_the_family_it_writes(capsys, tmp_path, monkeypatch):
+    # a family that disagrees with the table: brw's without its first member
+    step_family = ProductRule.step_family
+    monkeypatch.setattr(ProductRule, "step_family",
+                        lambda self, step: BetaFamily(step, step_family(self, step).masks[1:]))
+    code, out, _ = run(
+        ["convert", "--rule", "builtin:brw", "--step", "3", "--out", str(tmp_path)], capsys
+    )
+    assert code == 2 and "round-trip exact: False" in out
+    assert [r[1] for r in read_csv(tmp_path / "beta_members.csv")[1:]] == ["{2}", "{3}"]
 
 
 def test_convert_prints_long_member_lists_as_a_count(capsys, tmp_path):

@@ -37,7 +37,7 @@ from gbrw.rules import (
     WindowMaxRule,
     identity_rule,
 )
-from gbrw.rulespec import make_builtin
+from gbrw.rulespec import load_rule, make_builtin
 from gbrw import algebra, moments, setseq
 from gbrw import rules as rules_module
 
@@ -884,6 +884,120 @@ def test_grid_scan_holds_no_row_past_the_depth(monkeypatch, spec, most):
     report = condition_B_partial(make_builtin(spec), 64, keep_grid=True)
     assert len(held) == 64 and max(held) == most
     assert len(report.theta_grid[0]) == 64 * 65 // 2
+
+
+def _list_count_rules():
+    # every modelled rule at the largest horizon up to 10 whose automaton
+    # keeps its counts in lists, where that horizon is 3 or more
+    rules = [make_builtin(spec) for spec in MODELLED] + _walk_rules() + _repaired_rules()
+    sized = [(rule, max(h for h in range(1, 11)
+                        if rule.state_model(h).size <= moments._LIST_STATES))
+             for rule in rules]
+    return [(rule, horizon) for rule, horizon in sized if horizon >= 3]
+
+
+@pytest.mark.parametrize("rule, horizon", _list_count_rules(),
+                         ids=lambda v: f"{v.name}{v.psi0:+d}" if hasattr(v, "name") else str(v))
+def test_compiled_step_matches_path_enumeration(rule, horizon):
+    # c.out_k and b.out_k against the path sums of psi_{k-1} and of psi_{k-1}
+    # (psi_0 + ... + psi_{k-2}) over all 2^horizon paths, each prefix of k-1
+    # steps counted 2^(horizon-k+1) times; one compiled step per output vector
+    model = rule.state_model(horizon)
+    counts = moments._ListCounts(model)
+    masks = np.arange(1 << horizon)
+    psi = rule.multipliers(1 - 2 * ((masks[:, None] >> np.arange(horizon)) & 1)).astype(np.int64)
+    before = np.cumsum(psi, axis=1) - psi
+    for k in range(1, horizon + 1):
+        num, row, thetas = counts.values(model.out(k))
+        assert thetas == []
+        assert (num << horizon - k + 1, row << horizon - k + 1) == (
+            int(psi[:, k - 1].sum()), int((psi[:, k - 1] * before[:, k - 1]).sum()))
+        counts.step(False, 0)
+    assert len(counts.advance) == len({model.out(k).tobytes() for k in range(1, horizon + 1)})
+
+
+@pytest.mark.parametrize("rule, variants", [
+    (make_builtin("sign-flips:0.25"), 2), (ergodic_repair(ProductRule()), 3),
+    (ergodic_repair(WindowMaxRule(3)), 2)], ids=lambda v: getattr(v, "name", str(v)))
+def test_compiled_step_follows_signs_that_change_with_the_step(rule, variants):
+    # the single state's sign flips at some steps; the repairs' flagged half
+    # flips at the flip steps: each output vector gets its own compiled step
+    model = rule.state_model(10)
+    counts = moments._ListCounts(model)
+    for k in range(1, 11):
+        counts.values(model.out(k))
+        counts.step(False, 0)
+    assert len(counts.advance) == variants
+    _assert_same_report(rule, 10, keep_grid=True)
+
+
+BRW_DOCUMENT = """psi0: -1
+generator: beta {
+  2: [{}, {1}]
+  3: [{1,2}]
+  4: [{1,3}, {2}]
+  5: [{1,2}, {3,4}]
+  6: [{1}]
+  7: [{}, {2,5}]
+  8: [{}, {1}, {2}]
+  9: [{2,5,8}]
+  fallback: brw
+}
+"""
+
+
+def _brw_document(tmp_path):
+    path = tmp_path / "brw.rule"
+    path.write_text(BRW_DOCUMENT)
+    return load_rule(str(path))
+
+
+@pytest.mark.parametrize("horizon", [1, 4, 5, 9, 12])
+def test_plain_rows_meet_the_listed_steps_of_a_brw_document(tmp_path, horizon):
+    # plain rows (the fallback's and steps 2, 6 and 8) meet earlier plain
+    # rows through their parity sums and the listed steps that are not plain
+    # through the pair search, which consults those steps alone: theta_{3,6}
+    # = E[max(u_1, u_2) u_1] = 1/2, where rho_3 rho_6 = 0
+    rule = _brw_document(tmp_path)
+    _assert_scan_matches_loop(rule, horizon)
+    masks = np.arange(1 << horizon)
+    psi = rule.multipliers(1 - 2 * ((masks[:, None] >> np.arange(horizon)) & 1)).astype(np.int64)
+    products = psi.T @ psi  # path sums of psi_{k-1} psi_{l-1}
+    ks, ls, nums, exps = condition_B_partial(rule, horizon, keep_grid=True).theta_grid
+    assert list(map(Fraction, nums, [1 << e for e in exps])) == [
+        Fraction(int(products[k - 1, l - 1]), 1 << horizon) for k, l in zip(ks, ls)]
+
+
+def _grid_pair_by_pair(report, cells):
+    """Oracle: the (k, l, numerator, exponent) rows built one pair at a time
+    from the cells a scan evaluated, 1 on the diagonal and the reduced
+    rho_k rho_l elsewhere."""
+    evaluated = dict(zip(*cells))
+    rows = []
+    for l in range(1, report.horizon + 1):
+        for k in range(1, l + 1):
+            product = report.rho[k - 1] * report.rho[l - 1]
+            rows.append((k, l, *evaluated.get(l * (l - 1) // 2 + k - 1, (
+                (1, 0) if k == l else (product.numerator, product.exponent)))))
+    return rows
+
+
+@pytest.mark.parametrize("spec, horizon", [("max", 64), ("window-max:3", 128),
+                                           ("extended-brw:window:3", 128), ("document", 40)])
+def test_indexed_grid_matches_the_pair_by_pair_grid(tmp_path, spec, horizon):
+    rule = _brw_document(tmp_path) if spec == "document" else make_builtin(spec)
+    report = condition_B_partial(rule, horizon, keep_grid=True)
+    model = rule.state_model(horizon)
+    if model is None:
+        _, steps = moments._family_scan(rule, horizon)
+        cells = moments._pair_scan(report, steps, True)[2]
+    else:
+        cells = moments._state_scan(model, horizon, True)[3]
+    assert list(zip(*report.theta_grid)) == _grid_pair_by_pair(report, cells)
+    ids, values = report.theta_cells
+    assert len(set(values)) == len(values) and set(ids.tolist()) <= set(range(len(values)))
+    # exponents reach 2 horizon - 2: Python ints, never int64
+    assert all(type(num) is int and type(exp) is int for num, exp in values)
 
 
 def test_state_model_depths():
