@@ -10,14 +10,16 @@ zeta transform.
 
 Index sets are int bitmasks throughout, bit k-1 standing for index k: a
 ``BetaFamily`` holds its members as one sorted tuple of masks, which the
-subset transform and the moment engine read directly, and one numpy
-encoder, ``member_cells``, prints them.  Products of maxima expand over their
+subset transform and the moment engine read directly; ``member_cells``
+sorts and prints them from the masks' bytes through tables of per-byte sort
+keys and text.  Products of maxima expand over their
 sub-collections through one ``union_table``, which both the linearization
 here and the moment engine's subset sums read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -264,7 +266,7 @@ class BetaFamily:
     def indicator_bits(self) -> np.ndarray:
         """0/1 array over the 2**(step-1) subset masks, 1 at members."""
         bits = np.zeros(1 << self.arity, dtype=np.uint8)
-        bits[list(self.masks)] = 1
+        bits[np.fromiter(self.masks, np.intp, len(self.masks))] = 1
         return bits
 
     def __eq__(self, other):
@@ -285,22 +287,35 @@ class BetaFamily:
         return f"BetaFamily(step={self.step}, members=[{body}])"
 
 
+@functools.cache
+def _byte_keys() -> np.ndarray:
+    """Every byte value's bits reversed, then complemented: index sets of one size
+    order lexicographically as their masks' bytes, low byte first, through these."""
+    return np.array([255 - int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
+
+
+@functools.cache
+def _byte_text(j: int, last: bool) -> np.ndarray:
+    """S-dtype text of every value v of byte j of a mask: entry v lists its indices
+    among 8j+1..8j+8, entry 256 + v the same after a comma (read after a non-zero
+    byte).  Byte 0 opens the "{", the last byte closes the "}"."""
+    texts = [",".join(str(8 * j + k + 1) for k in range(8) if v >> k & 1) for v in range(256)]
+    texts += ["," + t if t else t for t in texts]
+    return np.array([("{" * (j == 0) + t + "}" * last).encode() for t in texts])
+
+
 def _member_order(masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Order of the masks' index sets by size, then indices, and their bits in it
-    (column k-1 for index k).  Of two sets of one size, the one holding the first
-    index where they differ is first: the order of the bit-reversed bytes, negated."""
-    width = max(masks, default=0).bit_length()
-    size = (width + 7) // 8
-    if width <= 64:  # the little-endian bytes of uint64 words
-        raw = np.array(masks, "<u8").view(np.uint8).reshape(len(masks), 8)[:, :size]
+    """Order of the masks' index sets by size, then indices, and the masks'
+    little-endian bytes in it, at least one per mask: row j holds byte j."""
+    size = max(1, (max(masks, default=0).bit_length() + 7) // 8)
+    if size <= 8:  # the bytes of uint64 words
+        raw = np.fromiter(masks, "<u8", len(masks)).view(np.uint8).reshape(-1, 8)[:, :size].T
     else:
         raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
-                            np.uint8).reshape(len(masks), size)
-    flat = np.unpackbits(raw, axis=1, bitorder="little")
-    bits = flat[:, :width]
-    keys = ~np.packbits(flat, axis=1).T[::-1].copy()
-    order = np.lexsort((*keys, np.count_nonzero(bits, axis=1)))
-    return order, bits[order]
+                            np.uint8).reshape(len(masks), size).T
+    sizes = sum(np.bitwise_count(row).astype(np.intp) for row in raw)
+    order = np.lexsort((*(_byte_keys()[row] for row in raw[::-1]), sizes))
+    return order, raw.take(order, axis=1)
 
 
 def sorted_masks(masks: Sequence[int]) -> list[int]:
@@ -310,17 +325,15 @@ def sorted_masks(masks: Sequence[int]) -> list[int]:
 
 def member_cells(masks: Sequence[int]) -> np.ndarray:
     """The index sets as "{i,j,...}" in an S-dtype array, in ``sorted_masks`` order:
-    rows of "{1,2,...,n," keep their indices' bytes, packed left, and "}" ends them."""
-    bits = _member_order(masks)[1]
-    ks = range(1, bits.shape[1] + 1)
-    text = np.frombuffer(("{" + "".join(f"{k}," for k in ks)).encode(), np.uint8)
-    cells = text * np.pad(bits, ((0, 0), (1, 0)), constant_values=1)[
-        :, [0, *(k for k in ks for _ in f"{k},")]]
-    lengths = np.count_nonzero(cells, axis=1)
-    packed = np.zeros((len(masks), max(lengths.max(initial=0), 2)), np.uint8)
-    packed[np.arange(packed.shape[1]) < lengths[:, None]] = cells[cells != 0]
-    packed[np.arange(len(masks)), np.maximum(lengths - 1, 1)] = ord("}")
-    return packed.view(f"S{packed.shape[1]}").ravel()
+    each byte of a mask gathers its text from its position's table."""
+    raw = _member_order(masks)[1]
+    earlier = np.zeros(raw.shape[1], np.uint16)  # 256 after a non-zero byte
+    for j, row in enumerate(raw):
+        text = _byte_text(j, j == len(raw) - 1)[row | earlier]
+        cells = text if j == 0 else np.strings.add(cells, text)
+        earlier |= (row != 0) * np.uint16(256)
+    # the tables' widths add up past the longest cell, which writers pad to
+    return cells.astype(f"S{np.strings.str_len(cells).max(initial=1)}")
 
 
 def member_strings(masks: Sequence[int]) -> list[str]:
@@ -494,11 +507,8 @@ class PartialOrderBasis:
         return 1
 
     def block_table(self, k_mask: int) -> TruthTable:
-        size = 1 << self.arity
-        signs = np.empty(size, dtype=np.int8)
-        for m in range(size):
-            signs[m] = self.block_value(k_mask, m)
-        return TruthTable(self.arity, signs)
+        return TruthTable(self.arity, [self.block_value(k_mask, m)
+                                       for m in range(1 << self.arity)])
 
     def topological_masks(self) -> list[int]:
         """Subset labels ordered so that predecessors come first."""
@@ -550,11 +560,7 @@ def change_basis(table: TruthTable, basis: PartialOrderBasis) -> dict[int, int]:
     for k_prime in order:
         input_mask = int(basis.labels[k_prime])
         b = 1 if table.sign_at(input_mask) < 0 else 0
-        acc = 0
-        for k in ones:
-            if basis.precedes(k, k_prime):
-                acc ^= 1
-        g = b ^ acc
+        g = b ^ sum(basis.precedes(k, k_prime) for k in ones) & 1
         gamma[k_prime] = g
         if g:
             ones.append(k_prime)

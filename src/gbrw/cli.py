@@ -110,8 +110,10 @@ _PRINT_MAX = 64
 def cmd_convert(args) -> int:
     # --step addresses the multiplier index n: the sign function of the
     # first n increments, applied to increment n+1
-    rule = _load_rule(args)
     n = args.step
+    if n < 0:
+        raise ValueError("--step must be >= 0")
+    rule = _load_rule(args)
     table = rule.step_table(n + 1)
     family = rule.step_family(n + 1)
     roundtrip = beta_to_truth(family) == table  # the family written to beta_members.csv
@@ -190,13 +192,8 @@ def _closed_form_for(rule):
         return closed_form_disjoint(1, None)
     if isinstance(rule, SignFlipRule) and rule.density is not None:
         return sign_flip_rho(rule.density)
-    if rule.name == "identity":
-        return Dyadic(1)
-    if rule.name == "negation":
-        return Dyadic(-1)
-    if rule.name == "brw":
-        return Dyadic(0)
-    return None
+    value = {"identity": 1, "negation": -1, "brw": 0}.get(rule.name)
+    return None if value is None else Dyadic(value)
 
 
 def cmd_gaussian_check(args) -> int:
@@ -309,13 +306,9 @@ def cmd_selftest(args) -> int:
     from . import selftest  # imported by the one command that runs it
 
     results = selftest.run_all(seed=args.seed)
-    failed = 0
     for name, ok, detail in results:
-        status = "ok" if ok else "FAIL"
-        print(f"{name:24s} {status:4s} {detail}")
-        if not ok:
-            failed += 1
-    if failed:
+        print(f"{name:24s} {'ok' if ok else 'FAIL':4s} {detail}")
+    if failed := sum(not ok for _, ok, _ in results):
         print(f"{failed} suite(s) failed")
         return EXIT_FAILED_VERDICT
     print(f"all {len(results)} suites passed")

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -25,8 +27,9 @@ from gbrw.algebra import (
     symmetric_profile_to_levels,
     truth_to_beta,
 )
+from gbrw.cli import main
 from gbrw.dyadic import Dyadic
-from gbrw.rulespec import parse_index_set
+from gbrw.rulespec import load_rule, parse_index_set
 
 
 def sgn_table(n, sgn0=-1):
@@ -516,10 +519,34 @@ def python_member_strings(masks):
             for m in python_sorted_masks(masks)]
 
 
+#: Members around byte boundaries, where the encoder moves from one byte's
+#: text table to the next: masks 8, 9, 16, 17, 24, 64 and 65 bits wide,
+#: members with an empty low byte ({9}, {9,16}, {17}), {} among members of
+#: several bytes, and members of 299 and 300 indices, sizes a byte cannot hold.
+BYTE_BOUNDARY_CASES = [
+    (8, [0, 1, 1 << 7, 0xFF, 0x81]),
+    (9, [0, 1 << 8, 1 << 8 | 1, 0x1FF, 0xFF, 0x80]),
+    (16, [0, 1 << 8, 1 << 8 | 1 << 15, 1 << 15, 0xFFFF, 0xFF00, 0xFF, 1 << 7 | 1 << 8]),
+    (17, [0, 1 << 16, 1 << 16 | 1, 1 << 8, 1 << 8 | 1 << 15, 0x1FFFF, 0x10100, 0xFFFF]),
+    (24, [0, 1 << 23, 0xFFFFFF, 0xFF0000, 1 << 8, 1 << 16, 1 << 16 | 1 << 8, 0xFF]),
+    (64, [0, 1 << 63, (1 << 64) - 1, 1 << 8, 1 << 63 | 1, 0xFF << 56, 1 << 56 | 1 << 55]),
+    (65, [0, 1 << 64, (1 << 65) - 1, 1 << 8, 1 << 64 | 1 << 63, 1 << 16, (1 << 64) - 1]),
+    (300, [0, (1 << 300) - 1, (1 << 300) - 2, 1 << 299, 1, 1 << 8, 1 << 296]),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(family_cases, wide_family_cases))
 def test_sorted_members_by_size_then_indices(case):
-    arity, masks = case
+    check_member_encoding(*case)
+
+
+@pytest.mark.parametrize("arity, masks", BYTE_BOUNDARY_CASES)
+def test_sorted_members_at_byte_boundaries(arity, masks):
+    check_member_encoding(arity, masks)
+
+
+def check_member_encoding(arity, masks):
     fam = BetaFamily(arity + 1, masks)
     # the oracle: sort by (size, indices), print as "{i,j,...}"
     indices = {m: _indices(m, arity) for m in fam.masks}
@@ -530,10 +557,25 @@ def test_sorted_members_by_size_then_indices(case):
     assert member_strings(fam.masks) == strings == python_member_strings(fam.masks)
     cells = member_cells(fam.masks)
     assert cells.dtype.kind == "S" and cells.tolist() == [t.encode() for t in strings]
+    # no wider than the longest cell, the width a writer pads every cell to
+    assert cells.dtype.itemsize == max(map(len, strings), default=1)
     # and so in any order of the masks given
     shuffled = list(fam.masks[1::2]) + list(fam.masks[::2])
     assert sorted_masks(shuffled) == expected
     assert member_cells(shuffled).tolist() == cells.tolist()
+
+
+@pytest.mark.parametrize("rule", ["levy", "modified-levy"])
+def test_convert_member_file_matches_the_python_oracle(tmp_path, capsys, rule):
+    # the benchmark's convert tasks: 12,871 members, 2 bytes a mask
+    assert main(["convert", "--rule", f"builtin:{rule}", "--step", "16",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(
+        [("multiplier", "member"),
+         *((16, m) for m in python_member_strings(load_rule(f"builtin:{rule}").step_family(17).masks))])
+    assert (tmp_path / "beta_members.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_sorted_members_differs_from_mask_order():

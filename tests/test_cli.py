@@ -366,8 +366,12 @@ def test_convert_rejects_a_step_below_one(capsys, tmp_path):
         capsys,
     )
     assert code == 1
-    assert err == "error: step must be >= 1\n"
+    assert err == "error: --step must be >= 0\n"
     assert not os.path.exists(tmp_path / "beta_members.csv")
+    # multiplier 0, the constant psi0, is the smallest step the flag takes
+    code, out, _ = run(
+        ["convert", "--rule", "builtin:levy", "--step", "0", "--out", str(tmp_path)], capsys)
+    assert code == 0 and "multiplier 0" in out
 
 
 def test_selftest_passes(capsys, tmp_path):
