@@ -190,9 +190,10 @@ def _closed_form_for(rule):
         return window_rho(rule.width)
     if isinstance(rule, ExtendedBrwRule):
         return closed_form_disjoint(1, None)
-    if isinstance(rule, SignFlipRule) and rule.density is not None:
-        return sign_flip_rho(rule.density)
+    # by name first: identity and negation are sign flips of density 0 and 1
     value = {"identity": 1, "negation": -1, "brw": 0}.get(rule.name)
+    if value is None and isinstance(rule, SignFlipRule) and rule.density is not None:
+        return sign_flip_rho(rule.density)
     return None if value is None else Dyadic(value)
 
 
@@ -215,6 +216,8 @@ def cmd_gaussian_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.reps < 1:
+        raise ValueError("--reps must be >= 1")
     rule = _load_rule(args)
     seed = SeedSpec(args.seed)
     if args.reps == 1:
@@ -244,10 +247,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_arcsine(args) -> int:
+    if args.grid < 2:
+        raise ValueError("--grid must be >= 2")
     report = arcsine_test(args.length, args.reps, SeedSpec(args.seed), sgn0=args.sgn0,
                           threshold=args.tolerance)
     finals = np.sort(report.summary.finals)
-    grid = np.linspace(-1.0, 1.0, args.grid or 201)
+    grid = np.linspace(-1.0, 1.0, args.grid)
     empirical = np.searchsorted(finals, grid, side="right") / finals.size
     write_csv(
         _out_path(args, "ks_report.csv"),

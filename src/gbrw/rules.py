@@ -28,7 +28,9 @@ a step's -1 count, which the single-orbit criterion reads, in closed form
 for every builtin rule.  ``state_model`` gives, where one is known, an
 automaton whose state after u_1..u_{k-1} fixes psi_{k-1}: the walk value
 for rules of the sum, a few states for the products and maxima; the moment
-scans count paths per state instead of expanding beta families.
+scans count paths per state instead of expanding beta families.  A rule
+whose multipliers read no past is a fixed sign sequence epsilon_k: identity
+and negation are the sign-flip rules of density 0 and 1.
 """
 
 from __future__ import annotations
@@ -416,49 +418,6 @@ class RecyclingRule:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.describe()}>"
-
-
-# ---------------------------------------------------------------------------
-# Constant-multiplier rules
-
-
-class ConstantRule(RecyclingRule):
-    """psi_n identically equal to a fixed sign."""
-
-    def __init__(self, name: str, psi0: int, value: int):
-        super().__init__(psi0)
-        self.name = name
-        self.value = value
-
-    def psi(self, n, u):
-        return self.value
-
-    def _multipliers(self, arr):
-        out = np.full(arr.shape, self.value, dtype=np.int8)
-        out[..., :1] = self.psi0
-        return out
-
-    def table_signs(self, step):
-        return np.full(1 << (step - 1), self.value, dtype=np.int8)
-
-    def negatives_parity(self, step):
-        # after step 1, an even number of inputs share one value
-        return int(step == 1 and self.psi0 == -1)
-
-    def step_family(self, step):
-        value = self.psi0 if step == 1 else self.value
-        return BetaFamily(step, [0] if value == -1 else [])
-
-    def state_model(self, horizon):
-        return _single_state(lambda k: self.psi0 if k == 1 else self.value)
-
-
-def identity_rule() -> ConstantRule:
-    return ConstantRule("identity", +1, +1)
-
-
-def negation_rule() -> ConstantRule:
-    return ConstantRule("negation", -1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +962,14 @@ class SignFlipRule(RecyclingRule):
 
     def state_model(self, horizon):
         return _single_state(self.epsilon)
+
+
+def identity_rule() -> SignFlipRule:
+    return SignFlipRule(Fraction(0), name="identity")
+
+
+def negation_rule() -> SignFlipRule:
+    return SignFlipRule(Fraction(1), name="negation")
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,39 @@ def test_convert_rejects_a_step_below_one(capsys, tmp_path):
     assert code == 0 and "multiplier 0" in out
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_simulate_rejects_reps_below_one(capsys, tmp_path, reps):
+    code, out, err = run(["simulate", "--rule", "builtin:levy", "--length", "50",
+                          "--reps", reps, "--out", str(tmp_path)], capsys)
+    assert (code, out, err) == (1, "", "error: --reps must be >= 1\n")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-1"])
+def test_arcsine_rejects_a_grid_below_two(capsys, tmp_path, grid):
+    args = ["arcsine", "--length", "50", "--reps", "100", "--tolerance", "1",
+            "--out", str(tmp_path), "--grid"]
+    code, out, err = run([*args, grid], capsys)
+    assert (code, out, err) == (1, "", "error: --grid must be >= 2\n")
+    assert not os.listdir(tmp_path)
+    # the smallest grid the flag takes: the two ends of [-1, 1]
+    assert run([*args, "2"], capsys)[0] == 0
+    assert [row[0] for row in read_csv(tmp_path / "ks_report.csv")] == ["x", "-1", "1"]
+
+
+@pytest.mark.parametrize("rule, rho", [("identity", "1"), ("negation", "-1")])
+def test_gaussian_check_of_the_constant_rules(capsys, tmp_path, rule, rho):
+    # the closed form is read by name, so these sign flips of density 0 and
+    # 1 print it as the integer dyadic
+    code, out, _ = run(["gaussian-check", "--rule", f"builtin:{rule}", "--horizon", "64",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == (f"condition (A) cesaro -> {rho}, per-step value stabilized at {rho}/2^0\n"
+                   "condition (B) double cesaro -> 1 (target rho^2 = 1)\n"
+                   f"closed-form correlation for {rule}: {rho}/2^0 = {rho}\n"
+                   "verdict: converged (tolerance 0.01)\n")
+
+
 def test_selftest_passes(capsys, tmp_path):
     code, out, _ = run(["selftest", "--seed", "3", "--out", str(tmp_path)], capsys)
     assert code == 0

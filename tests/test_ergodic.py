@@ -1,5 +1,6 @@
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from gbrw.ergodic import (
     sgn_beta_array,
 )
 from gbrw.rules import (
-    ConstantRule,
     ExplicitRule,
     LevyRule,
     ModifiedLevyMaxRule,
@@ -25,6 +25,7 @@ from gbrw.rules import (
     ProductRule,
     RandomRule,
     RecyclingRule,
+    SignFlipRule,
     WindowMaxRule,
     identity_rule,
     sgn_truth_table,
@@ -433,7 +434,7 @@ def test_repair_of_closed_form_parities_builds_no_table():
     assert np.array_equal(repaired.apply(xi), ModifiedLevyRule().apply(xi))
 
 
-class _CountedIdentity(ConstantRule):
+class _CountedIdentity(SignFlipRule):
     """The identity rule with its parities counted from tables."""
 
     negatives_parity = RecyclingRule.negatives_parity
@@ -443,7 +444,8 @@ def test_repair_capacity_error_names_the_step():
     # the all-minus path needs the decision at every arity, up to 25 for
     # step 26; identity tables read through an explicit rule keep the
     # parities on the table route and the lower tables cheap
-    repaired = ergodic_repair(ExplicitRule(+1, fallback=_CountedIdentity("identity", 1, 1)))
+    identity = _CountedIdentity(Fraction(0), name="identity")
+    repaired = ergodic_repair(ExplicitRule(+1, fallback=identity))
     with pytest.raises(CapacityError,
                        match="step 26: rule table arity 25 exceeds enumeration cap 24"):
         repaired.apply(np.full(26, -1, dtype=np.int8))

@@ -15,7 +15,6 @@ from gbrw.algebra import (
 )
 from gbrw.ergodic import RepairedRule, ergodic_repair
 from gbrw.rules import (
-    ConstantRule,
     ExplicitRule,
     ExtendedBrwRule,
     LevyRule,
@@ -57,6 +56,10 @@ ALL_BUILTINS = [
 ]
 
 
+#: psi0 = +1, then -1 at every step of the paths drawn here, at most 300 long
+PLUS_MINUS = SignFlipRule(range(2, 301), name="plus-minus")
+
+
 def signs(*values):
     return np.array(values, dtype=np.int8)
 
@@ -79,6 +82,45 @@ def test_identity_increment():
 def test_negation_apply():
     rule = negation_rule()
     assert np.array_equal(rule.apply(signs(1, -1)), signs(-1, 1))
+
+
+# Rules whose multipliers read no past, against a constant oracle: psi0 at
+# step 1, then one value at every step
+CONSTANT_RULES = [(identity_rule(), 1, 1), (negation_rule(), -1, -1), (PLUS_MINUS, 1, -1)]
+
+
+@pytest.mark.parametrize("rule, psi0, value", CONSTANT_RULES,
+                         ids=[rule.name for rule, _, _ in CONSTANT_RULES])
+def test_constant_rules_match_a_constant_oracle(rule, psi0, value):
+    def sign(step):
+        return psi0 if step == 1 else value
+
+    assert rule.psi0 == psi0
+    for step in range(1, 13):
+        size = 1 << (step - 1)
+        table = rule.step_table(step)
+        assert table.arity == step - 1 and table.signs.tolist() == [sign(step)] * size
+        assert rule.step_family(step) == BetaFamily(step, [0] if sign(step) == -1 else [])
+        assert rule.negatives_parity(step) == (size if sign(step) == -1 else 0) & 1
+        for u in enumerate_inputs(step - 1) if step <= 6 else ():
+            assert rule.multiplier(step, u) == sign(step)
+    model = rule.state_model(16)
+    for k in range(1, 17):
+        assert model.out(k)[model.initial] == sign(k)
+        assert set(model.out(k).tolist()) == {sign(k)}
+    block = 2 * np.random.default_rng(30).integers(0, 2, (3, 2, 150), dtype=np.int8) - 1
+    expected = np.full(block.shape, value, dtype=np.int8)
+    expected[..., 0] = psi0
+    assert np.array_equal(rule.multipliers(block), expected)
+    words = rules.pack_minus(block)
+    assert np.array_equal(rule.minus_words(words, 150), rules.pack_minus(expected))
+
+
+@pytest.mark.parametrize("spec, density, psi0", [("identity", 0, 1), ("negation", 1, -1)])
+def test_identity_and_negation_are_sign_flip_densities(spec, density, psi0):
+    rule = make_builtin(spec)
+    assert isinstance(rule, SignFlipRule) and rule.density == density
+    assert rule.psi0 == psi0 and rule.describe() == f"{spec} (psi0={psi0:+d})"
 
 
 def test_brw_increment():
@@ -413,8 +455,7 @@ def kernel_rules(draw):
                                  "explicit", "tables", "extended")))
     sgn0 = draw(st.sampled_from((-1, 1)))
     if kind == "constant":
-        return draw(st.sampled_from((identity_rule(), negation_rule(),
-                                     ConstantRule("plus-minus", 1, -1))))
+        return draw(st.sampled_from((identity_rule(), negation_rule(), PLUS_MINUS)))
     if kind == "brw":
         return ProductRule()
     if kind == "window":
@@ -488,7 +529,7 @@ def _rule_id(rule):
 
 
 RULES_AT_SHORT_LENGTHS = [
-    ConstantRule("plus-minus", 1, -1), ProductRule(), WindowMaxRule(None),
+    PLUS_MINUS, ProductRule(), WindowMaxRule(None),
     *(WindowMaxRule(w) for w in range(1, 7)), WindowMaxRule(500),
     *(cls(sgn0) for cls in (LevyRule, ModifiedLevyRule, ModifiedLevyMaxRule)
       for sgn0 in (-1, 1)),
@@ -713,9 +754,9 @@ def test_random_rule_bijective(seed, n):
     assert len(images) == 1 << n
 
 
-def test_constant_rule_rejects_bad_psi0():
-    with pytest.raises(ValueError):
-        ConstantRule("bad", 0, 1)
+def test_rule_rejects_bad_psi0():
+    with pytest.raises(ValueError, match=r"psi0 must be -1 or \+1"):
+        ExplicitRule(0)
 
 
 @pytest.mark.parametrize("cls", [ModifiedLevyRule, ModifiedLevyMaxRule])
