@@ -10,11 +10,11 @@ zeta transform.
 
 Index sets are int bitmasks throughout, bit k-1 standing for index k: a
 ``BetaFamily`` holds its members as one sorted tuple of masks, which the
-subset transform and the moment engine read directly; ``member_cells``
-sorts and prints them from the masks' bytes through tables of per-byte sort
-keys and text.  Products of maxima expand over their
-sub-collections through one ``union_table``, which both the linearization
-here and the moment engine's subset sums read.
+moment engine reads directly; the subset transform packs tables 64 entries
+to a word.  One encoder, ``member_text``, sorts members by their masks'
+bytes and gathers csv cells from tables of per-byte text.  Products of
+maxima expand over their sub-collections through one ``union_table``, which
+both the linearization here and the moment engine's subset sums read.
 """
 
 from __future__ import annotations
@@ -152,9 +152,6 @@ class TruthTable:
             raise ValueError("bit array length must be a power of two")
         return cls(arity, 1 - 2 * bits.astype(np.int8))
 
-    def neg_bits(self) -> np.ndarray:
-        return (self.signs < 0).astype(np.uint8)
-
     def sign_at(self, mask: int) -> int:
         return int(self.signs[mask])
 
@@ -263,12 +260,6 @@ class BetaFamily:
         flips = sum(1 for m in self.masks if not m & ~neg)
         return -1 if flips & 1 else 1
 
-    def indicator_bits(self) -> np.ndarray:
-        """0/1 array over the 2**(step-1) subset masks, 1 at members."""
-        bits = np.zeros(1 << self.arity, dtype=np.uint8)
-        bits[np.fromiter(self.masks, np.intp, len(self.masks))] = 1
-        return bits
-
     def __eq__(self, other):
         return (
             isinstance(other, BetaFamily)
@@ -296,26 +287,28 @@ def _byte_keys() -> np.ndarray:
 
 @functools.cache
 def _byte_text(j: int, last: bool) -> np.ndarray:
-    """S-dtype text of every value v of byte j of a mask: entry v lists its indices
-    among 8j+1..8j+8, entry 256 + v the same after a comma (read after a non-zero
-    byte).  Byte 0 opens the "{", the last byte closes the "}"."""
+    """Text of every value v of byte j of a mask, a row per character: column v
+    lists its indices among 8j+1..8j+8, column 256 + v the same after a comma
+    (read after a non-zero byte).  Byte 0 opens the "{", the last closes the "}"."""
     texts = [",".join(str(8 * j + k + 1) for k in range(8) if v >> k & 1) for v in range(256)]
     texts += ["," + t if t else t for t in texts]
-    return np.array([("{" * (j == 0) + t + "}" * last).encode() for t in texts])
+    texts = np.array([("{" * (j == 0) + t + "}" * last).encode() for t in texts])
+    return np.ascontiguousarray(texts.view(np.uint8).reshape(512, -1).T)
 
 
-def _member_order(masks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Order of the masks' index sets by size, then indices, and the masks'
-    little-endian bytes in it, at least one per mask: row j holds byte j."""
-    size = max(1, (max(masks, default=0).bit_length() + 7) // 8)
+def _member_order(masks: Sequence[int] | np.ndarray) -> tuple[np.ndarray, ...]:
+    """Order of the masks' index sets by size, then indices; the masks' little-endian
+    bytes (row j holds byte j, at least one) and the sets' sizes, narrow to radix-sort, in it."""
+    words = np.asarray(masks)  # an object array past 64 bits
+    size = max(1, (int(words.max(initial=0)).bit_length() + 7) // 8)
     if size <= 8:  # the bytes of uint64 words
-        raw = np.fromiter(masks, "<u8", len(masks)).view(np.uint8).reshape(-1, 8)[:, :size].T
+        raw = words.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :size].T
     else:
         raw = np.frombuffer(b"".join(m.to_bytes(size, "little") for m in masks),
                             np.uint8).reshape(len(masks), size).T
-    sizes = sum(np.bitwise_count(row).astype(np.intp) for row in raw)
+    sizes = sum(np.bitwise_count(row).astype(np.min_scalar_type(8 * len(raw))) for row in raw)
     order = np.lexsort((*(_byte_keys()[row] for row in raw[::-1]), sizes))
-    return order, raw.take(order, axis=1)
+    return order, raw.take(order, axis=1), sizes[order]
 
 
 def sorted_masks(masks: Sequence[int]) -> list[int]:
@@ -323,22 +316,33 @@ def sorted_masks(masks: Sequence[int]) -> list[int]:
     return [masks[i] for i in _member_order(masks)[0].tolist()]
 
 
-def member_cells(masks: Sequence[int]) -> np.ndarray:
-    """The index sets as "{i,j,...}" in an S-dtype array, in ``sorted_masks`` order:
-    each byte of a mask gathers its text from its position's table."""
-    raw = _member_order(masks)[1]
-    earlier = np.zeros(raw.shape[1], np.uint16)  # 256 after a non-zero byte
-    for j, row in enumerate(raw):
-        text = _byte_text(j, j == len(raw) - 1)[row | earlier]
-        cells = text if j == 0 else np.strings.add(cells, text)
-        earlier |= (row != 0) * np.uint16(256)
-    # the tables' widths add up past the longest cell, which writers pad to
-    return cells.astype(f"S{np.strings.str_len(cells).max(initial=1)}")
+def member_text(masks: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The index sets as csv cells "{i,j,...}", in ``sorted_masks`` order: a uint8
+    matrix, a row per character and a column per set, zero around each byte's text.
+    The first and last rows quote the sets of two or more indices (with commas)."""
+    _, raw, sizes = _member_order(masks)
+    tables = [_byte_text(j, j == len(raw) - 1) for j in range(len(raw))]
+    text = np.zeros((2 + sum(map(len, tables)), raw.shape[1]), np.uint8)
+    text[0] = text[-1] = (sizes >= 2) * ord('"')
+    earlier = np.zeros(raw.shape[1], np.intp)  # 256 after a non-zero byte
+    start = 1
+    for row, table in zip(raw, tables):
+        np.take(table, row | earlier, axis=1, out=text[start:start + len(table)], mode="clip")
+        earlier[row != 0] = 256
+        start += len(table)
+    return text
 
 
-def member_strings(masks: Sequence[int]) -> list[str]:
+def member_cells(masks: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``member_strings`` in an S-dtype array as wide as the longest."""
+    return np.array(member_strings(masks), dtype="S")
+
+
+def member_strings(masks: Sequence[int] | np.ndarray) -> list[str]:
     """The index sets of the masks as "{i,j,...}", in ``sorted_masks`` order."""
-    return member_cells(masks).astype(str).tolist()
+    text = member_text(masks)
+    text[0], text[-1] = 0, ord("\n")  # lines, in place of the quotes
+    return text.T.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +354,36 @@ def subset_xor_transform(bits: np.ndarray) -> np.ndarray:
 
     The transform is an involution over GF(2), so it performs both
     directions of the truth table <-> beta family conversion.  Accepts a
-    stacked array of tables and transforms each row.
+    stacked array of 0/1 tables and transforms each row, packed 64 entries to
+    a little-endian word: passes 0-5 run inside words, the others XOR words.
     """
-    bits = np.ascontiguousarray(bits, dtype=np.uint8).copy()
+    bits = np.asarray(bits)
     size = bits.shape[-1]
     n = size.bit_length() - 1
     if size != 1 << n:
         raise ValueError("last axis length must be a power of two")
-    lead = bits.shape[:-1]
-    for i in range(n):
-        view = bits.reshape(lead + (-1, 2, 1 << i))
+    words = np.zeros(bits.shape[:-1] + (-(-size // 64),), "<u8")
+    words.view(np.uint8)[..., :-(-size // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    for i in range(min(n, 6)):  # the bits whose index has bit i clear, 0x5555... at i = 0
+        words ^= (words & np.uint64((1 << 64) // ((1 << (1 << i)) + 1))) << np.uint64(1 << i)
+    for i in range(6, n):
+        view = words.reshape(words.shape[:-1] + (-1, 2, 1 << i - 6))
         view[..., 1, :] ^= view[..., 0, :]
-    return bits
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=size, bitorder="little")
 
 
 def truth_to_beta(table: TruthTable) -> BetaFamily:
     """The unique beta family reproducing the table (steps the arity up by one)."""
-    coeffs = subset_xor_transform(table.neg_bits())
+    coeffs = subset_xor_transform(table.signs < 0)
     return BetaFamily.adopt(table.arity + 1, tuple(np.flatnonzero(coeffs).tolist()))
 
 
 def beta_to_truth(family: BetaFamily) -> TruthTable:
     """Materialize the sign table of the family's product over all inputs."""
     check_enum_cap(family.arity, "truth table arity")
-    bits = subset_xor_transform(family.indicator_bits())
-    return TruthTable.from_neg_bits(bits)
+    bits = np.zeros(1 << family.arity, dtype=np.uint8)
+    bits[np.fromiter(family.masks, np.intp, len(family))] = 1  # the members' indicator
+    return TruthTable.from_neg_bits(subset_xor_transform(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +610,7 @@ def level_family(step: int, levels: Sequence[int]) -> BetaFamily:
     active = [j for j, bit in enumerate(levels) if bit]
     if any(j > n for j in active):
         raise ValueError("level index exceeds arity")
-    keep = np.isin(mask_levels(n), active)
+    keep = np.isin(np.arange(n + 1), active)[mask_levels(n)]
     return BetaFamily.adopt(step, tuple(np.flatnonzero(keep).tolist()))
 
 

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import CapacityError, beta_to_truth, member_cells, member_strings
+from .algebra import CapacityError, member_strings, member_text, subset_xor_transform
 from .dyadic import Dyadic
 from .ergodic import (
     ergodic_repair,
@@ -111,25 +111,24 @@ def cmd_convert(args) -> int:
     # --step addresses the multiplier index n: the sign function of the
     # first n increments, applied to increment n+1
     n = args.step
-    if n < 0:
-        raise ValueError("--step must be >= 0")
     rule = _load_rule(args)
     table = rule.step_table(n + 1)
     family = rule.step_family(n + 1)
-    roundtrip = beta_to_truth(family) == table  # the family written to beta_members.csv
-    members = member_cells(family.masks)
+    # the family written to beta_members.csv against the one the table transforms to
+    masks = np.fromiter(family.masks, np.int64, len(family))
+    roundtrip = np.array_equal(np.flatnonzero(subset_xor_transform(table.signs < 0)), masks)
     print(f"rule {rule.name}, multiplier {n} (a function of {n} increments)")
-    if len(members) <= _PRINT_MAX:
-        print(f"beta members: {b', '.join(members.tolist()).decode() or '(empty)'}")
+    if len(masks) <= _PRINT_MAX:
+        print(f"beta members: {', '.join(member_strings(masks)) or '(empty)'}")
     else:
-        print(f"beta members: {len(members)} (see beta_members.csv)")
+        print(f"beta members: {len(masks)} (see beta_members.csv)")
     if table.signs.size <= _PRINT_MAX:
         print(f"truth table:  {''.join('+' if s > 0 else '-' for s in table.signs)}")
     print(f"round-trip exact: {roundtrip}")
     write_csv(
         _out_path(args, "beta_members.csv"),
         ("multiplier", "member"),
-        (np.full(len(members), n), members),
+        (np.full(len(masks), n), member_text(masks).T),
     )
     write_csv(
         _out_path(args, "truth_table.csv"),
@@ -216,8 +215,6 @@ def cmd_gaussian_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise ValueError("--reps must be >= 1")
     rule = _load_rule(args)
     seed = SeedSpec(args.seed)
     if args.reps == 1:
@@ -247,8 +244,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_arcsine(args) -> int:
-    if args.grid < 2:
-        raise ValueError("--grid must be >= 2")
     report = arcsine_test(args.length, args.reps, SeedSpec(args.seed), sgn0=args.sgn0,
                           threshold=args.tolerance)
     finals = np.sort(report.summary.finals)
@@ -325,6 +320,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
+#: The least value of each numeric option, by command, checked once after
+#: parsing; seeds are read mod 2**64 and take any integer.
+BOUNDS = {"convert": {"--step": 0}, "simulate": {"--length": 1, "--reps": 1},
+          "arcsine": {"--length": 1, "--reps": 100, "--grid": 2, "--tolerance": 0},
+          **dict.fromkeys(("moments", "gaussian-check"), {"--horizon": 1, "--tolerance": 0}),
+          **dict.fromkeys(("rules", "ergodic-check", "beta-array"), {"--horizon": 1})}
 
 
 @functools.cache
@@ -414,6 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, least in BOUNDS.get(args.command, {}).items():
+            if (value := getattr(args, flag[2:])) is not None and value < least:
+                raise ValueError(f"{flag} must be >= {least}")
         return globals()[args.func](args)
     except RuleSpecError as exc:
         print(f"rule specification error: {exc}", file=sys.stderr)

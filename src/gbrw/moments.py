@@ -451,6 +451,24 @@ def _push_rows(model: StateModel, rows: np.ndarray, states: np.ndarray,
     return new
 
 
+@functools.lru_cache(maxsize=4096)
+def _compiled_step(push: str, signs: bytes, dtype: str):
+    """(c, b) -> (c.out, b.out, push(c), push(b + c out)) for the output vector
+    ``signs`` (a ``dtype`` array's bytes) of an automaton whose entries push as
+    ``push``: straight-line code with the signs written in, several times faster
+    than mapping over the lists and pushing in a loop.  For ``brw`` (out = [1, -1])
+    it returns c0 - c1, b0 - b1, [c1+c0, c0+c1] and [d1+d0, d0+d1], with
+    d = b0 + c0, b1 - c1."""
+    ops = ["-" if s < 0 else "+" for s in np.frombuffer(signs, dtype).tolist()]
+    names = "".join(f"{{0}}{i}, " for i in range(len(ops))).format
+    dot = " ".join(f"{op} {{0}}{i}" for i, op in enumerate(ops)).removeprefix("+ ").format
+    push, scope = push.format, {}
+    exec(f"def advance(c, b):\n    {names('c')}= c\n    {names('b')}= b\n"
+         f"    {names('d')}= {''.join(f'b{i} {op} c{i}, ' for i, op in enumerate(ops))}\n"
+         f"    return {dot('c')}, {dot('b')}, [{push('c')}], [{push('d')}]", scope)
+    return scope["advance"]
+
+
 class _ListCounts:
     """The path counts ``c`` and the weighted counts ``b`` of a small
     automaton in Python lists, moved on by one compiled step per output
@@ -464,32 +482,14 @@ class _ListCounts:
         self.rows = np.zeros((0, model.size), dtype=object)
         sources = [[*np.flatnonzero(model.minus == t), *np.flatnonzero(model.plus == t)]
                    for t in range(model.size)]
-        # the parts of the compiled step that no sign changes, given a list's
-        # letter: the names of its entries (c0, c1, ...) and its push
-        self.names = "".join(f"{{0}}{i}, " for i in range(model.size)).format
-        self.push = ", ".join("+".join(f"{{0}}{s}" for s in src) or "0" for src in sources).format
-        self.advance = {}  # the bytes of an output vector -> its compiled step
-
-    def _compile(self, key: bytes, signs: list[int]):
-        """(c, b) -> (c.out, b.out, push(c), push(b + c out)) for the output
-        vector ``signs``, as straight-line code with the signs written in,
-        kept under ``key``: several times faster than mapping over the lists
-        and pushing in a loop.  For ``brw`` (out = [1, -1]) it returns c0 - c1,
-        b0 - b1, [c1+c0, c0+c1] and [d1+d0, d0+d1], with d = b0 + c0, b1 - c1."""
-        ops = ["-" if s < 0 else "+" for s in signs]
-        dot = " ".join(f"{op} {{0}}{i}" for i, op in enumerate(ops)).removeprefix("+ ").format
-        names, push, scope = self.names, self.push, {}
-        exec(f"def advance(c, b):\n    {names('c')}= c\n    {names('b')}= b\n"
-             f"    {names('d')}= {''.join(f'b{i} {op} c{i}, ' for i, op in enumerate(ops))}\n"
-             f"    return {dot('c')}, {dot('b')}, [{push('c')}], [{push('d')}]", scope)
-        self.advance[key] = scope["advance"]
-        return scope["advance"]
+        # the automaton's shape: each entry's push, given a list's letter
+        self.push = ", ".join("+".join(f"{{0}}{s}" for s in src) or "0" for src in sources)
 
     def values(self, out: np.ndarray) -> tuple[int, int, list[int]]:
         """c.out, b.out and each kept row's dot with out; the pushed c and b
         wait for ``step``."""
-        self.out, key = out, out.tobytes()
-        advance = self.advance.get(key) or self._compile(key, out.tolist())
+        self.out = out
+        advance = _compiled_step(self.push, out.tobytes(), out.dtype.str)
         num, row, self.next_c, self.next_b = advance(self.c, self.b)
         return num, row, self.rows.dot(out).tolist() if len(self.rows) else []
 

@@ -4,10 +4,10 @@ Files are written atomically (temp file then rename) and get the mode a
 newly created file gets under the process umask.  CSV tables are given
 column by column and written with a header row, ``\\n`` line ends and
 ``csv.QUOTE_MINIMAL`` quoting.  A chunk of at least ``SMALL_ROWS`` rows of
-integer and S-dtype arrays is encoded in numpy as one zero-padded byte
-matrix with a row per character position, transposed once into lines.
-Smaller chunks, floats (17 significant digits), ``Fraction``, ``Dyadic``
-(p/2^e) and text are formatted cell by cell by ``format_value``.
+integer and S-dtype arrays, and of csv cells as the zero-padded rows of a
+2-D uint8 array, is encoded in numpy as one byte matrix, a row per character
+position, transposed once into lines.  Smaller chunks, floats (17 significant
+digits), ``Fraction``, ``Dyadic`` (p/2^e) and text go through ``format_value``.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ _MUST_QUOTE = re.compile(f"[{re.escape(_SPECIAL)}]")
 
 def _cells(column) -> list[str]:
     """Cells of one column as format_value writes them, quoted for csv."""
+    if isinstance(column, np.ndarray) and column.ndim == 2:  # cells encoded for csv
+        return [row.tobytes().translate(None, b"\0").decode() for row in column]
     if isinstance(column, np.ndarray) and column.size:
         if column.dtype.kind in "iu":
             return list(map(str, column.tolist()))
@@ -94,8 +96,8 @@ def _int_field(column: np.ndarray):
     """Width and row writer (one row per character) of an integer array's cells."""
     lo, hi = int(column.min()), int(column.max())
     mag, neg = column, None
-    if lo < 0:  # |v| mod 2**64: exact at -2**63
-        mag, neg = column.astype(np.uint64), column < 0
+    if lo < 0:  # |v| in the unsigned type of the same width: exact at its minimum
+        mag, neg = column.astype(f"u{column.itemsize}"), column < 0
         np.negative(mag, out=mag, where=neg)
     mag = mag.astype(np.min_scalar_type(top := max(hi, -lo)))
 
@@ -114,7 +116,10 @@ def _int_field(column: np.ndarray):
 
 
 def _text_field(column: np.ndarray, alone: bool):
-    """Width and row writer of the csv-quoted cells of an S-dtype array without '"'."""
+    """Width and row writer of csv cells in a zero-padded 2-D uint8 array, or of
+    the csv-quoted cells of an S-dtype array without '"'."""
+    if column.ndim == 2:
+        return column.shape[1], lambda rows: np.copyto(rows, column.T)
     cells = np.ascontiguousarray(column).view(np.uint8).reshape(column.size, -1)
     special = np.zeros(cells.shape, bool)
     for byte in _SPECIAL.encode():  # compares, as a lookup table copies cells to intp
@@ -137,8 +142,8 @@ def _rows(columns: list) -> bytes:
             isinstance(c, np.ndarray) and (c.dtype.kind in "iu" or c.dtype.kind == "S"
                                            and b'"' not in c.tobytes()) for c in columns):
         return _lines([_cells(column) for column in columns])
-    fields = [_text_field(c, len(columns) == 1) if c.dtype.kind == "S" else _int_field(c)
-              for c in columns]
+    fields = [_text_field(c, len(columns) == 1) if c.dtype.kind == "S" or c.ndim == 2
+              else _int_field(c) for c in columns]
     buf = np.zeros((sum(width + 1 for width, _ in fields), len(columns[0])), np.uint8)
     start = 0
     for width, write in fields:

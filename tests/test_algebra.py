@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,47 @@ def test_roundtrip_random_both_directions(n, rnd):
     fam = truth_to_beta(table)
     assert beta_to_truth(fam) == table
     assert truth_to_beta(beta_to_truth(fam)) == fam
+
+
+def byte_loop_xor_transform(bits):
+    """The subset transform one byte per entry: pass i XORs each entry whose
+    index has bit i clear into the entry 2**i above it."""
+    bits = np.ascontiguousarray(bits, dtype=np.uint8).copy()
+    n = bits.shape[-1].bit_length() - 1
+    for i in range(n):
+        view = bits.reshape(bits.shape[:-1] + (-1, 2, 1 << i))
+        view[..., 1, :] ^= view[..., 0, :]
+    return bits
+
+
+@pytest.mark.parametrize("arity", range(21))
+def test_packed_transform_equals_the_byte_loop(arity):
+    rng = np.random.default_rng(arity)
+    size = 1 << arity
+    tables = [rng.integers(0, 2, size, dtype=np.uint8), np.ones(size, np.uint8),
+              np.eye(1, size, size - 1, dtype=np.uint8)[0], np.eye(1, size, dtype=np.uint8)[0]]
+    for bits in tables:
+        out = algebra.subset_xor_transform(bits)
+        assert out.dtype == np.uint8 and out.shape == bits.shape
+        assert np.array_equal(out, byte_loop_xor_transform(bits))
+    # stacked tables, each row on its own, and bool input
+    stacked = rng.integers(0, 2, (3, 2, size), dtype=np.uint8)
+    assert np.array_equal(algebra.subset_xor_transform(stacked), byte_loop_xor_transform(stacked))
+    assert np.array_equal(algebra.subset_xor_transform(tables[0] == 1),
+                          byte_loop_xor_transform(tables[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n)))
+def test_packed_transform_equals_the_byte_loop_on_any_table(entries):
+    bits = np.array(entries, dtype=np.uint8)
+    assert np.array_equal(algebra.subset_xor_transform(bits), byte_loop_xor_transform(bits))
+
+
+def test_transform_rejects_a_length_that_is_not_a_power_of_two():
+    with pytest.raises(ValueError, match="power of two"):
+        algebra.subset_xor_transform(np.zeros(6, np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +618,34 @@ def test_convert_member_file_matches_the_python_oracle(tmp_path, capsys, rule):
         [("multiplier", "member"),
          *((16, m) for m in python_member_strings(load_rule(f"builtin:{rule}").step_family(17).masks))])
     assert (tmp_path / "beta_members.csv").read_bytes() == expected.getvalue().encode()
+
+
+CONVERT_RULES = ["builtin:levy", "builtin:modified-levy", "builtin:modified-levy-max",
+                 "builtin:brw", "builtin:window-max:3",
+                 str(Path(__file__).resolve().parents[1] / "examples" / "beta-window.rule")]
+
+
+@pytest.mark.parametrize("step", [0, 1, 7, 8, 9, 16])
+@pytest.mark.parametrize("spec", CONVERT_RULES, ids=lambda spec: Path(spec).name)
+def test_convert_matches_the_csv_writer_oracle(tmp_path, capsys, spec, step):
+    # stdout and both files, byte for byte, from the rule's own family and
+    # table through csv.writer and the Python member strings
+    rule = load_rule(spec)
+    members = python_member_strings(rule.step_family(step + 1).masks)
+    signs = rule.step_table(step + 1).signs.tolist()
+    assert main(["convert", "--rule", spec, "--step", str(step), "--out", str(tmp_path)]) == 0
+    lines = [f"rule {rule.name}, multiplier {step} (a function of {step} increments)",
+             "beta members: " + (", ".join(members) or "(empty)" if len(members) <= 64
+                                 else f"{len(members)} (see beta_members.csv)")]
+    if len(signs) <= 64:
+        lines.append("truth table:  " + "".join("+" if s > 0 else "-" for s in signs))
+    assert capsys.readouterr().out == "\n".join([*lines, "round-trip exact: True", ""])
+    for name, rows in (("beta_members.csv", [("multiplier", "member"),
+                                             *((step, m) for m in members)]),
+                       ("truth_table.csv", [("mask", "sign"), *enumerate(signs)])):
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert (tmp_path / name).read_bytes() == expected.getvalue().encode()
 
 
 def test_sorted_members_differs_from_mask_order():

@@ -12,7 +12,7 @@ import pytest
 
 from gbrw import __version__
 from gbrw.algebra import BetaFamily
-from gbrw.cli import build_parser, main
+from gbrw.cli import BOUNDS, build_parser, main
 from gbrw.moments import analyze_set_sequence, condition_B_partial, intersection_diagnostic
 from gbrw.reports import format_value
 from gbrw.rules import ProductRule
@@ -392,6 +392,39 @@ def test_arcsine_rejects_a_grid_below_two(capsys, tmp_path, grid):
     # the smallest grid the flag takes: the two ends of [-1, 1]
     assert run([*args, "2"], capsys)[0] == 0
     assert [row[0] for row in read_csv(tmp_path / "ks_report.csv")] == ["x", "-1", "1"]
+
+
+# small runs of each command, before the option under test overrides one
+BOUND_BASE = {
+    "rules": ["--rule", "builtin:brw"],
+    "convert": ["--rule", "builtin:levy"],
+    "moments": ["--rule", "builtin:brw", "--horizon", "8"],
+    "gaussian-check": ["--rule", "builtin:brw", "--horizon", "8"],
+    "simulate": ["--rule", "builtin:brw", "--length", "10", "--reps", "2"],
+    "arcsine": ["--length", "10", "--reps", "100", "--grid", "5", "--tolerance", "1"],
+    "ergodic-check": ["--rule", "builtin:modified-levy", "--horizon", "4"],
+    "beta-array": [],
+}
+BOUND_CASES = [(command, flag, least) for command, bounds in BOUNDS.items()
+               for flag, least in bounds.items()]
+
+
+def test_every_numeric_option_has_a_bound():
+    numeric = {(name, action.option_strings[0]) for name, p in subparsers().items()
+               for action in p._actions if action.type in (int, float) and not action.choices}
+    assert numeric - {(name, "--seed") for name in OPTIONS} == {(c, f) for c, f, _ in BOUND_CASES}
+
+
+@pytest.mark.parametrize("command, flag, least", BOUND_CASES,
+                         ids=[f"{command} {flag}" for command, flag, _ in BOUND_CASES])
+def test_numeric_options_at_and_below_their_bounds(capsys, tmp_path, command, flag, least):
+    argv = [command, *BOUND_BASE[command], flag]
+    code, out, err = run([*argv, str(least - 1), "--out", str(tmp_path / "below")], capsys)
+    assert (code, out, err) == (1, "", f"error: {flag} must be >= {least}\n")
+    assert not os.path.exists(tmp_path / "below")
+    # the bound itself runs: a verdict may fail, the usage may not
+    code, _, err = run([*argv, str(least), "--out", str(tmp_path / "at")], capsys)
+    assert code in (0, 2) and err == ""
 
 
 @pytest.mark.parametrize("rule, rho", [("identity", "1"), ("negation", "-1")])

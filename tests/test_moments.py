@@ -904,6 +904,7 @@ def test_compiled_step_matches_path_enumeration(rule, horizon):
     # steps counted 2^(horizon-k+1) times; one compiled step per output vector
     model = rule.state_model(horizon)
     counts = moments._ListCounts(model)
+    moments._compiled_step.cache_clear()
     masks = np.arange(1 << horizon)
     psi = rule.multipliers(1 - 2 * ((masks[:, None] >> np.arange(horizon)) & 1)).astype(np.int64)
     before = np.cumsum(psi, axis=1) - psi
@@ -913,7 +914,8 @@ def test_compiled_step_matches_path_enumeration(rule, horizon):
         assert (num << horizon - k + 1, row << horizon - k + 1) == (
             int(psi[:, k - 1].sum()), int((psi[:, k - 1] * before[:, k - 1]).sum()))
         counts.step(False, 0)
-    assert len(counts.advance) == len({model.out(k).tobytes() for k in range(1, horizon + 1)})
+    assert moments._compiled_step.cache_info().currsize == len(
+        {model.out(k).tobytes() for k in range(1, horizon + 1)})
 
 
 @pytest.mark.parametrize("rule, variants", [
@@ -924,11 +926,26 @@ def test_compiled_step_follows_signs_that_change_with_the_step(rule, variants):
     # flips at the flip steps: each output vector gets its own compiled step
     model = rule.state_model(10)
     counts = moments._ListCounts(model)
+    moments._compiled_step.cache_clear()
     for k in range(1, 11):
         counts.values(model.out(k))
         counts.step(False, 0)
-    assert len(counts.advance) == variants
+    assert moments._compiled_step.cache_info().currsize == variants
     _assert_same_report(rule, 10, keep_grid=True)
+
+
+def test_a_second_scan_of_an_automaton_compiles_nothing(monkeypatch):
+    # compiled steps are kept per automaton shape and output vector for the
+    # process, so a new rule object with the same automaton reuses them
+    compiled = []
+    monkeypatch.setattr(moments, "exec", lambda *args: compiled.append(args) or exec(*args),
+                        raising=False)
+    moments._compiled_step.cache_clear()
+    first = condition_B_partial(make_builtin("window-max:3"), 256)
+    assert compiled
+    compiled.clear()
+    assert condition_B_partial(make_builtin("window-max:3"), 256) == first
+    assert compiled == []
 
 
 BRW_DOCUMENT = """psi0: -1

@@ -130,6 +130,23 @@ def test_byte_cells_are_quoted_as_csv_quotes_text(tmp_path, short_chunks):
     assert format_value(b"{1,2}") == "{1,2}"
 
 
+def test_encoded_cells_are_written_as_given(tmp_path, short_chunks):
+    # csv cells as zero-padded uint8 rows, quotes included and zeros between
+    # characters, on both paths and across chunks, also as a transposed view
+    texts = ["{1,2}", "{3}", "{}", "a,b", "{10,11}"]
+    encoded = np.zeros((len(texts), 20), np.uint8)
+    for row, text in zip(encoded, texts):
+        cell = f'"{text}"' if "," in text else text
+        row[1:2 * len(cell):2] = np.frombuffer(cell.encode(), np.uint8)
+    for rows in (len(texts), *LONG_ROWS):
+        cells = np.resize(encoded, (rows, encoded.shape[1]))
+        expected = reference_csv(("n", "v"), (np.arange(rows), np.resize(texts, rows)))
+        for column in (cells, np.ascontiguousarray(cells.T).T):
+            path = tmp_path / "t.csv"
+            write_csv(str(path), ("n", "v"), (np.arange(rows), column))
+            assert written(path) == expected
+
+
 def test_write_csv_accepts_any_iterable_of_columns(tmp_path):
     header = ("mask", "sign", "member")
     columns = (np.arange(5), np.array([1, -1, -1, 1, -1], dtype=np.int8),
