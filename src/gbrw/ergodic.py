@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import BetaFamily, binomial_parity, check_enum_cap, level_family
-from .rules import ExplicitRule, PrefixMaxRule, RecyclingRule
+from .rules import (ExplicitRule, ModifiedLevyMaxRule, ModifiedLevyRule, PrefixMaxRule,
+                    RecyclingRule, WindowMaxRule)
 
 __all__ = [
     "rule_permutation",
@@ -32,11 +33,7 @@ __all__ = [
     "binomial_parity",
     "ergodic_repair",
     "RepairedRule",
-    "CLOSED_FORM_ERGODIC",
 ]
-
-#: Builtin families whose single-orbit criterion holds at every step.
-CLOSED_FORM_ERGODIC = ("max", "modified-levy", "modified-levy-max")
 
 
 def rule_permutation(rule: RecyclingRule, n: int) -> np.ndarray:
@@ -143,7 +140,8 @@ def is_ergodic_up_to(rule: RecyclingRule, horizon: int) -> ErgodicityVerdict:
     return ErgodicityVerdict(
         checked_up_to=horizon,
         ergodic_so_far=True,
-        closed_form=rule.name in CLOSED_FORM_ERGODIC,
+        closed_form=type(rule) in (ModifiedLevyRule, ModifiedLevyMaxRule)
+        or type(rule) is WindowMaxRule and rule.width is None,
     )
 
 
@@ -248,8 +246,8 @@ class RepairedRule(PrefixMaxRule):
 
 def _parity_reads_tables(rule: RecyclingRule) -> bool:
     """Whether ``rule.negatives_parity`` counts step tables: the default hook
-    does, a prefix-max wrapper's reads its inner rule's, and an explicit
-    rule's its fallback's past the steps it lists (all of them without one)."""
+    does, a prefix-max wrapper's reads its inner rule's, and an explicit rule's
+    reads coefficients, then its fallback's (a rule without one is held to the cap)."""
     hook = type(rule).negatives_parity
     if hook is PrefixMaxRule.negatives_parity:
         return _parity_reads_tables(rule.inner)

@@ -750,8 +750,8 @@ def analyze_set_sequence(seq: SetSequence, horizon: int,
     Flags the empirical sufficient condition for an independent Brownian
     limit: the tail of the match fraction sits below the tolerance.
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     lo, hi = seq.bounds(horizon)
     first_seen: dict[tuple[int, int], int] = {}
     counts: dict[tuple[int, int], int] = {}
@@ -800,8 +800,8 @@ def intersection_diagnostic(seq: SetSequence, horizon: int,
     second half of the horizon (the hypothesis holds eventually, not
     necessarily from the first step).
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     lo, hi = seq.bounds(horizon + 1)
     tail_sizes = set((hi - lo + 1)[horizon // 2:].tolist())
     if len(tail_sizes) != 1:

@@ -17,8 +17,8 @@ where each has its own fast form: the int8 accumulates of the running
 product and the sign of the walk (a running -1 parity, int32 walk sums)
 are the oracle of their word kernels, which, like those of the window and
 prefix maxima and the prefix-max wrapper, shift, XOR and AND whole words.
-Table-backed rules (explicit, random) start from a fallback kernel or a
-running prefix mask and look up only the steps they tabulate, row by row.
+An explicit rule evaluates its beta families on all packed paths at once,
+a random rule its tables at all packed prefix masks, step by step.
 ``psi`` evaluates one multiplier and is the pointwise oracle of the kernels.
 ``step_table`` gives one step's truth table, the psi0 constant at step 1
 and otherwise a rule's ``table_signs`` once the arity is checked against
@@ -36,6 +36,7 @@ and negation are the sign-flip rules of density 0 and 1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -977,7 +978,8 @@ def negation_rule() -> SignFlipRule:
 
 
 class ExplicitRule(RecyclingRule):
-    """Rule given by per-step tables or beta families, with an optional fallback."""
+    """Rule given by per-step tables or beta families, with an optional fallback:
+    one beta family per listed step (psi0's at step 1), which every view reads."""
 
     def __init__(self, psi0: int,
                  tables: Mapping[int, TruthTable] | None = None,
@@ -985,74 +987,77 @@ class ExplicitRule(RecyclingRule):
                  fallback: RecyclingRule | None = None,
                  name: str = "explicit"):
         super().__init__(psi0)
-        self.tables = dict(tables or {})
         self.families = dict(families or {})
         self.fallback = fallback
         self.name = name
-        for step, table in self.tables.items():
-            if step < 2:
-                raise ValueError("tabulated steps must be >= 2 (psi0 covers step 1)")
-            if table.arity != step - 1:
-                raise ValueError(f"table at step {step} must have arity {step - 1}")
+        for step, table in (tables or {}).items():
+            if step in self.families:
+                raise ValueError(f"step {step} is given both as a table and as a family")
+            self.families[step] = truth_to_beta(table)
         for step, family in self.families.items():
             if step < 2:
-                raise ValueError("family steps must be >= 2 (psi0 covers step 1)")
+                raise ValueError("listed steps must be >= 2 (psi0 covers step 1)")
             if family.step != step:
-                raise ValueError(f"family at step {step} has step {family.step}")
+                raise ValueError(f"the multiplier at step {step} must have arity {step - 1}")
+        self.families[1] = BetaFamily(1, [0] if psi0 == -1 else [])
 
     def psi(self, n, u):
-        step = n + 1
-        if step in self.tables:
-            return self.tables[step].sign(u[:n])
-        if step in self.families:
-            return self.families[step].evaluate(u)
-        return self._fallback_at(step).psi(n, u)
+        if n + 1 in self.families:
+            return self.families[n + 1].evaluate(u)
+        return self._fallback_at(n + 1).psi(n, u)
 
     def _multipliers(self, arr):
-        # the fallback's kernel with psi0 and one psi per listed step; with
-        # no fallback every step is evaluated, and psi raises at the first
-        # step without a definition
+        # the fallback's kernel, unless steps 1..n are all listed, then each
+        # listed family on every path; with no fallback, a gap raises
         n = arr.shape[-1]
-        if self.fallback is None:
-            out, steps = np.empty_like(arr), range(2, n + 1)
-        else:
-            out = self.fallback._multipliers(arr)
-            steps = sorted(s for s in {*self.tables, *self.families} if s <= n)
-        out[..., :1] = self.psi0
-        if steps:
-            for row in np.ndindex(arr.shape[:-1]):
-                u, psi = arr[row][:steps[-1]].tolist(), out[row]
-                for step in steps:
-                    psi[step - 1] = self.psi(step - 1, u)
+        gap = next(s for s in range(1, len(self.families) + 2) if s not in self.families)
+        out = np.empty_like(arr) if gap > n else self._fallback_at(gap)._multipliers(arr)
+        listed = [step for step in self.families if step <= n]
+        if listed:  # steps k read u_1..u_{k-1}
+            packed = np.packbits(arr[..., :max(listed)] < 0, axis=-1, bitorder="little")
+            odd = _families_minus([self.families[step] for step in listed], packed)
+            out[..., [step - 1 for step in listed]] = _signs(odd)
         return out
 
     def table_signs(self, step):
-        if step in self.tables:
-            return self.tables[step].signs
         if step in self.families:
             return beta_to_truth(self.families[step]).signs
         return self._fallback_at(step).step_table(step).signs
 
     def step_family(self, step):
-        if step == 1:
-            return BetaFamily(1, [0] if self.psi0 == -1 else [])
         if step in self.families:
             return self.families[step]
-        if step in self.tables:
-            return truth_to_beta(self.tables[step])
         return self._fallback_at(step).step_family(step)
 
     def negatives_parity(self, step):
-        # psi0 and the listed steps count their tables; the others are the
-        # fallback's
-        if step == 1 or step in self.tables or step in self.families:
-            return super().negatives_parity(step)
+        # the parity of a table's -1s is its family's full-set coefficient
+        if step in self.families:
+            return int(self.families[step].contains_full_set)
         return self._fallback_at(step).negatives_parity(step)
 
     def _fallback_at(self, step: int) -> RecyclingRule:
         if self.fallback is None:
             raise ValueError(f"rule has no definition at step {step} and no fallback")
         return self.fallback
+
+
+def _families_minus(families: list[BetaFamily], packed: np.ndarray) -> np.ndarray:
+    """bool (..., len(families)): whether each family's product is -1 on each path,
+    packed 8 steps to a byte as wide as every member: where an odd number of the
+    family's members lie inside the path's -1 steps."""
+    # each family after an empty set, inside every path: no group is empty, each flipped once
+    groups = [(0, *family.masks) for family in families]
+    starts = [*itertools.accumulate(map(len, groups[:-1]), initial=0)]
+    width = packed.shape[-1]
+    members = np.frombuffer(b"".join(m.to_bytes(width, "little") for group in groups
+                                     for m in group), np.uint8).reshape(-1, width)
+    rows = packed.reshape(-1, width)[:, None]
+    odd = np.empty((len(rows), len(families)), dtype=bool)
+    block = max(1, (1 << 16) // members.size)
+    for first in range(0, len(rows), block):
+        inside = ((rows[first:first + block] & members) == members).all(axis=-1)
+        odd[first:first + block] = ~np.logical_xor.reduceat(inside, starts, axis=-1)
+    return odd.reshape(packed.shape[:-1] + (len(families),))
 
 
 class RandomRule(RecyclingRule):
@@ -1088,14 +1093,10 @@ class RandomRule(RecyclingRule):
         return self.step_table(n + 1).sign(u[:n])
 
     def _multipliers(self, arr):
+        # step k reads its table at the -1 mask of u_1..u_{k-1}, the low k-1
+        # bits of the path's first word: no table is built past the cap
+        prefix = pack_minus(arr[..., :64], 1)[..., 0]
         out = np.empty_like(arr)
-        out[..., :1] = self.psi0
-        for row in np.ndindex(arr.shape[:-1]):
-            psi = out[row]
-            mask = 0  # -1 bitmask of the prefix xi_1..xi_{step-1}
-            for step, x in enumerate(arr[row][:-1].tolist(), start=2):
-                if x < 0:
-                    mask |= 1 << (step - 2)
-                psi[step - 1] = self.step_table(step).signs[mask]
+        for step in range(1, arr.shape[-1] + 1):
+            out[..., step - 1] = self.step_table(step).signs[prefix & _LOW_BITS[step - 1]]
         return out
-

@@ -8,10 +8,11 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gbrw import __version__
-from gbrw.algebra import BetaFamily
+from gbrw.algebra import BetaFamily, TruthTable, member_strings, truth_to_beta
 from gbrw.cli import BOUNDS, build_parser, main
 from gbrw.moments import analyze_set_sequence, condition_B_partial, intersection_diagnostic
 from gbrw.reports import format_value
@@ -284,6 +285,97 @@ def test_ergodic_check_reads_a_document_fallback_past_the_table_cap(capsys, tmp_
                         "--out", str(tmp_path)], capsys)
     assert code == 0
     assert "single-orbit criterion holds for n <= 30" in out
+
+
+def test_ergodic_check_of_a_far_step_document(capsys, tmp_path):
+    # a listed step's parity is its full-set coefficient: step 30 of the
+    # document is decided from its family, with no 2^29 table
+    doc = tmp_path / "far.rule"
+    doc.write_text("psi0: -1\ngenerator: beta {\n  30: [{1,29}]\n  fallback: max\n}\n")
+    code, out, err = run(["ergodic-check", "--rule", str(doc), "--horizon", "40",
+                          "--out", str(tmp_path / "out")], capsys)
+    assert (code, err) == (2, "")
+    assert out.splitlines()[0] == ("rule document:beta: NOT ergodic, "
+                                   "first failure at step 29 (value +1)")
+
+
+def test_truth_and_beta_documents_of_one_rule_write_the_same_reports(capsys, tmp_path):
+    # the same functions as sign tables and as beta families, over a fallback
+    rng = np.random.default_rng(4)
+    tables = {step: TruthTable.from_neg_bits(rng.integers(0, 2, 1 << (step - 1)))
+              for step in range(2, 6)}
+    truth = ["psi0: -1", "generator: truth {"]
+    beta = ["psi0: -1", "generator: beta {"]
+    for step, table in tables.items():
+        truth.append(f"  {step}: " + "".join("-" if v < 0 else "+" for v in table.signs))
+        beta.append(f"  {step}: [{', '.join(member_strings(truth_to_beta(table).masks))}]")
+    for kind, lines in (("truth", truth), ("beta", beta)):
+        (tmp_path / f"{kind}.rule").write_text("\n".join([*lines, "  fallback: window-max:2",
+                                                          "}", ""]))
+    commands = [["convert", "--step", str(step)] for step in range(0, 8)] + [
+        ["rules", "--horizon", "7"], ["gaussian-check", "--horizon", "10"],
+        ["ergodic-check", "--horizon", "10"], ["ergodic-check", "--horizon", "10", "--repair"]]
+    for i, command in enumerate(commands):
+        results = {}
+        for kind in ("truth", "beta"):
+            out_dir = tmp_path / kind / str(i)
+            code, out, err = run([*command, "--rule", str(tmp_path / f"{kind}.rule"),
+                                  "--out", str(out_dir)], capsys)
+            files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+            results[kind] = (code, out.replace(str(out_dir), "OUT").replace(f"document:{kind}",
+                                                                             "document"),
+                             err, files)
+        assert results["truth"] == results["beta"], command
+
+
+def test_rule_specification_errors_name_their_cause(capsys, tmp_path):
+    def doc(*lines):
+        path = tmp_path / f"doc{len(list(tmp_path.iterdir()))}.rule"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def block(kind, *lines):
+        return doc("psi0: -1", f"generator: {kind} {{", *lines, "}")
+
+    cases = [
+        ("builtin:extended-brw", "extended-brw needs a set-sequence kind"),
+        ("builtin:symmetric", "symmetric takes values alternating with breakpoints"),
+        ("builtin:symmetric:1:0", "symmetric takes values alternating with breakpoints"),
+        ("builtin:sign-flips", "sign-flips takes one density parameter"),
+        (block("beta", "2: {1}"), "line 3: expected a [...] list of index sets"),
+        (block("beta", "2: [{1} x]"), "line 3: unexpected tokens 'x' in set list"),
+        (block("truth", "2: +x"), "line 3: truth rows must be strings of + and - signs"),
+        (block("beta", "2 [{1}]"), "line 3: expected 'n: ...' or 'fallback: ...'"),
+        (block("beta", "two: [{1}]"), "line 3: bad step number 'two'"),
+        (block("beta", "1: [{}]"), "line 3: explicit steps must be >= 2"),
+        (block("beta", "2: [{1}]", "2: []"), "line 4: step 2 defined twice"),
+        (doc("psi0 -1"), "line 1: expected 'key: value', got 'psi0 -1'"),
+        (doc("psi0: -1", "generator: builtin"), "line 2: builtin generator needs a name"),
+        (doc("psi0: -1", "generator: beta"), "line 2: expected 'beta {' opening a block"),
+        (doc("psi0: -1", "generator: table {"), "line 2: unknown generator 'table {'"),
+        (doc("psi0: -1", "colour: red"), "line 2: unknown key 'colour'"),
+        (doc("psi0: -1"), "missing generator field"),
+    ]
+    for spec, message in cases:
+        code, out, err = run(["rules", "--rule", spec], capsys)
+        assert (code, out, err) == (1, "", f"rule specification error: {message}\n"), spec
+    # an empty set list is a valid family: the step's multiplier is +1
+    code, out, err = run(["rules", "--rule", block("beta", "2: []", "fallback: max")], capsys)
+    assert (code, err) == (0, "") and "multiplier 1: beta members (empty)" in out
+
+
+@pytest.mark.parametrize("kind", ["prefix:0.5", "prefix-log", "prefix-pow:0.5", "capped:2",
+                                  "window:3"])
+def test_moments_of_every_set_sequence_kind_at_horizon_one(capsys, tmp_path, kind):
+    # both set diagnostics are defined at n = 1; the mean intersection is
+    # blank where the set sizes of steps 1 and 2 differ, and 0 for
+    # prefix-log, whose first two sets are both empty
+    code, _, err = run(["moments", "--rule", f"builtin:extended-brw:{kind}", "--horizon", "1",
+                        "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert read_csv(tmp_path / "set_diag.csv") == [
+        ["n", "first_match_ratio", "match_fraction", "mean_intersection"],
+        ["1", "1", "1", "0" if kind == "prefix-log" else ""]]
 
 
 @pytest.mark.parametrize("rule", ["levy", "symmetric:-1:0.5:1", "modified-levy"])

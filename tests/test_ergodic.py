@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gbrw.algebra import CapacityError, beta_to_truth, truth_to_beta
+from gbrw.algebra import BetaFamily, CapacityError, beta_to_truth, truth_to_beta
 from gbrw.ergodic import (
     binomial_parity,
     criterion_beta,
@@ -212,6 +212,21 @@ def test_modified_levy_max_ergodic_to_16():
     verdict = is_ergodic_up_to(ModifiedLevyMaxRule(), 16)
     assert verdict.ergodic_so_far
     assert verdict.closed_form
+
+
+def test_closed_form_is_decided_by_the_rule_not_its_name():
+    # an explicit rule named "max" whose step 30 fails the criterion
+    impostor = ExplicitRule(-1, families={30: BetaFamily(30, [1])},
+                            fallback=WindowMaxRule(None), name="max")
+    verdict = is_ergodic_up_to(impostor, 20)
+    assert verdict.ergodic_so_far and not verdict.closed_form
+    assert is_ergodic_up_to(impostor, 40).first_failure == 29
+    for rule in (WindowMaxRule(None), ModifiedLevyRule(1), ModifiedLevyMaxRule()):
+        assert is_ergodic_up_to(rule, 20).closed_form
+    # ergodic so far, with no proof past the horizon
+    for rule in (WindowMaxRule(20), ergodic_repair(LevyRule())):
+        verdict = is_ergodic_up_to(rule, 20)
+        assert verdict.ergodic_so_far and not verdict.closed_form
 
 
 def test_single_orbit_modified_levy_tau10():

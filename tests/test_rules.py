@@ -12,8 +12,9 @@ from gbrw.algebra import (
     CapacityError,
     TruthTable,
     beta_to_truth,
+    truth_to_beta,
 )
-from gbrw.ergodic import RepairedRule, ergodic_repair
+from gbrw.ergodic import RepairedRule, criterion_beta, criterion_product, ergodic_repair
 from gbrw.rules import (
     ExplicitRule,
     ExtendedBrwRule,
@@ -405,12 +406,18 @@ def step_functions(draw, max_breaks=6):
 
 def explicit_rule(seed, fallback):
     """Random tables and families at up to five steps <= 12 over a fallback,
-    or at every step up to a random last one without a fallback."""
-    rng = np.random.default_rng(seed)
+    or at every step up to a random last one without a fallback.  A second
+    stream adds families of at most three indices, so that paths hold them:
+    at up to two steps in 65..200 over a fallback, and without one at every
+    step on to one past 128 for even seeds."""
+    rng, far = np.random.default_rng(seed), np.random.default_rng([seed, 64])
     if fallback is None:
-        steps = range(2, int(rng.integers(1, 13)) + 1)
+        last = int(rng.integers(1, 13))
+        steps = range(2, last + 1)
+        far_steps = range(last + 1, int(far.integers(129, 160)) + 1 if seed % 2 == 0 else 0)
     else:
         steps = rng.choice(np.arange(2, 13), size=int(rng.integers(0, 6)), replace=False)
+        far_steps = far.choice(np.arange(65, 201), size=int(far.integers(0, 3)), replace=False)
     tables, families = {}, {}
     for step in map(int, steps):
         if rng.random() < 0.5:
@@ -419,6 +426,11 @@ def explicit_rule(seed, fallback):
             families[step] = BetaFamily(step, [
                 sum(1 << k for k in np.flatnonzero(rng.random(step - 1) < 0.5).tolist())
                 for _ in range(int(rng.integers(0, 4)))])
+    for step in map(int, far_steps):
+        sizes = far.integers(0, 4, size=int(far.integers(0, 4))).tolist()
+        families[step] = BetaFamily(step, [
+            sum(1 << int(k) for k in far.choice(step - 1, min(size, step - 1), replace=False))
+            for size in sizes])
     name = f"explicit:{seed}+{fallback.name if fallback else 'none'}"
     return ExplicitRule(int(rng.choice([-1, 1])), tables, families, fallback, name)
 
@@ -487,7 +499,7 @@ def max_length(rule):
     ends at its last listed step, and random and repaired rules build a
     table of 2^(k-1) entries at each step k, so they stop at 20 steps."""
     if isinstance(rule, ExplicitRule) and rule.fallback is None:
-        return max((*rule.tables, *rule.families), default=1)
+        return max(rule.families)
     if isinstance(rule, (RandomRule, RepairedRule)):
         return 20
     return None
@@ -540,6 +552,54 @@ RULES_AT_SHORT_LENGTHS = [
     explicit_rule(3, None), *TABLE_RULES,
     *(ExtendedBrwRule(seq) for seq in EXTENDED_SEQUENCES),
 ]
+
+
+EXPLICIT_RULES = [
+    *(explicit_rule(seed, fallback) for seed in range(6)
+      for fallback in (None, ProductRule(), WindowMaxRule(3), LevyRule())),
+    # members across the first and second word boundaries
+    ExplicitRule(-1, families={70: BetaFamily(70, [1 << 68 | 1, 1 << 63]),
+                               140: BetaFamily(140, [1 << 130 | 1 << 64, 1 << 127 | 1 << 128])},
+                 fallback=ProductRule(), name="explicit:words+brw"),
+]
+
+
+@pytest.mark.parametrize("rule", EXPLICIT_RULES, ids=lambda r: r.name)
+def test_explicit_kernel_matches_psi_across_words(rule):
+    # members past bit 64 and bit 128 of the packed paths, read for a block
+    # of paths at once and, as Monte Carlo reads them, from packed words
+    steps = sorted(rule.families)
+    assert rule.fallback is not None or steps == list(range(1, steps[-1] + 1))
+    lengths = [63, 64, 65, 129, 200, 256] if rule.fallback else [steps[-1]]
+    for n in lengths:
+        xi = 2 * np.random.default_rng(n).integers(0, 2, (40, n), dtype=np.int8) - 1
+        xi[:4, :] = -1  # where every member lies inside
+        xi[4, :] = 1
+        mult = rule.multipliers(xi)
+        assert mult.tolist() == [[rule.multiplier(k, u) for k in range(1, n + 1)]
+                                 for u in xi.tolist()]
+        words = rules.pack_minus(xi)
+        assert np.array_equal(rule.minus_words(words, n), rules.pack_minus(mult))
+
+
+def test_explicit_kernel_without_fallback_stops_at_the_first_unlisted_step():
+    for rule in (rule for rule in EXPLICIT_RULES if rule.fallback is None):
+        last = max(rule.families)
+        xi = np.ones((3, last + 5), dtype=np.int8)
+        with pytest.raises(ValueError, match=f"^rule has no definition at step {last + 1} "):
+            rule.multipliers(xi)
+        assert rule.multipliers(xi[:, :last]).shape == (3, last)
+    gap = ExplicitRule(1, families={2: BetaFamily(2, [1]), 4: BetaFamily(4, [0])})
+    with pytest.raises(ValueError, match="^rule has no definition at step 3 "):
+        gap.multipliers(np.ones((2, 4), dtype=np.int8))
+
+
+@pytest.mark.parametrize("rule", [EXPLICIT_RULES[1], RandomRule(9)], ids=lambda r: r.name)
+def test_table_backed_kernels_do_not_call_psi(rule, monkeypatch):
+    xi = 2 * np.random.default_rng(0).integers(0, 2, (50, 20), dtype=np.int8) - 1
+    expected = [[rule.multiplier(k, u) for k in range(1, 21)] for u in xi.tolist()]
+    monkeypatch.setattr(rule, "psi", lambda n, u: pytest.fail("psi called"))
+    assert rule.multipliers(xi).tolist() == expected
 
 
 @pytest.mark.parametrize("rule", RULES_AT_SHORT_LENGTHS, ids=_rule_id)
@@ -731,6 +791,43 @@ def test_explicit_rule_validates_steps():
         ExplicitRule(1, tables={1: TruthTable.constant(0, 1)})
     with pytest.raises(ValueError):
         ExplicitRule(1, tables={3: TruthTable.constant(1, 1)})
+
+
+def test_explicit_rule_rejects_a_step_given_both_ways():
+    # a table and a family at one step could disagree; the rule holds one
+    with pytest.raises(ValueError, match="^step 2 is given both as a table and as a family$"):
+        ExplicitRule(-1, tables={2: TruthTable(1, [1, -1])}, families={2: BetaFamily(2, [])})
+
+
+def test_explicit_rule_states_each_step_once():
+    tables = {3: TruthTable(2, [1, -1, -1, -1]), 5: TruthTable.constant(4, -1)}
+    families = {4: BetaFamily(4, [0b101, 0b11])}
+    fallback = WindowMaxRule(2)
+    rule = ExplicitRule(-1, tables, families, fallback)
+    assert not hasattr(rule, "tables")
+    assert rule.families == {1: BetaFamily(1, [0]), 3: truth_to_beta(tables[3]),
+                             4: families[4], 5: BetaFamily(5, [0])}
+    for step, table in tables.items():
+        assert rule.step_table(step) == table
+    for step in range(1, 9):
+        family = rule.families[step] if step in rule.families else fallback.step_family(step)
+        assert rule.step_family(step) == family
+        assert rule.step_table(step) == beta_to_truth(family)
+        assert rule.negatives_parity(step) == rule.step_table(step).negatives_parity()
+
+
+def test_explicit_parities_are_the_given_tables_parities():
+    # the criterion reads each listed step's full-set coefficient, which is
+    # the parity of the -1s of the table it came from
+    rng = np.random.default_rng(11)
+    for psi0 in (-1, 1):
+        tables = {step: TruthTable.from_neg_bits(rng.integers(0, 2, 1 << (step - 1)))
+                  for step in range(2, 14)}
+        rule = ExplicitRule(psi0, tables=tables, fallback=LevyRule())
+        for step, table in tables.items():
+            assert rule.negatives_parity(step) == table.negatives_parity()
+        for n in range(1, 16):
+            assert (criterion_product(rule, n) == -1) == (criterion_beta(rule, n) == 1)
 
 
 def test_random_rule_deterministic_and_forced():
